@@ -25,9 +25,10 @@ kappa(m) of the exceptional index set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .cyclotomic import _is_prime
+from .cyclotomic import is_odd_prime
 from .local_reps import EndoPermParams
 
 POSITIVE = 1
@@ -57,15 +58,36 @@ class BlockDescriptor:
         """Exceptional multiplicity (p^n - 1)/e."""
         return (self.p ** self.n - 1) // self.e
 
-    @property
+    @cached_property
     def nonexceptional_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if v != self.exceptional)
 
+    @cached_property
+    def _edges_by_id(self) -> dict[str, Edge]:
+        return {edge.id: edge for edge in self.edges}
+
+    @cached_property
+    def toward_exceptional(self) -> dict[str, tuple[str, str]]:
+        """For every vertex but the exceptional one, the edge and the
+        neighbour one step closer to the exceptional vertex, from one
+        traversal of the tree; each vertex comes after its neighbour."""
+        if self.exceptional is None:
+            raise ValueError("descriptor has no exceptional vertex (m = 1)")
+        out: dict[str, tuple[str, str]] = {}
+        reached = [self.exceptional]
+        for v in reached:
+            for eid in self.cyclic_order[v]:
+                w = self.other_end(eid, v)
+                if w != self.exceptional and w not in out:
+                    out[w] = (eid, v)
+                    reached.append(w)
+        return out
+
     def edge_by_id(self, edge_id: str) -> Edge:
-        for edge in self.edges:
-            if edge.id == edge_id:
-                return edge
-        raise KeyError(f"no edge {edge_id!r}")
+        try:
+            return self._edges_by_id[edge_id]
+        except KeyError:
+            raise KeyError(f"no edge {edge_id!r}") from None
 
     def other_end(self, edge_id: str, vertex: str) -> str:
         a, b = self.edge_by_id(edge_id).ends
@@ -126,13 +148,6 @@ class BlockCharacter:
             raise ValueError("block character shapes differ")
 
 
-def zero_character(desc: BlockDescriptor) -> BlockCharacter:
-    exc = desc.m if desc.exceptional is not None else 0
-    return BlockCharacter(
-        (0,) * len(desc.nonexceptional_vertices), (0,) * exc
-    )
-
-
 def exceptional_bundle(desc: BlockDescriptor) -> BlockCharacter:
     """The sum of all exceptional characters (all-ones exceptional part)."""
     if desc.exceptional is None:
@@ -161,7 +176,7 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
     Strict mode additionally demands opposite signs across every edge.
     """
     out: list[str] = []
-    if desc.p == 2 or not _is_prime(desc.p):
+    if not is_odd_prime(desc.p):
         out.append(f"p = {desc.p} is not an odd prime")
     if desc.n < 1:
         out.append(f"n = {desc.n} must be at least 1")

@@ -18,6 +18,7 @@ whose local character contains the trivial constituent).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -27,24 +28,20 @@ from .brauer_tree import (
     BlockDescriptor,
     exceptional_bundle,
     vertex_character,
-    zero_character,
 )
 from .cyclotomic import CyclicCharacter
 from .local_reps import (
+    CharacterConsistencyError,
     CyclicGroupData,
     EndoPermParams,
-    cap_dim,
     morita_correspondent_character,
     restricted_cap_params,
+    u_module_dimension,
 )
 
 
 if TYPE_CHECKING:
     from .classification import PathDescriptor
-
-
-class CharacterConsistencyError(RuntimeError):
-    """An internally guaranteed character property failed to hold."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
-    a = _smallest_of_order(q, e)
+    a = _smallest_of_order(p, q, e)
     seen = [False] * q
     orbits = []
     for start in range(1, q):
@@ -95,9 +92,9 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     )
 
 
-def _smallest_of_order(q: int, e: int) -> int:
+def _smallest_of_order(p: int, q: int, e: int) -> int:
     for a in range(1, q):
-        if a % _smallest_prime_factor(q) == 0:
+        if a % p == 0:
             continue
         power = a
         order = 1
@@ -107,15 +104,6 @@ def _smallest_of_order(q: int, e: int) -> int:
         if order == e and power == 1:
             return a
     raise ValueError(f"no element of order {e} mod {q}")
-
-
-def _smallest_prime_factor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
 
 
 def t_and_d0(w: EndoPermParams, i: int) -> tuple[int, int]:
@@ -133,34 +121,48 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     divisibility indicators [p^{i_j} | kappa(r)] over the parameter indices
     below i, closed by [p^i | kappa(r)].  Nested divisibility telescopes the
     sum into {0, 1}, and the number of ones is (cap_dim * p^{n-i} - d0)/e.
+    The result depends only on (p, n, e, W, i) and is computed once per
+    vertex index.
     """
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
     if not 1 <= i <= desc.n:
         raise ValueError(f"vertex index {i} outside 1..{desc.n}")
-    g = CyclicGroupData(desc.p, desc.n)
-    orbital = exceptional_orbits(desc.p, desc.n, desc.e)
-    below = restricted_cap_params(desc.w, g, i).indices
-    t, d0 = t_and_d0(desc.w, i)
-    coords = []
-    for rep in orbital.representatives:
-        total = sum(
-            (-1) ** j * (1 if rep % desc.p ** a == 0 else 0)
-            for j, a in enumerate(below)
-        )
-        total += (-1) ** (t + 1) * (1 if rep % desc.p ** i == 0 else 0)
-        coords.append(total)
+    return BlockCharacter(
+        (0,) * len(desc.nonexceptional_vertices),
+        _xi_coordinates(desc.p, desc.n, desc.e, desc.w, i),
+    )
+
+
+@lru_cache(maxsize=None)
+def _xi_coordinates(
+    p: int, n: int, e: int, w: EndoPermParams, i: int
+) -> tuple[int, ...]:
+    coords = _indicator_sums(p, n, e, w, i, divisible=True)
     if any(c not in (0, 1) for c in coords):
         raise CharacterConsistencyError(
             f"exceptional coordinates outside 0/1: {coords}"
         )
-    dim = cap_dim(desc.w, g, i) * desc.p ** (desc.n - i)
-    if (dim - d0) % desc.e != 0 or sum(coords) != (dim - d0) // desc.e:
+    _, d0 = t_and_d0(w, i)
+    dim = u_module_dimension(w, CyclicGroupData(p, n), i)
+    if (dim - d0) % e != 0 or sum(coords) != (dim - d0) // e:
         raise CharacterConsistencyError(
-            f"count {sum(coords)} != ({dim} - {d0})/{desc.e}"
+            f"count {sum(coords)} != ({dim} - {d0})/{e}"
         )
-    return BlockCharacter(
-        (0,) * len(desc.nonexceptional_vertices), tuple(coords)
+    return coords
+
+
+def _indicator_sums(
+    p: int, n: int, e: int, w: EndoPermParams, i: int, divisible: bool
+) -> tuple[int, ...]:
+    """Per exceptional representative, the alternating sum of the
+    (non-)divisibility indicators by p^a over the parameter indices a
+    below i, closed by a = i."""
+    below = restricted_cap_params(w, CyclicGroupData(p, n), i).indices
+    signed = [((-1) ** j, p ** a) for j, a in enumerate(below + (i,))]
+    return tuple(
+        sum(sign for sign, power in signed if (rep % power == 0) == divisible)
+        for rep in exceptional_orbits(p, n, e).representatives
     )
 
 
@@ -181,19 +183,7 @@ def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]
     """
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    g = CyclicGroupData(desc.p, desc.n)
-    orbital = exceptional_orbits(desc.p, desc.n, desc.e)
-    below = restricted_cap_params(desc.w, g, i).indices
-    t, _ = t_and_d0(desc.w, i)
-    coords = []
-    for rep in orbital.representatives:
-        total = sum(
-            (-1) ** j * (0 if rep % desc.p ** a == 0 else 1)
-            for j, a in enumerate(below)
-        )
-        total += (-1) ** (t + 1) * (0 if rep % desc.p ** i == 0 else 1)
-        coords.append(total)
-    return tuple(coords)
+    return _indicator_sums(desc.p, desc.n, desc.e, desc.w, i, divisible=False)
 
 
 def nilpotent_level_character(
@@ -238,9 +228,7 @@ def b_level_character(
     _, d0 = t_and_d0(star_desc.w, i)
     leaf = star_desc.nonexceptional_vertices[x - 1]
     part = xi(star_desc, i)
-    if d0:
-        return vertex_character(star_desc, leaf) + part
-    return zero_character(star_desc) + part
+    return vertex_character(star_desc, leaf) + part if d0 else part
 
 
 def omega_twist(xi_part: BlockCharacter, steps: int) -> BlockCharacter:
@@ -273,29 +261,28 @@ def character_of(
     if path.case_tag is None and path.type_tag != 1:
         raise ValueError("path has not been through admissibility")
     if desc.e == 1:
+        if path.case_tag not in ("i", "ii"):
+            raise CharacterConsistencyError(
+                f"case {path.case_tag!r} invalid for e = 1"
+            )
         _, d0 = t_and_d0(desc.w, i)
-        plain = desc.nonexceptional_vertices[0]
-        if path.case_tag == "i":
-            base = vertex_character(desc, plain) if d0 else zero_character(desc)
-            return base + xi(desc, i)
-        if path.case_tag == "ii":
-            base = zero_character(desc) if d0 else vertex_character(desc, plain)
-            return base + xi_complement(desc, i)
-        raise CharacterConsistencyError(f"case {path.case_tag!r} invalid for e = 1")
-    if path.type_tag == 1:
+        plain = (d0,) if path.case_tag == "i" else (1 - d0,)
+        complement = path.case_tag == "ii"
+    elif path.type_tag == 1:
         return vertex_character(desc, path.spine_vertices[0])
-    if path.case_tag not in ("i", "ii", "iii", "iv"):
+    elif path.case_tag not in ("i", "ii", "iii", "iv"):
         raise CharacterConsistencyError(f"unknown case tag {path.case_tag!r}")
-    total = zero_character(desc)
-    if path.type_tag in (2, 4, 5, 6):
-        for v in path.spine_vertices:
-            total = total + vertex_character(desc, v)
-    part = (
-        xi(desc, i)
-        if path.case_tag in ("ii", "iii")
-        else xi_complement(desc, i)
-    )
-    total = total + part
+    else:
+        # one count per spine vertex, so that a repeated vertex shows as a 2
+        spine = Counter(
+            path.spine_vertices if path.type_tag in (2, 4, 5, 6) else ()
+        )
+        plain = tuple(spine.pop(v, 0) for v in desc.nonexceptional_vertices)
+        if spine:
+            raise KeyError(f"no non-exceptional vertex {next(iter(spine))!r}")
+        complement = path.case_tag in ("i", "iv")
+    part = xi_complement(desc, i) if complement else xi(desc, i)
+    total = BlockCharacter(plain, part.exceptional)
     if not total.is_zero_one:
         raise CharacterConsistencyError(
             f"assembled character is not 0/1-valued: {total}"

@@ -33,6 +33,7 @@ two admissibility cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .brauer_tree import (
     BlockCharacter,
@@ -42,7 +43,12 @@ from .brauer_tree import (
     predecessor,
     successor,
 )
-from .local_reps import CyclicGroupData, cap_dim
+from .local_reps import (
+    CharacterConsistencyError,
+    CyclicGroupData,
+    EndoPermParams,
+    cap_dim,
+)
 
 
 class ClassificationError(Exception):
@@ -109,28 +115,12 @@ def _spine_to_exceptional(
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The unique tree path from start to the exceptional vertex: the
     non-exceptional vertices visited and the edges walked."""
-    target = desc.exceptional
-    parent_edge: dict[str, str] = {}
-    parent_vertex: dict[str, str] = {}
-    stack = [target]
-    seen = {target}
-    while stack:
-        v = stack.pop()
-        for eid in desc.incident(v):
-            w = desc.other_end(eid, v)
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = eid
-                parent_vertex[w] = v
-                stack.append(w)
-    vertices = [start]
-    edges = []
+    vertices, edges = [], []
     v = start
-    while v != target:
-        edges.append(parent_edge[v])
-        v = parent_vertex[v]
-        if v != target:
-            vertices.append(v)
+    while v != desc.exceptional:
+        vertices.append(v)
+        edge, v = desc.toward_exceptional[v]
+        edges.append(edge)
     return tuple(vertices), tuple(edges)
 
 
@@ -199,16 +189,9 @@ def admissible(
     selects between the shared exceptional part and its complement, and the
     multiplicity must respect the shape's range.
     """
-    g = CyclicGroupData(desc.p, desc.n)
-    ell = cap_dim(desc.w, g, i)
-    dim = ell * desc.p ** (desc.n - i)
+    dim, pos_ok, neg_ok = _local_dimension(desc.p, desc.n, desc.e, desc.w, i)
     m = desc.m
     e = desc.e
-    pos_ok = (dim - 1) % e == 0
-    neg_ok = ell % e == 0
-    # e | p-1 makes p = 1 mod e, so both readings of the negative-sign
-    # divisibility agree
-    assert neg_ok == (dim % e == 0)
     if e == 1:
         if path.type_tag != 2:
             return None
@@ -239,6 +222,25 @@ def admissible(
         return None
     low = 2 if path.type_tag == 3 else 1
     return (case, mu) if low <= mu <= m - 1 else None
+
+
+@lru_cache(maxsize=None)
+def _local_dimension(
+    p: int, n: int, e: int, w: EndoPermParams, i: int
+) -> tuple[int, bool, bool]:
+    """The dimension cap_dim * p^{n-i} of the local module, whether e
+    divides dim - 1 (the positive-sign condition), and whether e divides
+    cap_dim (the negative-sign condition)."""
+    ell = cap_dim(w, CyclicGroupData(p, n), i)
+    dim = ell * p ** (n - i)
+    neg_ok = ell % e == 0
+    # e | p-1 makes p = 1 mod e, so both readings of the negative-sign
+    # divisibility agree
+    if neg_ok != (dim % e == 0):
+        raise CharacterConsistencyError(
+            f"e = {e} divides cap_dim {ell} and dim {dim} differently"
+        )
+    return dim, (dim - 1) % e == 0, neg_ok
 
 
 def enumerate_trivial_source(

@@ -36,6 +36,7 @@ from .classification import (
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
+    _check_params_bounds,
     cap_dim,
     char_det1_endoperm,
     morita_correspondent_character,
@@ -252,10 +253,7 @@ def cmd_local(args: argparse.Namespace) -> int:
     try:
         g = CyclicGroupData(args.p, args.n)
         w = _parse_w(args.w)
-        if w.indices and w.indices[-1] > args.n - 1:
-            raise ValueError(
-                f"index {w.indices[-1]} outside 0..{args.n - 1}"
-            )
+        _check_params_bounds(w, g)
         if args.operation == "det1-char":
             result = list(char_det1_endoperm(w, g).mults)
         else:

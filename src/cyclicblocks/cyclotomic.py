@@ -34,32 +34,35 @@ class NonIntegralInnerProductError(ValueError):
 
 def split_odd_prime_power(order: int) -> tuple[int, int]:
     """Return (p, n) with order = p^n for an odd prime p, or raise ValueError."""
-    if order < 3:
-        raise ValueError(f"order {order} is not an odd prime power")
-    p = 3
-    while order % p != 0:
-        p += 2
-        if p * p > order:
-            p = order
-    n = 0
-    rest = order
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    if rest != 1 or p == 2 or not _is_prime(p):
-        raise ValueError(f"order {order} is not an odd prime power")
-    return p, n
+    p = _smallest_factor(order) if order >= 3 else 2
+    if p != 2:
+        n = valuation(p, order)
+        if p ** n == order:
+            return p, n
+    raise ValueError(f"order {order} is not an odd prime power")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def is_odd_prime(p: int) -> bool:
+    return p > 2 and _smallest_factor(p) == p
+
+
+def valuation(p: int, kappa: int) -> int:
+    """The p-adic valuation of a nonzero integer."""
+    v = 0
+    while kappa % p == 0:
+        kappa //= p
+        v += 1
+    return v
+
+
+def _smallest_factor(x: int) -> int:
+    """Smallest divisor d >= 2 of x >= 2."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= x:
+        if x % d == 0:
+            return d
         d += 1
-    return True
+    return x
 
 
 @dataclass(frozen=True, eq=False)

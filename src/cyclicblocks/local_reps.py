@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CyclicCharacter, _is_prime
+from .cyclotomic import CyclicCharacter, is_odd_prime
+
+
+class CharacterConsistencyError(RuntimeError):
+    """An internally guaranteed character property failed to hold."""
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,7 @@ class CyclicGroupData:
     n: int
 
     def __post_init__(self) -> None:
-        if self.p == 2 or not _is_prime(self.p):
+        if not is_odd_prime(self.p):
             raise ValueError(f"p = {self.p} is not an odd prime")
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be at least 1")
@@ -129,10 +133,6 @@ def perm_module_character(g: CyclicGroupData, i: int) -> CyclicCharacter:
     )
 
 
-def trivial_character(order: int) -> CyclicCharacter:
-    return CyclicCharacter(order, (1,) + (0,) * (order - 1))
-
-
 def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     """Dimension of the cap of the restriction to D_i, in closed form.
 
@@ -174,19 +174,12 @@ def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicChar
     module with the given indices (general form, index 0 allowed).
 
     Alternating sum of permutation characters, closed by the trivial
-    character; the assembled vector is 0/1-valued with degree equal to the
-    module's dimension.
+    character (the one on D/D_n); the assembled vector is 0/1-valued with
+    degree equal to the module's dimension.
     """
-    _check_params_bounds(params, g)
-    total = CyclicCharacter(g.order, (0,) * g.order)
-    for j, a in enumerate(params.indices):
-        term = perm_module_character(g, a)
-        total = total + term if j % 2 == 0 else total - term
-    closing = trivial_character(g.order)
-    total = total + closing if len(params.indices) % 2 == 0 else total - closing
-    assert all(m in (0, 1) for m in total.mults)
-    assert total.degree == cap_dim(params, g, g.n)
-    return total
+    return _alternating_perm_sum(
+        g, params.indices + (g.n,), cap_dim(params, g, g.n)
+    )
 
 
 def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> CyclicCharacter:
@@ -212,17 +205,25 @@ def morita_correspondent_character(
     has degree cap_dim * p^{n-i}.
     """
     _check_block_params(params, g)
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex index {i} outside 1..{g.n}")
     below = restricted_cap_params(params, g, i).indices
+    return _alternating_perm_sum(
+        g, below + (i,), u_module_dimension(params, g, i)
+    )
+
+
+def _alternating_perm_sum(
+    g: CyclicGroupData, levels: tuple[int, ...], degree: int
+) -> CyclicCharacter:
+    """The alternating sum of the permutation characters on D/D_a over the
+    levels a, which must come out 0/1-valued of the given degree."""
     total = CyclicCharacter(g.order, (0,) * g.order)
-    for j, a in enumerate(below):
+    for j, a in enumerate(levels):
         term = perm_module_character(g, a)
         total = total + term if j % 2 == 0 else total - term
-    closing = perm_module_character(g, i)
-    total = total + closing if len(below) % 2 == 0 else total - closing
-    assert all(m in (0, 1) for m in total.mults)
-    assert total.degree == u_module_dimension(params, g, i)
+    if any(m not in (0, 1) for m in total.mults) or total.degree != degree:
+        raise CharacterConsistencyError(
+            f"alternating sum over levels {levels} is not 0/1 of degree {degree}"
+        )
     return total
 
 

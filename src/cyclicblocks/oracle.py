@@ -15,8 +15,9 @@ tolerance-based.
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -38,7 +39,12 @@ from .characters import (
     xi_complement_nondivisible,
 )
 from .classification import ClassificationError, enumerate_trivial_source
-from .cyclotomic import CyclicCharacter, class_function_from_integers, decompose
+from .cyclotomic import (
+    CyclicCharacter,
+    class_function_from_integers,
+    decompose,
+    valuation,
+)
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -140,18 +146,15 @@ def _tree_edges_from_pruefer(seq: list[int], count: int) -> list[tuple[int, int]
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = sorted(v for v in range(count) if degree[v] == 1)
+    # the smallest leaf goes first, so the construction is deterministic
+    leaves = [v for v in range(count) if degree[v] == 1]
+    heapq.heapify(leaves)
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((leaf, v))
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
         if degree[v] == 1:
-            # keep the pool sorted so the construction is deterministic
-            pos = 0
-            while pos < len(leaves) and leaves[pos] < v:
-                pos += 1
-            leaves.insert(pos, v)
-    edges.append((leaves[0], leaves[1]))
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return edges
 
 
@@ -189,36 +192,30 @@ def random_block_descriptor(
         cyclic_order[v] = tuple(order)
     exceptional = rng.choice(names)
     w = EndoPermParams(tuple(a for a in range(1, n) if rng.random() < 0.5))
-
-    depth = {exceptional: 0}
-    stack = [exceptional]
-    while stack:
-        v = stack.pop()
-        for eid in cyclic_order[v]:
-            edge = next(ed for ed in edges if ed.id == eid)
-            other = edge.ends[1] if edge.ends[0] == v else edge.ends[0]
-            if other not in depth:
-                depth[other] = depth[v] + 1
-                stack.append(other)
-    orientation = rng.choice((1, -1))
-    if (
-        e > 1
-        and orientation == -1
-        and len(incident[exceptional]) == 1
-        and cap_dim(w, g, n) == e
-    ):
-        orientation = 1
-    signs = {v: orientation * (-1) ** (depth[v] % 2) for v in names}
-    desc = BlockDescriptor(
+    unsigned = BlockDescriptor(
         p=p,
         n=n,
         e=e,
         vertices=tuple(names),
-        signs=signs,
+        signs={},
         edges=edges,
         cyclic_order=cyclic_order,
         exceptional=exceptional,
         w=w,
+    )
+    parity = {exceptional: 1}
+    for v, (_, toward) in unsigned.toward_exceptional.items():
+        parity[v] = -parity[toward]
+    orientation = rng.choice((1, -1))
+    if (
+        e > 1
+        and orientation == -1
+        and unsigned.is_leaf(exceptional)
+        and cap_dim(w, g, n) == e
+    ):
+        orientation = 1
+    desc = replace(
+        unsigned, signs={v: orientation * parity[v] for v in names}
     )
     problems = validate(desc, strict=True)
     if problems:
@@ -323,7 +320,7 @@ def consistency_suite(
                     continue
                 orbital = exceptional_orbits(p, n, e)
                 for orbit in orbital.orbits:
-                    vals = {_val(p, kappa) for kappa in orbit}
+                    vals = {valuation(p, kappa) for kappa in orbit}
                     check(
                         "orbit valuation constant",
                         (p, n, e, orbit),
@@ -380,14 +377,6 @@ def consistency_suite(
                         _check_star_agreement(p, n, e, w, check)
 
     return ConsistencyReport(checks_run, tuple(failures))
-
-
-def _val(p: int, kappa: int) -> int:
-    v = 0
-    while kappa % p == 0:
-        kappa //= p
-        v += 1
-    return v
 
 
 def _check_descriptor(desc: BlockDescriptor, check) -> None:

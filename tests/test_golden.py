@@ -1,0 +1,159 @@
+"""Byte-identity of `cyclicblocks enumerate` output on a fixed fixture set.
+
+Each fixture descriptor is written to a file and enumerated through
+`cli.main`, in JSON and in CSV; the sha256 of stdout and the exit code must
+match the values recorded below.  A change to the corpus generator, to the
+enumeration, to the characters or to the output format shows up here.
+"""
+
+import hashlib
+import io
+import json
+import random
+from contextlib import redirect_stdout
+
+import pytest
+
+from cyclicblocks.brauer_tree import (
+    BlockDescriptor,
+    Edge,
+    group_algebra_block,
+    star_tree,
+)
+from cyclicblocks.cli import descriptor_to_obj, main
+from cyclicblocks.local_reps import EndoPermParams
+from cyclicblocks.oracle import random_block_descriptor, random_corpus
+
+
+def fixtures() -> dict[str, BlockDescriptor]:
+    out = {
+        f"corpus{k:02d}": desc
+        for k, desc in enumerate(
+            random_corpus(primes=(3, 5, 7), n_max=3, seed=4, count=12)
+        )
+    }
+    out["random-41-2-40"] = random_block_descriptor(random.Random(14), 41, 2, 40)
+    out["star-neg"] = star_tree(4, 5, 2, EndoPermParams((1,)), -1)
+    out["star-pos"] = star_tree(4, 5, 2, EndoPermParams((1,)), 1)
+    out["group-algebra-3-2"] = group_algebra_block(3, 2)
+    out["m1-3-1-2"] = BlockDescriptor(
+        p=3,
+        n=1,
+        e=2,
+        vertices=("a", "b", "c"),
+        signs={"a": 1, "b": -1, "c": 1},
+        edges=(Edge("E1", ("a", "b")), Edge("E2", ("b", "c"))),
+        cyclic_order={"a": ("E1",), "b": ("E1", "E2"), "c": ("E2",)},
+        exceptional=None,
+        w=EndoPermParams(()),
+    )
+    return out
+
+
+# name -> (exit code, sha256 of JSON stdout, sha256 of CSV stdout)
+GOLDEN = {
+    "corpus00": (
+        0,
+        "3ded84df5fb6b1c2e9e2100b95d6b9704e051d3c12ea3e34f9e2fcedbf95b3c0",
+        "c45d0945da6e3db365d07806af3602a249d454c93281718e158c1e7d028c1dd6",
+    ),
+    "corpus01": (
+        0,
+        "a2b12624b8f852adffc421fd18e73cd317df7beb55e91339aa48789dddd4e59c",
+        "0d845951be481eb2df885be70bbbb8881ff0798ec3b7e90e3b026dc4d8be04fc",
+    ),
+    "corpus02": (
+        0,
+        "662f9ffa93e6edf48778f99a83aef9b6e55dce1cdca3b23218ced4a72dcf2954",
+        "95b67932d5529d1016eb16a1494daf00899a8d2d1f19c8eec750e066645acccf",
+    ),
+    "corpus03": (
+        0,
+        "1e4ad5885a912997c7dede4f13ea65f5e6813de64c894deed5b352723a3dc120",
+        "80c7bb6188ea1e0769ec7c2c06abe34683e18af4c0d4de682f4503b12d018cd1",
+    ),
+    "corpus04": (
+        0,
+        "5cb18467f840c777b55d125e64d5b2593a7b28689d88917c74daac4148378da6",
+        "592812a30ca2d990058f8ea919adac22981c88ee12ae442db8457b3a1a949225",
+    ),
+    "corpus05": (
+        0,
+        "06cc02a4bfd1d3e9862eff44a07e2b92695a16e51032ce0c999cc0d775a8efa4",
+        "62231bb6a53ec6c54cab3d2cc06a601984e132d60f492949e1b4be7a6fb971a4",
+    ),
+    "corpus06": (
+        0,
+        "7c2b4fb9ea7b1fd0923edf5afe745fbfe70fa4c026e1b8543a7504cebdd146f6",
+        "988bb0b889fa99f7ccd4c259e535ca5419a0a4b4166500767834f6b7acc26140",
+    ),
+    "corpus07": (
+        0,
+        "1ee2a5ff1de854d8ed0decde310cc65734c88d291aad11fa825de68b904c1eb0",
+        "716d954f0a87a6335732777c67b28684734d828e2d01e347a6da0d3ead7354a0",
+    ),
+    "corpus08": (
+        0,
+        "b21954c6c8b59d2453ace797fbdaf0971906061b96de418f8ddc8a81c0ef33ef",
+        "326e1c09280c7167a0f5b7745dedde5f5e7000416417e47acbaaa0d2b565c48f",
+    ),
+    "corpus09": (
+        0,
+        "51cbed114f9284f717517e1189a19e5fdc6d225795f0f53b021684fd52346b00",
+        "3ba03821a629aaed4065e91bc64c2b47d93e093a9c53033c42a39e38819ec4bf",
+    ),
+    "corpus10": (
+        0,
+        "3ded84df5fb6b1c2e9e2100b95d6b9704e051d3c12ea3e34f9e2fcedbf95b3c0",
+        "c45d0945da6e3db365d07806af3602a249d454c93281718e158c1e7d028c1dd6",
+    ),
+    "corpus11": (
+        0,
+        "c9875c58e24aec43ec7cc92769f7dcaff2257eb70bc4abe77132b862ade82b0b",
+        "381c40847a2b9e0f3f50f9acd45b6e263a7cf6fd3ad155a738dc6f35f06e3325",
+    ),
+    "random-41-2-40": (
+        0,
+        "3c7ec82a9c3920064bacc739b5c158f7abe92d6379755ba8c37968bd56b78115",
+        "0a65d4afb9d10932058ebc655d318d6a4e8de987a9a64cd0510f96f5959fcc75",
+    ),
+    "star-neg": (
+        0,
+        "943c6bfeeba43d048bb882d8ec5e189edf5d8c79911decbf56cbc3cde46eae73",
+        "a6111c7fa981ef67d33e526436dc27f12a60cc7d85a2f8259f930b6419a1f0e0",
+    ),
+    "star-pos": (
+        0,
+        "a89fa4c7e9b2592d142b24225d9e90f1dea8c19d66d213ce36a530bdf8638b60",
+        "ba83c6432b2a9fa5ede5969e029cc0dc6d2ee8db73a83db26faae4e967494a5d",
+    ),
+    "group-algebra-3-2": (
+        0,
+        "68793b268d7c2fb3d2b185ad89469a1a4fbe3fbd6b2df259d5b60c563f81feac",
+        "141d9af5a6b05c250a7c34bd87b90c85dc963656841455d95172fbe9af01c1c2",
+    ),
+    "m1-3-1-2": (
+        0,
+        "1194640c53e414e3f6b520979af024e2e39eb8659397bdf951ed5c8d9f028904",
+        "29cbce119ecac849fa64cb7446b2d1874d0ca340fba97cec25449fc6db6a0d64",
+    ),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_enumerate_output_is_byte_identical(tmp_path):
+    seen = {}
+    for name, desc in fixtures().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(descriptor_to_obj(desc)))
+        code, as_json = _run(["enumerate", str(path)])
+        code_csv, as_csv = _run(["enumerate", str(path), "--format", "csv"])
+        assert code == code_csv
+        seen[name] = (code, as_json, as_csv)
+    assert seen == GOLDEN

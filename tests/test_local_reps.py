@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +15,7 @@ from cyclicblocks.cyclotomic import (
     class_function_from_integers,
     decompose,
 )
+import cyclicblocks
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -216,3 +223,42 @@ def test_params_out_of_group_bounds():
         cap_dim(W((2,)), G32, 1)
     with pytest.raises(ValueError):
         char_det1_endoperm(W((5,)), G32)
+
+
+def test_closed_form_checks_survive_optimised_mode():
+    # python -O strips assert statements; the 0/1 and degree checks of the
+    # closed forms must still fire on a corrupted permutation character
+    script = textwrap.dedent(
+        """
+        from cyclicblocks import characters, local_reps as local
+        from cyclicblocks.cyclotomic import CyclicCharacter
+
+        def corrupted(g, i):
+            return CyclicCharacter(g.order, (2,) + (0,) * (g.order - 1))
+
+        local.perm_module_character = corrupted
+        g, w = local.CyclicGroupData(3, 2), local.EndoPermParams(())
+        print(__debug__)
+        for closed_form in (
+            lambda: local.char_det1_endoperm(w, g),
+            lambda: local.morita_correspondent_character(w, g, 1),
+        ):
+            try:
+                closed_form()
+            except characters.CharacterConsistencyError:
+                print("raised")
+            else:
+                print("passed")
+        """
+    )
+    src = str(pathlib.Path(cyclicblocks.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised", "raised"]
