@@ -130,13 +130,6 @@ class BlockCharacter:
             tuple(a + b for a, b in zip(self.exceptional, other.exceptional)),
         )
 
-    def __sub__(self, other: "BlockCharacter") -> "BlockCharacter":
-        self._check_shape(other)
-        return BlockCharacter(
-            tuple(a - b for a, b in zip(self.nonexceptional, other.nonexceptional)),
-            tuple(a - b for a, b in zip(self.exceptional, other.exceptional)),
-        )
-
     @property
     def is_zero_one(self) -> bool:
         return all(c in (0, 1) for c in self.nonexceptional + self.exceptional)

@@ -26,10 +26,9 @@ from typing import TYPE_CHECKING
 from .brauer_tree import (
     BlockCharacter,
     BlockDescriptor,
-    exceptional_bundle,
     vertex_character,
 )
-from .cyclotomic import CyclicCharacter
+from .cyclotomic import CyclicCharacter, valuation
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
@@ -124,53 +123,55 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     The result depends only on (p, n, e, W, i) and is computed once per
     vertex index.
     """
-    if desc.exceptional is None:
-        raise ValueError("descriptor has no exceptional characters (m = 1)")
-    if not 1 <= i <= desc.n:
-        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
-    return BlockCharacter(
-        (0,) * len(desc.nonexceptional_vertices),
-        _xi_coordinates(desc.p, desc.n, desc.e, desc.w, i),
-    )
-
-
-@lru_cache(maxsize=None)
-def _xi_coordinates(
-    p: int, n: int, e: int, w: EndoPermParams, i: int
-) -> tuple[int, ...]:
-    coords = _indicator_sums(p, n, e, w, i, divisible=True)
-    if any(c not in (0, 1) for c in coords):
-        raise CharacterConsistencyError(
-            f"exceptional coordinates outside 0/1: {coords}"
-        )
-    _, d0 = t_and_d0(w, i)
-    dim = u_module_dimension(w, CyclicGroupData(p, n), i)
-    if (dim - d0) % e != 0 or sum(coords) != (dim - d0) // e:
-        raise CharacterConsistencyError(
-            f"count {sum(coords)} != ({dim} - {d0})/{e}"
-        )
-    return coords
-
-
-def _indicator_sums(
-    p: int, n: int, e: int, w: EndoPermParams, i: int, divisible: bool
-) -> tuple[int, ...]:
-    """Per exceptional representative, the alternating sum of the
-    (non-)divisibility indicators by p^a over the parameter indices a
-    below i, closed by a = i."""
-    below = restricted_cap_params(w, CyclicGroupData(p, n), i).indices
-    signed = [((-1) ** j, p ** a) for j, a in enumerate(below + (i,))]
-    return tuple(
-        sum(sign for sign, power in signed if (rep % power == 0) == divisible)
-        for rep in exceptional_orbits(p, n, e).representatives
-    )
+    part, _ = _exceptional_pair(desc, i)
+    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
 
 
 def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """Complement of xi inside the full exceptional bundle (coordinatewise
     1 - xi); the other value the exceptional part of a trivial source
     character can take."""
-    return exceptional_bundle(desc) - xi(desc, i)
+    _, complement = _exceptional_pair(desc, i)
+    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), complement)
+
+
+def _exceptional_pair(
+    desc: BlockDescriptor, i: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if desc.exceptional is None:
+        raise ValueError("descriptor has no exceptional characters (m = 1)")
+    if not 1 <= i <= desc.n:
+        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
+    return _exceptional_coordinates(desc.p, desc.n, desc.e, desc.w, i)
+
+
+@lru_cache(maxsize=None)
+def _exceptional_coordinates(
+    p: int, n: int, e: int, w: EndoPermParams, i: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exceptional coordinates of xi and of its complement.  The indicator
+    sum depends on a representative only through its p-adic valuation, so
+    it is taken once per valuation level 0..n-1 and read off per orbit."""
+    g = CyclicGroupData(p, n)
+    levels = restricted_cap_params(w, g, i).indices + (i,)
+    by_valuation = [
+        sum((-1) ** j for j, a in enumerate(levels) if a <= v) for v in range(n)
+    ]
+    coords = tuple(
+        by_valuation[valuation(p, rep)]
+        for rep in exceptional_orbits(p, n, e).representatives
+    )
+    if any(c not in (0, 1) for c in coords):
+        raise CharacterConsistencyError(
+            f"exceptional coordinates outside 0/1: {coords}"
+        )
+    _, d0 = t_and_d0(w, i)
+    dim = u_module_dimension(w, g, i)
+    if (dim - d0) % e != 0 or sum(coords) != (dim - d0) // e:
+        raise CharacterConsistencyError(
+            f"count {sum(coords)} != ({dim} - {d0})/{e}"
+        )
+    return coords, tuple(1 - c for c in coords)
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:
@@ -179,11 +180,17 @@ def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]
     Agrees with the exceptional coordinates of `xi_complement` exactly when
     t(i) is odd; when t(i) is even it comes out lower by the full bundle
     (every coordinate off by one, some of them negative), which is why the
-    subtraction form above is the one used for characters.
+    1 - xi form above is the one used for characters.
     """
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    return _indicator_sums(desc.p, desc.n, desc.e, desc.w, i, divisible=False)
+    p = desc.p
+    below = restricted_cap_params(desc.w, CyclicGroupData(p, desc.n), i).indices
+    signed = [((-1) ** j, p ** a) for j, a in enumerate(below + (i,))]
+    return tuple(
+        sum(sign for sign, power in signed if rep % power != 0)
+        for rep in exceptional_orbits(p, desc.n, desc.e).representatives
+    )
 
 
 def nilpotent_level_character(
@@ -281,8 +288,8 @@ def character_of(
         if spine:
             raise KeyError(f"no non-exceptional vertex {next(iter(spine))!r}")
         complement = path.case_tag in ("i", "iv")
-    part = xi_complement(desc, i) if complement else xi(desc, i)
-    total = BlockCharacter(plain, part.exceptional)
+    part, complement_part = _exceptional_pair(desc, i)
+    total = BlockCharacter(plain, complement_part if complement else part)
     if not total.is_zero_one:
         raise CharacterConsistencyError(
             f"assembled character is not 0/1-valued: {total}"

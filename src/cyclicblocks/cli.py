@@ -69,36 +69,78 @@ def descriptor_to_obj(desc: BlockDescriptor) -> dict:
 
 
 def descriptor_from_obj(obj: dict) -> BlockDescriptor:
+    """Read a descriptor object.  An id that is not a string, a number that
+    is not an integer (a bool included), an edge without exactly two ends
+    or a cyclic order at an unknown vertex raises ValueError naming the
+    field."""
     tree = obj["tree"]
     signs = {}
     vertices = []
-    for entry in tree["vertices"]:
-        vertices.append(entry["id"])
+    for k, entry in enumerate(tree["vertices"]):
+        vertex = _id(entry["id"], f"tree.vertices[{k}].id")
+        vertices.append(vertex)
         if entry["sign"] not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {entry['sign']!r}")
-        signs[entry["id"]] = 1 if entry["sign"] == "+" else -1
+        signs[vertex] = 1 if entry["sign"] == "+" else -1
+    edges = []
+    for k, entry in enumerate(tree["edges"]):
+        ends = entry["ends"]
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise ValueError(
+                f"tree.edges[{k}].ends must list two vertices, got {ends!r}"
+            )
+        edges.append(
+            Edge(
+                _id(entry["id"], f"tree.edges[{k}].id"),
+                tuple(_id(end, f"tree.edges[{k}].ends") for end in ends),
+            )
+        )
+    cyclic_order = {}
+    for v, order in tree["cyclic_order"].items():
+        if v not in signs:
+            raise ValueError(f"tree.cyclic_order.{v} names no vertex")
+        cyclic_order[v] = tuple(
+            _id(eid, f"tree.cyclic_order.{v}") for eid in order
+        )
+    exceptional = tree.get("exceptional")
+    if exceptional is not None:
+        exceptional = _id(exceptional, "tree.exceptional")
     return BlockDescriptor(
-        p=int(obj["p"]),
-        n=int(obj["n"]),
-        e=int(obj["e"]),
+        p=_integer(obj["p"], "p"),
+        n=_integer(obj["n"], "n"),
+        e=_integer(obj["e"], "e"),
         vertices=tuple(vertices),
         signs=signs,
-        edges=tuple(
-            Edge(entry["id"], (entry["ends"][0], entry["ends"][1]))
-            for entry in tree["edges"]
+        edges=tuple(edges),
+        cyclic_order=cyclic_order,
+        exceptional=exceptional,
+        w=EndoPermParams(
+            tuple(_integer(a, "W.indices") for a in obj["W"]["indices"])
         ),
-        cyclic_order={
-            v: tuple(order) for v, order in tree["cyclic_order"].items()
-        },
-        exceptional=tree.get("exceptional"),
-        w=EndoPermParams(tuple(int(a) for a in obj["W"]["indices"])),
     )
 
 
-def _load_descriptor(path: str) -> BlockDescriptor:
-    with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return descriptor_from_obj(obj)
+def _id(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _load_descriptor(path: str) -> BlockDescriptor | None:
+    """The descriptor in the file, or None after saying on stderr why it
+    cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return descriptor_from_obj(json.load(handle))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        print(f"cannot read descriptor: {err}", file=sys.stderr)
+        return None
 
 
 def _character_obj(desc: BlockDescriptor, char) -> dict:
@@ -132,10 +174,8 @@ def _path_obj(desc: BlockDescriptor, i: int, path: PathDescriptor) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        desc = _load_descriptor(args.file)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"cannot read descriptor: {err}", file=sys.stderr)
+    desc = _load_descriptor(args.file)
+    if desc is None:
         return EXIT_PARSE
     problems = validate(desc, strict=args.strict)
     for problem in problems:
@@ -147,10 +187,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        desc = _load_descriptor(args.file)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"cannot read descriptor: {err}", file=sys.stderr)
+    desc = _load_descriptor(args.file)
+    if desc is None:
         return EXIT_PARSE
     problems = validate(desc)
     if problems:

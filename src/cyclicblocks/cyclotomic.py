@@ -296,21 +296,22 @@ def decompose(f: ClassFunction) -> CyclicCharacter:
     """Multiplicity vector (<f, lambda_kappa>)_kappa of a virtual character.
 
     Each coordinate is the inner product against lambda_kappa, evaluated by
-    index shifts (f(u^j) zeta^{-kappa j} just displaces coefficient vectors).
+    index shifts (f(u^j) zeta^{-kappa j} just displaces coefficient vectors);
+    the nonzero coefficients of all values are collected once per call.
     A non-integral coordinate raises; reconstruction via
     `class_function_from_multiplicities` returns f exactly.
     """
     order = f.order
+    terms = [
+        (j, idx, c)
+        for j, v in enumerate(f.values)
+        for idx, c in enumerate(v.coeffs)
+        if c
+    ]
     mults = []
     for kappa in range(order):
         acc = [0] * order
-        for j, v in enumerate(f.values):
-            shift = (-kappa * j) % order
-            for idx, c in enumerate(v.coeffs):
-                if c:
-                    pos = idx + shift
-                    if pos >= order:
-                        pos -= order
-                    acc[pos] += c
+        for j, idx, c in terms:
+            acc[(idx - kappa * j) % order] += c
         mults.append(_exact_quotient_by_order(acc, order))
     return CyclicCharacter(order, tuple(mults))

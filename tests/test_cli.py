@@ -58,6 +58,47 @@ def test_validate_parse_failure(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def mutate(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set("tree", "edges", 0, "ends", ["v1"]), "tree.edges[0].ends"),
+        (_set("tree", "exceptional", ["exc"]), "tree.exceptional"),
+        (_set("p", True), "p"),
+        (_set("p", 3.9), "p"),
+        (_set("W", "indices", [True]), "W.indices"),
+        (_set("tree", "cyclic_order", "ghost", []), "tree.cyclic_order.ghost"),
+        (_set("tree", "edges", 0, "id", ["E1"]), "tree.edges[0].id"),
+        (_set("tree", "cyclic_order", []), "cannot read descriptor"),
+    ],
+    ids=[
+        "one-end", "exceptional-list", "p-bool", "p-float", "index-bool",
+        "unknown-cyclic-order-key", "edge-id-list", "cyclic-order-list",
+    ],
+)
+def test_malformed_descriptor_exits_2_naming_the_field(
+    tmp_path, capsys, mutate, field
+):
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W((1,)), -1))
+    mutate(obj)
+    path = write_obj(tmp_path, obj)
+    for command in ("validate", "enumerate"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+
 def test_validate_lax_warns_on_signs(tmp_path, capsys):
     star = star_tree(2, 3, 2, W(()), -1)
     obj = descriptor_to_obj(star)

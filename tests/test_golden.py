@@ -1,9 +1,10 @@
-"""Byte-identity of `cyclicblocks enumerate` output on a fixed fixture set.
+"""Byte-identity of `cyclicblocks enumerate` and `cyclicblocks oracle` output.
 
 Each fixture descriptor is written to a file and enumerated through
 `cli.main`, in JSON and in CSV; the sha256 of stdout and the exit code must
 match the values recorded below.  A change to the corpus generator, to the
-enumeration, to the characters or to the output format shows up here.
+enumeration, to the characters or to the output format shows up here.  The
+oracle runs pin its report, failure order included, on three grids.
 """
 
 import hashlib
@@ -157,3 +158,28 @@ def test_enumerate_output_is_byte_identical(tmp_path):
         assert code == code_csv
         seen[name] = (code, as_json, as_csv)
     assert seen == GOLDEN
+
+
+# argv -> (exit code, sha256 of stdout)
+ORACLE_GOLDEN = {
+    ("oracle",): (
+        0,
+        "a5250d3939492a8ad788ca9639e29a54c2172a7f5e677fafd7ae5e1c3de26f0c",
+    ),
+    ("oracle", "--inject-fault"): (
+        1,
+        "ed69be86db4f10c97468e58b634f6772561b266cc62884e07e25d204258850c3",
+    ),
+    (
+        "oracle", "--primes", "3", "5", "--nmax", "2", "--seed", "7",
+        "--corpus-size", "10",
+    ): (
+        0,
+        "3fd5734376f4c844ce68d0c670387d114da9590fa04b3f7dda6777acfb07baee",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(ORACLE_GOLDEN), ids=" ".join)
+def test_oracle_output_is_byte_identical(argv):
+    assert _run(list(argv)) == ORACLE_GOLDEN[argv]

@@ -1,5 +1,7 @@
 import random
+import sys
 
+import cyclicblocks.characters
 from cyclicblocks.brauer_tree import validate
 from cyclicblocks.local_reps import (
     CyclicGroupData,
@@ -43,6 +45,16 @@ def test_det1_recursion_examples():
 def test_det1_recursion_agrees_with_closed_form():
     for p, n in ((3, 3), (5, 2)):
         g = CyclicGroupData(p, n)
+        for params in general_params_for(n):
+            assert det1_char_by_recursion(params, p, n) == char_det1_endoperm(params, g)
+
+
+def test_fixed_point_oracle_reaches_larger_orders():
+    for p, n in ((3, 6), (5, 4), (7, 3)):
+        g = CyclicGroupData(p, n)
+        for i in range(n + 1):
+            expected = perm_module_character(g, i)
+            assert perm_character_by_fixed_points(p, n, i) == expected
         for params in general_params_for(n):
             assert det1_char_by_recursion(params, p, n) == char_det1_endoperm(params, g)
 
@@ -92,6 +104,36 @@ def test_consistency_suite_names_injected_fault():
     )
     assert not report.passed
     assert any(f.check == "cap_dim vs recursive" for f in report.failures)
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cyclicblocks"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_consistency_suite_reports_broken_invariant(monkeypatch):
+    real = cyclicblocks.characters.u_module_dimension
+    _clear_package_caches()
+    monkeypatch.setattr(
+        cyclicblocks.characters,
+        "u_module_dimension",
+        lambda w, g, i: real(w, g, i) + 1,
+    )
+    try:
+        report = consistency_suite(
+            GridSpec(primes=(3,), n_max=2, seed=5), corpus_size=3
+        )
+    finally:
+        monkeypatch.undo()
+        _clear_package_caches()
+    broken = [f for f in report.failures if f.check == "closed-form invariant"]
+    # one failure per grid point and per corpus descriptor, each a count-law break
+    assert [f.params for f in broken[:2]] == [repr((3, 1)), repr((3, 2))]
+    assert len(broken) == 2 + 3
+    assert all("CharacterConsistencyError: count" in f.actual for f in broken)
 
 
 def test_consistency_suite_empty_grid():
