@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .brauer_tree import (
@@ -28,7 +29,7 @@ from .brauer_tree import (
     BlockDescriptor,
     vertex_character,
 )
-from .cyclotomic import CyclicCharacter, valuation
+from .cyclotomic import CyclicCharacter, _smallest_factor, valuation
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
@@ -68,7 +69,7 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
-    a = _smallest_of_order(p, q, e)
+    a = _smallest_of_order(p, n, e)
     seen = [False] * q
     orbits = []
     for start in range(1, q):
@@ -91,18 +92,30 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     )
 
 
-def _smallest_of_order(p: int, q: int, e: int) -> int:
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        power = a
-        order = 1
-        while power != 1 and order <= e:
-            power = power * a % q
-            order += 1
-        if order == e and power == 1:
-            return a
-    raise ValueError(f"no element of order {e} mod {q}")
+def _smallest_of_order(p: int, n: int, e: int) -> int:
+    """Smallest positive integer of multiplicative order exactly e mod p^n.
+
+    An element h of order e mod p lifts to a0 = h^(p^(n-1)) mod p^n, which
+    is congruent to h mod p and of order e; the elements of order e are the
+    powers a0^k with gcd(k, e) = 1, so O(e) modular powers find the least.
+    """
+    if (p - 1) % e != 0:
+        raise ValueError(f"no element of order {e} mod {p}^{n}")
+    primes = set()
+    rest = e
+    while rest > 1:
+        r = _smallest_factor(rest)
+        primes.add(r)
+        rest //= r
+    for g in range(1, p):
+        h = pow(g, (p - 1) // e, p)
+        if all(pow(h, e // r, p) != 1 for r in primes):
+            break
+    else:
+        raise ValueError(f"no element of order {e} mod {p}")
+    q = p ** n
+    a0 = pow(h, p ** (n - 1), q)
+    return min(pow(a0, k, q) for k in range(1, e + 1) if gcd(k, e) == 1)
 
 
 def t_and_d0(w: EndoPermParams, i: int) -> tuple[int, int]:

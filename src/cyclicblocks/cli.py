@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .brauer_tree import (
     BlockDescriptor,
@@ -143,18 +144,23 @@ def _load_descriptor(path: str) -> BlockDescriptor | None:
         return None
 
 
+class _Exceptional:
+    """The exceptional coordinates of one character in an enumerate payload.
+    The writer prints the orbit representatives where they are nonzero."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
+
+
 def _character_obj(desc: BlockDescriptor, char) -> dict:
-    reps = (
-        exceptional_orbits(desc.p, desc.n, desc.e).representatives
-        if desc.exceptional is not None
-        else ()
-    )
     plain = desc.nonexceptional_vertices
     return {
         "nonexceptional": [
             v for v, c in zip(plain, char.nonexceptional) if c
         ],
-        "exceptional": [rep for rep, c in zip(reps, char.exceptional) if c],
+        "exceptional": _Exceptional(char.exceptional),
     }
 
 
@@ -243,40 +249,119 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "m": desc.m,
             "results": results,
         }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_csv(payload)
+    reps = (
+        exceptional_orbits(desc.p, desc.n, desc.e).representatives
+        if desc.exceptional is not None
+        else ()
+    )
+    sys.stdout.write(_enumerate_text(payload, reps, args.format))
     return status
 
 
-def _print_csv(payload: dict) -> None:
+def _enumerate_text(payload: dict, reps: tuple[int, ...], fmt: str) -> str:
+    """The enumerate payload as printed: the text of json.dumps(payload,
+    indent=2) plus a newline, or the flattened CSV view.
+
+    A payload holds few distinct exceptional parts (xi, its complement, the
+    bundle), so each distinct coordinate tuple is rendered once per call and
+    its text pasted into every module that carries it.  Every exceptional
+    list of a payload sits at the same depth, so the tuple alone keys it.
+    """
+    rendered: dict[tuple[int, ...], str] = {}
+
+    def exceptional(value: _Exceptional, depth: int) -> str:
+        text = rendered.get(value.coords)
+        if text is None:
+            listed = map(str, (rep for rep, c in zip(reps, value.coords) if c))
+            if fmt == "json":
+                text = _json_list(list(listed), depth)
+            else:
+                text = ";".join(listed)
+            rendered[value.coords] = text
+        return text
+
+    if fmt == "json":
+        out = []
+        _emit_json(payload, 0, out, exceptional)
+        out.append("\n")
+        return "".join(out)
+    return "".join(line + "\n" for line in _csv_lines(payload, exceptional))
+
+
+def _emit_json(obj, depth: int, out: list[str], exceptional) -> None:
+    """Append the indent-2 JSON text of obj at nesting depth `depth`, as
+    json.dumps writes it; an _Exceptional goes through `exceptional`."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, _Exceptional):
+        out.append(exceptional(obj, depth))
+    elif isinstance(obj, (list, dict)):
+        if not obj:
+            out.append("[]" if isinstance(obj, list) else "{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(obj, list):
+            out.append("[")
+            for k, item in enumerate(obj):
+                out.append(inner if k == 0 else "," + inner)
+                _emit_json(item, depth + 1, out, exceptional)
+            close = "]"
+        else:
+            out.append("{")
+            for k, (key, value) in enumerate(obj.items()):
+                out.append(inner if k == 0 else "," + inner)
+                out.append(_quote(key))
+                out.append(": ")
+                _emit_json(value, depth + 1, out, exceptional)
+            close = "}"
+        out.append("\n" + "  " * depth + close)
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of already encoded items, laid out as _emit_json lays out a
+    list at nesting depth `depth`."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+
+
+def _csv_lines(payload: dict, exceptional):
     # flattened view for human inspection; JSON is the canonical format
+    def columns(char: dict) -> str:
+        return (
+            f"{';'.join(char['nonexceptional'])},"
+            f"{exceptional(char['exceptional'], 0)}"
+        )
+
     if payload.get("m") == 1:
-        print("kind,edge,vertex,conditional,nonexceptional,exceptional")
+        yield "kind,edge,vertex,conditional,nonexceptional,exceptional"
         for pim in payload["pims"]:
-            print(
-                f"pim,{pim['edge']},,,"
-                f"{';'.join(pim['character']['nonexceptional'])},"
-                f"{';'.join(str(r) for r in pim['character']['exceptional'])}"
-            )
+            yield f"pim,{pim['edge']},,,{columns(pim['character'])}"
         for hook in payload["hooks"]:
-            print(
+            yield (
                 f"hook,{hook['edge']},{hook['vertex']},true,"
-                f"{';'.join(hook['character']['nonexceptional'])},"
-                f"{';'.join(str(r) for r in hook['character']['exceptional'])}"
+                f"{columns(hook['character'])}"
             )
         return
-    print("vertex,type,case,multiplicity,nonexceptional,exceptional")
+    yield "vertex,type,case,multiplicity,nonexceptional,exceptional"
     for entry in payload["results"]:
         for module in entry["modules"]:
-            char = module["character"]
             mult = "" if module["multiplicity"] is None else module["multiplicity"]
             case = "" if module["case"] is None else module["case"]
-            print(
+            yield (
                 f"{entry['vertex']},{module['type']},{case},{mult},"
-                f"{';'.join(char['nonexceptional'])},"
-                f"{';'.join(str(r) for r in char['exceptional'])}"
+                f"{columns(module['character'])}"
             )
 
 
@@ -305,6 +390,13 @@ def cmd_local(args: argparse.Namespace) -> int:
                 )
     except ValueError as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except (OverflowError, MemoryError):
+        print(
+            f"invalid parameters: p^n = {args.p}^{args.n} is too large to "
+            "hold in memory",
+            file=sys.stderr,
+        )
         return EXIT_SEMANTIC
     print(json.dumps(result))
     return EXIT_OK
@@ -407,6 +499,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except (OverflowError, MemoryError) as err:
+        print(
+            f"error: input too large to hold in memory ({type(err).__name__})",
+            file=sys.stderr,
+        )
         return EXIT_SEMANTIC
 
 

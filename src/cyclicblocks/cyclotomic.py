@@ -116,9 +116,6 @@ class CyclotomicInteger:
             out[-j % order] = a
         return CyclotomicInteger(order, tuple(out))
 
-    def scaled(self, c: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(c * a for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in reduce_canonical(self).coeffs)
 

@@ -5,6 +5,7 @@ import pytest
 from cyclicblocks.brauer_tree import exceptional_bundle, star_tree
 from cyclicblocks.characters import (
     CharacterConsistencyError,
+    _smallest_of_order,
     b_level_character,
     exceptional_orbits,
     nilpotent_level_character,
@@ -42,9 +43,50 @@ def test_exceptional_orbits_examples():
     assert trivial.representatives == (1, 2, 3, 4)
 
 
+def _smallest_of_order_by_search(p, q, e):
+    """Reference: the first a < q, prime to p, whose powers return to 1
+    after exactly e steps."""
+    for a in range(1, q):
+        if a % p == 0:
+            continue
+        power = a
+        order = 1
+        while power != 1 and order <= e:
+            power = power * a % q
+            order += 1
+        if order == e and power == 1:
+            return a
+    raise ValueError(f"no element of order {e} mod {q}")
+
+
+def _divisors(x):
+    return [d for d in range(1, x + 1) if x % d == 0]
+
+
+def test_order_e_generator_matches_search():
+    for p in (3, 5, 7, 11, 13, 37, 41):
+        for n in range(1, 5):
+            if p ** n > 2 * 10**5:
+                break
+            for e in _divisors(p - 1):
+                assert _smallest_of_order(p, n, e) == _smallest_of_order_by_search(
+                    p, p ** n, e
+                ), (p, n, e)
+
+
+def test_order_e_generator_against_sympy():
+    n_order = pytest.importorskip("sympy").n_order
+    for p, n in ((3, 4), (7, 3), (13, 2), (41, 2), (3, 40), (37, 12), (101, 6)):
+        for e in _divisors(p - 1):
+            assert n_order(_smallest_of_order(p, n, e), p ** n) == e, (p, n, e)
+    assert _smallest_of_order(3, 40, 2) == 3**40 - 1
+
+
 def test_exceptional_orbits_rejects_non_divisor():
     with pytest.raises(ValueError):
         exceptional_orbits(7, 1, 4)
+    with pytest.raises(ValueError):
+        _smallest_of_order(7, 1, 4)
 
 
 def test_orbit_valuation_is_constant():

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicblocks.brauer_tree import star_tree
 from cyclicblocks.cli import (
+    _enumerate_text,
+    _Exceptional,
     descriptor_from_obj,
     descriptor_to_obj,
     main,
@@ -236,6 +240,113 @@ def test_local_rejects_bad_w(capsys):
     assert main(["local", "cap-dim", "--p", "3", "--n", "2", "--w", "2,1", "--vertex", "1"]) == 1
     assert main(["local", "det1-char", "--p", "3", "--n", "2", "--w", "5"]) == 1
     assert main(["local", "cap-dim", "--p", "3", "--n", "2", "--w", "1"]) == 1  # no vertex
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "det1-char", "--p", "3", "--n", "40"],
+        ["local", "morita-char", "--p", "3", "--n", "40", "--vertex", "3"],
+    ],
+)
+def test_local_too_large_is_refused_without_traceback(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid parameters: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_too_large_is_refused_without_traceback(tmp_path, capsys):
+    path = write_obj(tmp_path, descriptor_to_obj(star_tree(2, 3, 40, W(()), -1)))
+    assert main(["enumerate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input too large to hold in memory")
+    assert "Traceback" not in captured.err
+
+
+# Strings JSON must escape, among arbitrary text.
+_IDS = st.text(max_size=6) | st.sampled_from(['q"uote', "back\\slash", "\u00fc\u03bb"])
+_INTS = st.integers() | st.integers(min_value=10**20)
+
+
+@st.composite
+def _enumerate_payloads(draw):
+    """Payloads of both enumerate shapes, with exceptional parts drawn from a
+    small pool so that the writer's cache is hit."""
+    reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
+    coords = st.lists(st.sampled_from((0, 1)), min_size=len(reps), max_size=len(reps))
+    pool = draw(st.lists(coords.map(tuple), min_size=1, max_size=3))
+
+    def character():
+        return {
+            "nonexceptional": draw(st.lists(_IDS, max_size=3)),
+            "exceptional": _Exceptional(draw(st.sampled_from(pool))),
+        }
+
+    def some(make):
+        return [make() for _ in range(draw(st.integers(0, 3)))]
+
+    head = {key: draw(_INTS) for key in ("p", "n", "e", "m")}
+    if draw(st.booleans()):
+        pims = some(lambda: {"edge": draw(_IDS), "character": character()})
+        hooks = some(
+            lambda: {
+                "edge": draw(_IDS),
+                "vertex": draw(_IDS),
+                "conditional": True,
+                "character": character(),
+            }
+        )
+        return {**head, "m": 1, "pims": pims, "hooks": hooks}, reps
+    path = st.dictionaries(_IDS, st.lists(_IDS | _INTS, max_size=3), max_size=4)
+
+    def entry():
+        modules = some(
+            lambda: {
+                "type": draw(_INTS),
+                "case": draw(st.none() | _IDS),
+                "multiplicity": draw(st.none() | _INTS),
+                "path": draw(path),
+                "character": character(),
+            }
+        )
+        out = {"vertex": draw(_INTS), "modules": modules}
+        if draw(st.booleans()):
+            out["error"] = draw(_IDS)
+        return out
+
+    return {**head, "results": some(entry)}, reps
+
+
+def _listed(obj, reps):
+    """The payload as plain JSON data, each exceptional part written out."""
+    if isinstance(obj, _Exceptional):
+        return [rep for rep, c in zip(reps, obj.coords) if c]
+    if isinstance(obj, dict):
+        return {key: _listed(value, reps) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_listed(item, reps) for item in obj]
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(_enumerate_payloads())
+def test_enumerate_writer_matches_json_dumps(payload_and_reps):
+    payload, reps = payload_and_reps
+    expected = json.dumps(_listed(payload, reps), indent=2) + "\n"
+    assert _enumerate_text(payload, reps, "json") == expected
+
+
+def test_enumerate_writer_cache_lasts_one_call():
+    char = {"nonexceptional": [], "exceptional": _Exceptional((1, 0))}
+    payload = {"m": 1, "pims": [{"edge": "E1", "character": char}], "hooks": []}
+    for reps in ((5, 6), (7, 8)):
+        as_json = json.loads(_enumerate_text(payload, reps, "json"))
+        assert as_json["pims"][0]["character"]["exceptional"] == [reps[0]]
+        as_csv = _enumerate_text(payload, reps, "csv")
+        assert as_csv.endswith(f"pim,E1,,,,{reps[0]}\n")
 
 
 def test_oracle_small_grid(capsys):

@@ -48,7 +48,35 @@ def fixtures() -> dict[str, BlockDescriptor]:
         exceptional=None,
         w=EndoPermParams(()),
     )
+    # ids that JSON must escape: quotes, backslashes, a tab, non-ASCII
+    out["escaped-ids-7-2-3"] = _renamed(
+        random_block_descriptor(random.Random(5), 7, 2, 3)
+    )
+    out["escaped-ids-m1"] = _renamed(out["m1-3-1-2"])
     return out
+
+
+def _renamed(desc: BlockDescriptor) -> BlockDescriptor:
+    """The same descriptor with every vertex and edge id replaced by one
+    that needs escaping in JSON."""
+    vertex = {v: f'\u00fc"{v}\\\u03bb' for v in desc.vertices}
+    edge = {edge.id: f"\u00e9{edge.id}\t'\"" for edge in desc.edges}
+    return BlockDescriptor(
+        p=desc.p,
+        n=desc.n,
+        e=desc.e,
+        vertices=tuple(vertex[v] for v in desc.vertices),
+        signs={vertex[v]: s for v, s in desc.signs.items()},
+        edges=tuple(
+            Edge(edge[x.id], tuple(vertex[v] for v in x.ends)) for x in desc.edges
+        ),
+        cyclic_order={
+            vertex[v]: tuple(edge[x] for x in order)
+            for v, order in desc.cyclic_order.items()
+        },
+        exceptional=None if desc.exceptional is None else vertex[desc.exceptional],
+        w=desc.w,
+    )
 
 
 # name -> (exit code, sha256 of JSON stdout, sha256 of CSV stdout)
@@ -137,6 +165,16 @@ GOLDEN = {
         0,
         "1194640c53e414e3f6b520979af024e2e39eb8659397bdf951ed5c8d9f028904",
         "29cbce119ecac849fa64cb7446b2d1874d0ca340fba97cec25449fc6db6a0d64",
+    ),
+    "escaped-ids-7-2-3": (
+        0,
+        "56960432a1a581ed2ddbb0506355d8df400d3e95e01751db318f067dec83be43",
+        "68f7f9ac93e0bbbf5537f3bf6bcf5bc4219e4c0253d07756ddbe7650565d320f",
+    ),
+    "escaped-ids-m1": (
+        0,
+        "a85465c1fad9a594323d0ac0908771e8d25faa2b527ecfdffd8ad4eaa2c6017d",
+        "f5eb7d4a873f2ce26b7e7bc94cffaa3c256e296e878154453e6ba8ac85ec5c2c",
     ),
 }
 
