@@ -169,8 +169,11 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
     Strict mode additionally demands opposite signs across every edge.
     """
     out: list[str] = []
-    if not is_odd_prime(desc.p):
-        out.append(f"p = {desc.p} is not an odd prime")
+    try:
+        if not is_odd_prime(desc.p):
+            out.append(f"p = {desc.p} is not an odd prime")
+    except ValueError as err:
+        out.append(str(err))
     if desc.n < 1:
         out.append(f"n = {desc.n} must be at least 1")
     if desc.e < 1:
@@ -192,6 +195,7 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
 
     vertex_set = set(desc.vertices)
     incident: dict[str, set[str]] = {v: set() for v in desc.vertices}
+    neighbours: dict[str, list[str]] = {v: [] for v in desc.vertices}
     for edge in desc.edges:
         a, b = edge.ends
         if a not in vertex_set or b not in vertex_set:
@@ -202,8 +206,10 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
             continue
         incident[a].add(edge.id)
         incident[b].add(edge.id)
+        neighbours[a].append(b)
+        neighbours[b].append(a)
 
-    if not _is_connected(desc, vertex_set):
+    if not _is_connected(neighbours):
         out.append("tree is not connected")
 
     for v in desc.vertices:
@@ -247,50 +253,45 @@ def sign_alternation_violations(desc: BlockDescriptor) -> list[str]:
     return out
 
 
-def _is_connected(desc: BlockDescriptor, vertex_set: set[str]) -> bool:
-    if not vertex_set:
+def _is_connected(neighbours: dict[str, list[str]]) -> bool:
+    """Whether the graph with these adjacency lists is non-empty and
+    connected."""
+    if not neighbours:
         return False
-    neighbours: dict[str, list[str]] = {v: [] for v in vertex_set}
-    for edge in desc.edges:
-        a, b = edge.ends
-        if a in vertex_set and b in vertex_set and a != b:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
     seen = set()
-    stack = [next(iter(desc.vertices))]
+    stack = [next(iter(neighbours))]
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
         stack.extend(w for w in neighbours[v] if w not in seen)
-    return seen == vertex_set
+    return len(seen) == len(neighbours)
 
 
 def successor(desc: BlockDescriptor, vertex: str, edge_id: str) -> str:
     """Next edge counter-clockwise after edge_id in the cyclic order at vertex."""
-    order = desc.incident(vertex)
-    if edge_id not in order:
-        raise ValueError(f"edge {edge_id!r} is not incident to {vertex!r}")
-    pos = order.index(edge_id)
-    return order[(pos + 1) % len(order)]
+    return _planar_step(desc, vertex, edge_id, 1)
 
 
 def predecessor(desc: BlockDescriptor, vertex: str, edge_id: str) -> str:
     """The edge whose successor at vertex is edge_id."""
+    return _planar_step(desc, vertex, edge_id, -1)
+
+
+def _planar_step(desc: BlockDescriptor, vertex: str, edge_id: str, step: int) -> str:
     order = desc.incident(vertex)
     if edge_id not in order:
         raise ValueError(f"edge {edge_id!r} is not incident to {vertex!r}")
-    pos = order.index(edge_id)
-    return order[(pos - 1) % len(order)]
+    return order[(order.index(edge_id) + step) % len(order)]
 
 
 def pim_character(desc: BlockDescriptor, edge_id: str) -> BlockCharacter:
     """Character of the projective cover of the simple at this edge: the sum
     of both endpoint characters, the exceptional endpoint contributing the
     whole bundle."""
-    a, b = desc.edge_by_id(edge_id).ends
-    return vertex_character(desc, a) + vertex_character(desc, b)
+    a, b = hook_characters(desc, edge_id)
+    return a + b
 
 
 def hook_characters(
@@ -309,12 +310,9 @@ def star_tree(
     Leaves get the opposite of center_sign; the cyclic order at the centre
     is E1, ..., Ee.  Requires e | p-1 and exceptional multiplicity > 1.
     """
-    if center_sign not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"center_sign must be +1 or -1, got {center_sign}")
+    # refused before e leaves are built; validate reports the rest
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
-    if (p ** n - 1) // e <= 1:
-        raise ValueError(f"star needs m > 1, got m = {(p ** n - 1) // e}")
     center = "exc"
     leaves = tuple(f"v{x}" for x in range(1, e + 1))
     edge_ids = tuple(f"E{x}" for x in range(1, e + 1))
@@ -329,10 +327,7 @@ def star_tree(
         exceptional=center,
         w=w,
     )
-    problems = validate(desc)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return desc
+    return _validated(desc)
 
 
 def group_algebra_block(p: int, n: int) -> BlockDescriptor:
@@ -349,6 +344,10 @@ def group_algebra_block(p: int, n: int) -> BlockDescriptor:
         exceptional="exc",
         w=EndoPermParams(()),
     )
+    return _validated(desc)
+
+
+def _validated(desc: BlockDescriptor) -> BlockDescriptor:
     problems = validate(desc)
     if problems:
         raise ValueError("; ".join(problems))

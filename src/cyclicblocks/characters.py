@@ -69,8 +69,10 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
-    a = _smallest_of_order(p, n, e)
+    # allocated before the generator's powers, so that a q too large to
+    # index is refused at once
     seen = [False] * q
+    a = _smallest_of_order(p, n, e)
     orbits = []
     for start in range(1, q):
         if seen[start]:
@@ -86,7 +88,7 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
             raise CharacterConsistencyError(
                 f"orbit of {start} has length {len(orbit)}, expected {e}"
             )
-    orbits.sort(key=min)
+    # each orbit starts at its least unseen element, so minima ascend
     return OrbitStructure(
         p, n, e, a, tuple(orbits), tuple(o[0] for o in orbits)
     )
@@ -153,8 +155,6 @@ def _exceptional_pair(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    if not 1 <= i <= desc.n:
-        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
     return _exceptional_coordinates(desc.p, desc.n, desc.e, desc.w, i)
 
 

@@ -160,8 +160,8 @@ def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
                 5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
             )
         )
-        for e1 in desc.incident(x0):
-            e2 = successor(desc, x0, e1)
+        order = desc.incident(x0)
+        for e1, e2 in zip(order, order[1:] + order[:1]):
             if e1 != first and e2 != first and e1 != e2:
                 out.append(
                     PathDescriptor(6, spine_v, spine_e, (e1, e2), (-1, 1))
@@ -169,8 +169,8 @@ def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
     if desc.is_leaf(exc):
         out.append(PathDescriptor(3, (), (desc.incident(exc)[0],), (), (-1, 1)))
     else:
-        for e1 in desc.incident(exc):
-            e2 = successor(desc, exc, e1)
+        order = desc.incident(exc)
+        for e1, e2 in zip(order, order[1:] + order[:1]):
             if e1 != e2:
                 out.append(PathDescriptor(7, (), (), (e1, e2), (-1, 1)))
     return out

@@ -37,7 +37,6 @@ from .classification import (
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
-    _check_params_bounds,
     cap_dim,
     char_det1_endoperm,
     morita_correspondent_character,
@@ -202,6 +201,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(problem, file=sys.stderr)
         return EXIT_SEMANTIC
 
+    if args.vertex is not None and not 1 <= args.vertex <= desc.n:
+        raise ValueError(f"vertex index {args.vertex} outside 1..{desc.n}")
     status = EXIT_OK
     if desc.m == 1:
         result = m1_enumerate(desc)
@@ -376,7 +377,6 @@ def cmd_local(args: argparse.Namespace) -> int:
     try:
         g = CyclicGroupData(args.p, args.n)
         w = _parse_w(args.w)
-        _check_params_bounds(w, g)
         if args.operation == "det1-char":
             result = list(char_det1_endoperm(w, g).mults)
         else:

@@ -42,8 +42,39 @@ def split_odd_prime_power(order: int) -> tuple[int, int]:
     raise ValueError(f"order {order} is not an odd prime power")
 
 
+# Miller-Rabin on the prime bases 2..41 is exact below PRIME_BOUND, the
+# least strong pseudoprime to all of them.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
-    return p > 2 and _smallest_factor(p) == p
+    """Whether p is an odd prime, by deterministic Miller-Rabin; raises
+    ValueError for p >= PRIME_BOUND, where the test is not exact."""
+    if p >= PRIME_BOUND:
+        raise ValueError(
+            f"p = {p} is not below {PRIME_BOUND}, the bound of the primality test"
+        )
+    if p < 3:
+        return False
+    for b in _WITNESSES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _WITNESSES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def valuation(p: int, kappa: int) -> int:

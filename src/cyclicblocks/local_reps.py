@@ -96,19 +96,6 @@ class EndoPermParams:
         return all(a >= 1 for a in self.indices)
 
 
-def _check_params_bounds(params: EndoPermParams, g: CyclicGroupData) -> None:
-    if params.indices and params.indices[-1] > g.n - 1:
-        raise ValueError(
-            f"index {params.indices[-1]} outside 0..{g.n - 1} for order p^{g.n}"
-        )
-
-
-def _check_block_params(params: EndoPermParams, g: CyclicGroupData) -> None:
-    _check_params_bounds(params, g)
-    if not params.is_block_form:
-        raise ValueError(f"block parameter must have indices >= 1, got {params.indices}")
-
-
 def heller_relative(g: CyclicGroupData, i: int, r: int) -> IndecomposableModule:
     """Kernel of the D_i-relative projective cover of the r-dimensional module.
 
@@ -140,10 +127,7 @@ def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     >>> cap_dim(EndoPermParams((1, 2)), g, 3)
     7
     """
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex index {i} outside 1..{g.n}")
-    _check_params_bounds(params, g)
-    below = [a for a in params.indices if a < i]
+    below = restricted_cap_params(params, g, i).indices
     total = sum((-1) ** j * g.p ** (i - a) for j, a in enumerate(below))
     return total + (-1) ** len(below)
 
@@ -151,10 +135,17 @@ def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
 def restricted_cap_params(
     params: EndoPermParams, g: CyclicGroupData, i: int
 ) -> EndoPermParams:
-    """Parameters of the cap of the restriction to D_i: the indices below i."""
+    """Parameters of the cap of the restriction to D_i: the indices below i.
+
+    The closed forms here check the vertex index and the parameter bounds
+    only through this function, before any work of size p^n.
+    """
     if not 1 <= i <= g.n:
         raise ValueError(f"vertex index {i} outside 1..{g.n}")
-    _check_params_bounds(params, g)
+    if params.indices and params.indices[-1] > g.n - 1:
+        raise ValueError(
+            f"index {params.indices[-1]} outside 0..{g.n - 1} for order p^{g.n}"
+        )
     return EndoPermParams(tuple(a for a in params.indices if a <= i - 1))
 
 
@@ -204,8 +195,9 @@ def morita_correspondent_character(
     inducing the determinant-1 character of the cap of the restriction, and
     has degree cap_dim * p^{n-i}.
     """
-    _check_block_params(params, g)
     below = restricted_cap_params(params, g, i).indices
+    if not params.is_block_form:
+        raise ValueError(f"block parameter must have indices >= 1, got {params.indices}")
     return _alternating_perm_sum(
         g, below + (i,), u_module_dimension(params, g, i)
     )

@@ -94,7 +94,6 @@ def det1_char_by_recursion(params: EndoPermParams, p: int, n: int) -> CyclicChar
 class GridSpec:
     primes: tuple[int, ...] = (3, 5, 7)
     n_max: int = 3
-    include_e: bool = True
     seed: int = 0
 
 
@@ -284,10 +283,9 @@ def consistency_suite(
             try:
                 _check_local(p, n, caps, check)
                 _check_self_block(p, n, check)
-                if grid.include_e:
-                    for e in _divisors(p - 1):
-                        if (p ** n - 1) // e > 1:
-                            _check_exceptional(p, n, e, check)
+                for e in _divisors(p - 1):
+                    if (p ** n - 1) // e > 1:
+                        _check_exceptional(p, n, e, check)
             except CharacterConsistencyError as err:
                 invariant_broken((p, n), err)
 

@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import pytest
 
 from cyclicblocks.brauer_tree import (
@@ -13,7 +16,8 @@ from cyclicblocks.brauer_tree import (
     validate,
     vertex_character,
 )
-from cyclicblocks.local_reps import EndoPermParams
+from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
+from cyclicblocks.oracle import random_corpus
 
 W = EndoPermParams
 
@@ -96,6 +100,23 @@ def test_validate_structure_violations():
     assert any("W indices" in msg for msg in validate(bad_w))
 
 
+def test_validate_at_a_large_prime_is_quick():
+    star = star_tree(2, 2**61 - 1, 1, W(()), -1)
+    start = time.process_time()
+    assert validate(star, strict=True) == []
+    assert time.process_time() - start < 1.0
+
+
+def test_primes_past_the_primality_bound_are_refused():
+    bound = 3317044064679887385961981
+    star = star_tree(2, 5, 1, W(()), -1)
+    problems = validate(replace(star, p=bound))
+    assert len(problems) == 1
+    assert str(bound) in problems[0]
+    with pytest.raises(ValueError, match=str(bound)):
+        CyclicGroupData(bound, 1)
+
+
 def test_successor_and_predecessor():
     desc = path_tree()
     assert successor(desc, "A", "E1") == "E1"  # single edge wraps to itself
@@ -114,6 +135,87 @@ def test_successor_iterates_to_identity():
         for _ in range(len(order)):
             current = successor(star, "exc", current)
         assert current == eid
+
+
+def test_predecessor_undoes_successor_on_random_trees():
+    for desc in random_corpus((3, 5, 7, 13), 2, seed=11, count=25):
+        for v in desc.vertices:
+            for eid in desc.incident(v):
+                assert predecessor(desc, v, successor(desc, v, eid)) == eid
+                assert successor(desc, v, predecessor(desc, v, eid)) == eid
+
+
+def _malformed(vertices, edges, cyclic_order, exceptional="exc"):
+    return BlockDescriptor(
+        p=3,
+        n=2,
+        e=2,
+        vertices=vertices,
+        signs={v: 1 if k % 2 == 0 else -1 for k, v in enumerate(vertices)},
+        edges=tuple(Edge(eid, ends) for eid, ends in edges),
+        cyclic_order=cyclic_order,
+        exceptional=exceptional,
+        w=W(()),
+    )
+
+
+@pytest.mark.parametrize(
+    "desc, problems",
+    [
+        (
+            _malformed(
+                ("A", "B", "exc"),
+                [("E1", ("A", "A")), ("E2", ("B", "exc"))],
+                {"A": ("E1",), "B": ("E2",), "exc": ("E2",)},
+            ),
+            [
+                "edge E1 is a loop",
+                "tree is not connected",
+                "cyclic order at A is not a permutation of its edges",
+            ],
+        ),
+        (
+            _malformed(
+                ("A", "B", "exc"),
+                [("E1", ("A", "Z")), ("E2", ("B", "exc"))],
+                {"A": ("E1",), "B": ("E2",), "exc": ("E2",)},
+            ),
+            [
+                "edge E1 has unknown endpoint",
+                "tree is not connected",
+                "cyclic order at A is not a permutation of its edges",
+            ],
+        ),
+        (
+            _malformed(
+                ("A", "A", "exc"),
+                [("E1", ("A", "exc")), ("E2", ("A", "exc"))],
+                {"A": ("E1", "E2"), "exc": ("E1", "E2")},
+            ),
+            ["duplicate vertex ids"],
+        ),
+        (
+            _malformed(
+                ("A", "B", "exc"),
+                [("E1", ("A", "B")), ("E2", ("A", "B"))],
+                {"A": ("E1", "E2"), "B": ("E1", "E2"), "exc": ()},
+            ),
+            ["tree is not connected"],
+        ),
+        (
+            _malformed((), [], {}, exceptional=None),
+            [
+                "tree has 0 edges, expected e = 2",
+                "tree has 0 vertices, expected e + 1 = 3",
+                "tree is not connected",
+                "m > 1 requires an exceptional vertex",
+            ],
+        ),
+    ],
+    ids=["loop", "unknown-endpoint", "duplicate-vertex", "disconnected", "empty"],
+)
+def test_validate_problem_lists_on_malformed_trees(desc, problems):
+    assert validate(desc) == problems
 
 
 def test_pim_character_examples():

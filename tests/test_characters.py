@@ -43,6 +43,19 @@ def test_exceptional_orbits_examples():
     assert trivial.representatives == (1, 2, 3, 4)
 
 
+def test_orbits_ascend_by_minimum_and_partition_the_indices():
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 4):
+            q = p ** n
+            for e in _divisors(p - 1):
+                s = exceptional_orbits(p, n, e)
+                assert all(list(o) == sorted(o) for o in s.orbits), (p, n, e)
+                minima = [o[0] for o in s.orbits]
+                assert minima == sorted(minima), (p, n, e)
+                assert sorted(k for o in s.orbits for k in o) == list(range(1, q))
+                assert s.representatives == tuple(minima), (p, n, e)
+
+
 def _smallest_of_order_by_search(p, q, e):
     """Reference: the first a < q, prime to p, whose powers return to 1
     after exactly e steps."""
@@ -252,3 +265,11 @@ def test_xi_needs_exceptional_vertex():
     )
     with pytest.raises(ValueError):
         xi(m1, 1)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_exceptional_parts_reject_vertex_index_outside_range(i):
+    star = star_tree(2, 3, 2, W((1,)), -1)
+    for part in (xi, xi_complement):
+        with pytest.raises(ValueError, match=f"vertex index {i} outside 1..2"):
+            part(star, i)

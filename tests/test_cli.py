@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclicblocks.brauer_tree import star_tree
+from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
 from cyclicblocks.cli import (
     _enumerate_text,
     _Exceptional,
@@ -264,6 +265,46 @@ def test_enumerate_too_large_is_refused_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: input too large to hold in memory")
     assert "Traceback" not in captured.err
+
+
+def test_enumerate_at_large_n_is_refused_at_once(tmp_path, capsys):
+    path = write_obj(tmp_path, descriptor_to_obj(star_tree(2, 3, 10**4, W(()), -1)))
+    start = time.process_time()
+    assert main(["enumerate", path]) == 1
+    cpu = time.process_time() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "too large" in captured.err
+    assert cpu < 1.0
+
+
+def test_local_cap_dim_at_a_large_prime(capsys):
+    argv = ["local", "cap-dim", "--p", str(2**61 - 1), "--n", "1", "--vertex", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("vertex", ["7", "0"])
+def test_enumerate_m1_rejects_vertex_outside_range(tmp_path, capsys, vertex, fmt):
+    m1 = BlockDescriptor(
+        p=3,
+        n=1,
+        e=2,
+        vertices=("A", "B", "C"),
+        signs={"A": 1, "B": -1, "C": 1},
+        edges=(Edge("E1", ("A", "B")), Edge("E2", ("B", "C"))),
+        cyclic_order={"A": ("E1",), "B": ("E1", "E2"), "C": ("E2",)},
+        exceptional=None,
+        w=W(()),
+    )
+    path = write_obj(tmp_path, descriptor_to_obj(m1))
+    assert main(["enumerate", path, "--vertex", vertex, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex index {vertex} outside 1..1\n"
+    assert main(["enumerate", path, "--vertex", "1", "--format", fmt]) == 0
 
 
 # Strings JSON must escape, among arbitrary text.

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclicblocks.cyclotomic import (
+    PRIME_BOUND,
     ClassFunction,
     CyclicCharacter,
     CyclotomicInteger,
@@ -12,6 +13,7 @@ from cyclicblocks.cyclotomic import (
     decompose,
     from_int,
     inner_product,
+    is_odd_prime,
     lambda_character,
     reduce_canonical,
     split_odd_prime_power,
@@ -25,6 +27,20 @@ def test_split_odd_prime_power():
     for bad in (1, 2, 4, 8, 12, 15, 45):
         with pytest.raises(ValueError):
             split_odd_prime_power(bad)
+
+
+def test_is_odd_prime_against_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    for k in range(-1, 5 * 10**4):
+        assert is_odd_prime(k) == (k != 2 and isprime(k)), k
+    # a strong pseudoprime to the first twelve bases, 2 to 37
+    assert not is_odd_prime(318665857834031151167461)
+    assert is_odd_prime(2**61 - 1)
+    # a strong pseudoprime to all thirteen bases: refused, not answered
+    assert PRIME_BOUND == 3317044064679887385961981
+    assert not isprime(PRIME_BOUND)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        is_odd_prime(PRIME_BOUND)
 
 
 def test_zeta_power_basics():

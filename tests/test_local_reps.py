@@ -218,6 +218,13 @@ def test_induce_character_rejects_wrong_order():
         induce_character(G32, 1, perm_module_character(G32, 1))
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_closed_forms_reject_vertex_index_outside_range(i):
+    for closed_form in (cap_dim, morita_correspondent_character):
+        with pytest.raises(ValueError, match=f"vertex index {i} outside 1..2"):
+            closed_form(W((1,)), G32, i)
+
+
 def test_params_out_of_group_bounds():
     with pytest.raises(ValueError):
         cap_dim(W((2,)), G32, 1)

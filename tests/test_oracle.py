@@ -142,15 +142,6 @@ def test_consistency_suite_empty_grid():
     assert report.failures == ()
 
 
-def test_consistency_suite_without_e_sweep():
-    full = consistency_suite(GridSpec(primes=(3,), n_max=2, seed=5), corpus_size=0)
-    lean = consistency_suite(
-        GridSpec(primes=(3,), n_max=2, include_e=False, seed=5), corpus_size=0
-    )
-    assert lean.passed
-    assert lean.checks_run < full.checks_run
-
-
 def test_pruefer_tree_shapes():
     from cyclicblocks.oracle import _tree_edges_from_pruefer
 
