@@ -21,7 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd
+from operator import mod, mul
 from typing import TYPE_CHECKING
 
 from .brauer_tree import (
@@ -29,7 +31,7 @@ from .brauer_tree import (
     BlockDescriptor,
     vertex_character,
 )
-from .cyclotomic import CyclicCharacter, _smallest_factor, valuation
+from .cyclotomic import CyclicCharacter, _smallest_factor
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
@@ -51,47 +53,76 @@ class OrbitStructure:
     a is the smallest positive integer of multiplicative order exactly e;
     the subgroup of order e is unique, so the orbits do not depend on this
     choice.  The p-adic valuation is constant on each orbit (a is a unit),
-    so divisibility of a representative by p^j is a property of the orbit.
+    so divisibility of a representative by p^j is a property of the orbit:
+    `levels[r]` is the valuation of `representatives[r]`, one byte each
+    (a p^n that can be indexed has n < 256).
     """
 
     p: int
     n: int
     e: int
     a: int
-    orbits: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
+    levels: bytes
+
+    @property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Every orbit in ascending order, listed by ascending minimum;
+        built afresh on each read."""
+        q = self.p ** self.n
+        reps = self.representatives
+        columns = (
+            map(mod, map(mul, reps, repeat(h)), repeat(q))
+            for h in _powers(self.a, self.e, q)
+        )
+        return tuple(map(tuple, map(sorted, zip(*columns))))
 
 
 @lru_cache(maxsize=None)
 def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
-    """Orbit structure for the order-e inertial action, e | p-1."""
+    """Orbit structure for the order-e inertial action, e | p-1.
+
+    One pass over the indices: each orbit u*H of the order-e subgroup H is
+    marked from its least unmarked element u, which is its representative.
+    A mark that lands twice means an orbit shorter than e.
+    """
     CyclicGroupData(p, n)
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
     # allocated before the generator's powers, so that a q too large to
     # index is refused at once
-    seen = [False] * q
+    seen = bytearray(q)
     a = _smallest_of_order(p, n, e)
-    orbits = []
-    for start in range(1, q):
-        if seen[start]:
-            continue
-        orbit = []
-        kappa = start
-        while not seen[kappa]:
-            seen[kappa] = True
-            orbit.append(kappa)
-            kappa = kappa * a % q
-        orbits.append(tuple(sorted(orbit)))
-        if len(orbit) != e:
-            raise CharacterConsistencyError(
-                f"orbit of {start} has length {len(orbit)}, expected {e}"
-            )
-    # each orbit starts at its least unseen element, so minima ascend
-    return OrbitStructure(
-        p, n, e, a, tuple(orbits), tuple(o[0] for o in orbits)
-    )
+    others = _powers(a, e, q)[1:]
+    reps = []
+    append, find = reps.append, seen.find
+    start = 1
+    while start > 0:
+        seen[start] = 1
+        for h in others:
+            kappa = start * h % q
+            if seen[kappa]:
+                raise CharacterConsistencyError(
+                    f"orbit of {start} is shorter than {e}"
+                )
+            seen[kappa] = 1
+        append(start)
+        start = find(0, start + 1)
+    # gcd(kappa, p^n) = p^v for the valuation v < n of kappa
+    level_of = {p ** v: v for v in range(n)}
+    levels = bytes(map(level_of.__getitem__, map(gcd, reps, repeat(q))))
+    return OrbitStructure(p, n, e, a, tuple(reps), levels)
+
+
+def _powers(a: int, e: int, q: int) -> tuple[int, ...]:
+    """1, a, ..., a^(e-1) mod q; raises unless a^e = 1 mod q."""
+    powers = [1]
+    for _ in range(e - 1):
+        powers.append(powers[-1] * a % q)
+    if powers[-1] * a % q != 1:
+        raise CharacterConsistencyError(f"{a}^{e} is not 1 mod {q}")
+    return tuple(powers)
 
 
 def _smallest_of_order(p: int, n: int, e: int) -> int:
@@ -162,29 +193,37 @@ def _exceptional_pair(
 def _exceptional_coordinates(
     p: int, n: int, e: int, w: EndoPermParams, i: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exceptional coordinates of xi and of its complement.  The indicator
-    sum depends on a representative only through its p-adic valuation, so
-    it is taken once per valuation level 0..n-1 and read off per orbit."""
+    """Exceptional coordinates of xi and of its complement.
+
+    The indicator sum depends on a representative only through its p-adic
+    valuation, so it is taken once per valuation level 0..n-1; the 0/1
+    check and the count law run on those n values, level v weighted by its
+    p^(n-v-1)(p-1)/e orbits.  Each coordinate tuple is then one byte
+    translation of the representatives' levels.
+    """
+    levels = exceptional_orbits(p, n, e).levels
     g = CyclicGroupData(p, n)
-    levels = restricted_cap_params(w, g, i).indices + (i,)
-    by_valuation = [
-        sum((-1) ** j for j, a in enumerate(levels) if a <= v) for v in range(n)
-    ]
-    coords = tuple(
-        by_valuation[valuation(p, rep)]
-        for rep in exceptional_orbits(p, n, e).representatives
-    )
-    if any(c not in (0, 1) for c in coords):
+    # the cut at index a adds its sign to every level from a up
+    steps = [0] * (n + 1)
+    for j, a in enumerate(restricted_cap_params(w, g, i).indices + (i,)):
+        steps[a] += (-1) ** j
+    per_level = list(accumulate(steps[:n]))
+    if not set(per_level) <= {0, 1}:
         raise CharacterConsistencyError(
-            f"exceptional coordinates outside 0/1: {coords}"
+            f"exceptional level values outside 0/1: {per_level}"
         )
     _, d0 = t_and_d0(w, i)
     dim = u_module_dimension(w, g, i)
-    if (dim - d0) % e != 0 or sum(coords) != (dim - d0) // e:
-        raise CharacterConsistencyError(
-            f"count {sum(coords)} != ({dim} - {d0})/{e}"
-        )
-    return coords, tuple(1 - c for c in coords)
+    count = sum(
+        c * (p ** (n - v - 1) * (p - 1) // e) for v, c in enumerate(per_level)
+    )
+    if (dim - d0) % e != 0 or count != (dim - d0) // e:
+        raise CharacterConsistencyError(f"count {count} != ({dim} - {d0})/{e}")
+    # a translation table has 256 entries; only the first n are levels
+    unused = bytes(256 - n)
+    part = levels.translate(bytes(per_level) + unused)
+    complement = levels.translate(bytes(1 - c for c in per_level) + unused)
+    return tuple(part), tuple(complement)
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:
@@ -301,10 +340,10 @@ def character_of(
         if spine:
             raise KeyError(f"no non-exceptional vertex {next(iter(spine))!r}")
         complement = path.case_tag in ("i", "iv")
-    part, complement_part = _exceptional_pair(desc, i)
-    total = BlockCharacter(plain, complement_part if complement else part)
-    if not total.is_zero_one:
+    # the exceptional part is one of two tuples already checked to be 0/1
+    if not set(plain) <= {0, 1}:
         raise CharacterConsistencyError(
-            f"assembled character is not 0/1-valued: {total}"
+            f"assembled character is not 0/1-valued: {plain}"
         )
-    return total
+    part, complement_part = _exceptional_pair(desc, i)
+    return BlockCharacter(plain, complement_part if complement else part)

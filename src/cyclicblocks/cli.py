@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .brauer_tree import (
@@ -34,6 +35,7 @@ from .classification import (
     enumerate_trivial_source,
     m1_enumerate,
 )
+from .cyclotomic import is_odd_prime
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -203,6 +205,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.vertex is not None and not 1 <= args.vertex <= desc.n:
         raise ValueError(f"vertex index {args.vertex} outside 1..{desc.n}")
+    # fetched before any per-vertex work, so that a p^n too large to index
+    # is refused at once
+    reps = (
+        exceptional_orbits(desc.p, desc.n, desc.e).representatives
+        if desc.exceptional is not None
+        else ()
+    )
     status = EXIT_OK
     if desc.m == 1:
         result = m1_enumerate(desc)
@@ -250,11 +259,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "m": desc.m,
             "results": results,
         }
-    reps = (
-        exceptional_orbits(desc.p, desc.n, desc.e).representatives
-        if desc.exceptional is not None
-        else ()
-    )
     sys.stdout.write(_enumerate_text(payload, reps, args.format))
     return status
 
@@ -273,7 +277,7 @@ def _enumerate_text(payload: dict, reps: tuple[int, ...], fmt: str) -> str:
     def exceptional(value: _Exceptional, depth: int) -> str:
         text = rendered.get(value.coords)
         if text is None:
-            listed = map(str, (rep for rep, c in zip(reps, value.coords) if c))
+            listed = map(str, compress(reps, value.coords))
             if fmt == "json":
                 text = _json_list(list(listed), depth)
             else:
@@ -403,6 +407,10 @@ def cmd_local(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    problem = _oracle_argument_problem(args)
+    if problem is not None:
+        print(f"invalid argument: {problem}", file=sys.stderr)
+        return EXIT_PARSE
     grid = GridSpec(
         primes=tuple(args.primes), n_max=args.nmax, seed=args.seed
     )
@@ -430,6 +438,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     )
     return EXIT_OK if report.passed else EXIT_SEMANTIC
+
+
+def _oracle_argument_problem(args: argparse.Namespace) -> str | None:
+    if args.nmax < 1:
+        return f"--nmax must be at least 1, got {args.nmax}"
+    if args.corpus_size < 0:
+        return f"--corpus-size must be at least 0, got {args.corpus_size}"
+    for p in args.primes:
+        try:
+            prime = is_odd_prime(p)
+        except ValueError as err:
+            return f"--primes: {err}"
+        if not prime:
+            return f"--primes: {p} is not an odd prime"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,12 @@
+import sys
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+import cyclicblocks.characters
 from cyclicblocks.brauer_tree import exceptional_bundle, star_tree
 from cyclicblocks.characters import (
     CharacterConsistencyError,
@@ -17,7 +22,9 @@ from cyclicblocks.characters import (
 )
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
+from cyclicblocks.cyclotomic import valuation
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, cap_dim
+from cyclicblocks.oracle import GridSpec, consistency_suite
 
 W = EndoPermParams
 
@@ -93,6 +100,68 @@ def test_order_e_generator_against_sympy():
         for e in _divisors(p - 1):
             assert n_order(_smallest_of_order(p, n, e), p ** n) == e, (p, n, e)
     assert _smallest_of_order(3, 40, 2) == 3**40 - 1
+
+
+def test_representative_levels_follow_the_count_law():
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 4):
+            for e in _divisors(p - 1):
+                s = exceptional_orbits(p, n, e)
+                assert list(s.levels) == [
+                    valuation(p, rep) for rep in s.representatives
+                ], (p, n, e)
+                counts = Counter(s.levels)
+                assert counts == {
+                    v: p ** (n - v - 1) * (p - 1) // e for v in range(n)
+                }, (p, n, e)
+
+
+def _orbits_by_walk(p, n, e):
+    """Reference: the orbit walk that exceptional_orbits ran before it
+    marked each orbit in one pass; it follows kappa -> a*kappa until it
+    returns and sorts every orbit it finds."""
+    q = p ** n
+    a = _smallest_of_order(p, n, e)
+    seen = [False] * q
+    orbits = []
+    for start in range(1, q):
+        if seen[start]:
+            continue
+        orbit = []
+        kappa = start
+        while not seen[kappa]:
+            seen[kappa] = True
+            orbit.append(kappa)
+            kappa = kappa * a % q
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def test_lazy_orbits_match_the_walk():
+    build = exceptional_orbits.__wrapped__  # leaves the cache alone
+    for p in (3, 5, 7, 11, 13, 37, 41):
+        for n in range(1, 12):
+            if p ** n > 2 * 10**5:
+                break
+            for e in _divisors(p - 1):
+                s = build(p, n, e)
+                walked = _orbits_by_walk(p, n, e)
+                assert s.orbits == walked, (p, n, e)
+                assert s.representatives == tuple(o[0] for o in walked), (p, n, e)
+
+
+@pytest.mark.parametrize("a, e", [(3, 2), (2, 6)])
+def test_orbit_length_check_fires_on_a_generator_of_the_wrong_order(
+    monkeypatch, a, e
+):
+    # mod 7: 3 has order 6, so 3^2 != 1 (the pairs {u, 3u} would still
+    # cover 1..6 without overlap); 2 has order 3, so its orbits of length 3
+    # collide when marked as if they had length 6
+    monkeypatch.setattr(
+        cyclicblocks.characters, "_smallest_of_order", lambda p, n, e: a
+    )
+    with pytest.raises(CharacterConsistencyError):
+        exceptional_orbits.__wrapped__(7, 1, e)
 
 
 def test_exceptional_orbits_rejects_non_divisor():
@@ -273,3 +342,49 @@ def test_exceptional_parts_reject_vertex_index_outside_range(i):
     for part in (xi, xi_complement):
         with pytest.raises(ValueError, match=f"vertex index {i} outside 1..2"):
             part(star, i)
+
+
+def test_character_of_rejects_a_repeated_spine_vertex():
+    # the exceptional part comes checked from xi; the spine part is checked
+    # on its own
+    star = star_tree(2, 3, 2, W(()), -1)
+    path = enumerate_trivial_source(star, 1)[0]
+    doubled = replace(path, spine_vertices=("v1", "v1"))
+    with pytest.raises(CharacterConsistencyError, match="not 0/1"):
+        character_of(star, 1, doubled)
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cyclicblocks"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_level_check_fires_on_a_level_outside_0_1(monkeypatch):
+    # the cut indices (2, 1, 3) give level 1 the value -1: the only cut at
+    # most 1 is the 1, at an odd position
+    star = star_tree(2, 3, 3, W((1, 2)), -1)
+    path = next(p for p in enumerate_trivial_source(star, 3) if p.type_tag != 1)
+    real = cyclicblocks.characters.restricted_cap_params
+    _clear_package_caches()
+    monkeypatch.setattr(
+        cyclicblocks.characters,
+        "restricted_cap_params",
+        lambda w, g, i: SimpleNamespace(indices=real(w, g, i).indices[::-1]),
+    )
+    try:
+        with pytest.raises(CharacterConsistencyError, match="outside 0/1"):
+            xi(star, 3)
+        with pytest.raises(CharacterConsistencyError, match="outside 0/1"):
+            character_of(star, 3, path)
+        report = consistency_suite(
+            GridSpec(primes=(3,), n_max=3, seed=5), corpus_size=0
+        )
+    finally:
+        monkeypatch.undo()
+        _clear_package_caches()
+    broken = [f for f in report.failures if f.check == "closed-form invariant"]
+    assert [f.params for f in broken] == [repr((3, 3))]
+    assert "CharacterConsistencyError: exceptional level values" in broken[0].actual

@@ -415,3 +415,22 @@ def test_oracle_fault_injection(capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert any(f["check"] == "cap_dim vs recursive" for f in payload["failures"])
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [
+        (["--nmax", "0"], "--nmax"),
+        (["--nmax", "-1"], "--nmax"),
+        (["--primes", "4"], "--primes"),
+        (["--primes", "2"], "--primes"),
+        (["--corpus-size", "-3"], "--corpus-size"),
+    ],
+)
+def test_oracle_rejects_bad_arguments(capsys, argv, argument):
+    assert main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert argument in captured.err
+    assert "Traceback" not in captured.err
