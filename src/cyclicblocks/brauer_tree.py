@@ -83,6 +83,32 @@ class BlockDescriptor:
                     reached.append(w)
         return out
 
+    @cached_property
+    def spines(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """For every vertex but the exceptional one, the unique tree path to
+        the exceptional vertex: the non-exceptional vertices visited and the
+        edges walked.  Read off `toward_exceptional` in one pass, a vertex's
+        spine being its neighbour's with itself and its edge in front."""
+        out: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        end = ((), ())
+        for v, (eid, toward) in self.toward_exceptional.items():
+            vertices, edges = out.get(toward, end)
+            out[v] = ((v,) + vertices, (eid,) + edges)
+        return out
+
+    @cached_property
+    def nonexceptional_positions(self) -> dict[str, int]:
+        """Position of each non-exceptional vertex in the non-exceptional
+        part of a character."""
+        return {v: k for k, v in enumerate(self.nonexceptional_vertices)}
+
+    @cached_property
+    def _exceptional_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The all-zero and the all-one exceptional part, one tuple each per
+        descriptor; both are empty when m = 1."""
+        m = self.m if self.exceptional is not None else 0
+        return (0,) * m, (1,) * m
+
     def edge_by_id(self, edge_id: str) -> Edge:
         try:
             return self._edges_by_id[edge_id]
@@ -146,7 +172,7 @@ def exceptional_bundle(desc: BlockDescriptor) -> BlockCharacter:
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional vertex (m = 1)")
     return BlockCharacter(
-        (0,) * len(desc.nonexceptional_vertices), (1,) * desc.m
+        (0,) * len(desc.nonexceptional_vertices), desc._exceptional_parts[1]
     )
 
 
@@ -154,13 +180,12 @@ def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
     """Indicator of a non-exceptional vertex, or the full exceptional bundle."""
     if vertex == desc.exceptional:
         return exceptional_bundle(desc)
-    plain = desc.nonexceptional_vertices
-    if vertex not in plain:
+    position = desc.nonexceptional_positions.get(vertex)
+    if position is None:
         raise KeyError(f"no vertex {vertex!r}")
-    exc = desc.m if desc.exceptional is not None else 0
-    return BlockCharacter(
-        tuple(1 if v == vertex else 0 for v in plain), (0,) * exc
-    )
+    plain = [0] * len(desc.nonexceptional_vertices)
+    plain[position] = 1
+    return BlockCharacter(tuple(plain), desc._exceptional_parts[0])
 
 
 def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:

@@ -18,7 +18,6 @@ whose local character contains the trivial constituent).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -332,18 +331,22 @@ def character_of(
     elif path.case_tag not in ("i", "ii", "iii", "iv"):
         raise CharacterConsistencyError(f"unknown case tag {path.case_tag!r}")
     else:
+        spine = path.spine_vertices if path.type_tag in (2, 4, 5, 6) else ()
+        positions = desc.nonexceptional_positions
+        counts = [0] * len(positions)
         # one count per spine vertex, so that a repeated vertex shows as a 2
-        spine = Counter(
-            path.spine_vertices if path.type_tag in (2, 4, 5, 6) else ()
-        )
-        plain = tuple(spine.pop(v, 0) for v in desc.nonexceptional_vertices)
-        if spine:
-            raise KeyError(f"no non-exceptional vertex {next(iter(spine))!r}")
+        for v in spine:
+            try:
+                counts[positions[v]] += 1
+            except KeyError:
+                raise KeyError(f"no non-exceptional vertex {v!r}") from None
+        plain = tuple(counts)
+        # the counts are 0/1 exactly when no spine vertex repeats; the
+        # exceptional part is one of two tuples already checked to be 0/1
+        if len(set(spine)) != len(spine):
+            raise CharacterConsistencyError(
+                f"assembled character is not 0/1-valued: {plain}"
+            )
         complement = path.case_tag in ("i", "iv")
-    # the exceptional part is one of two tuples already checked to be 0/1
-    if not set(plain) <= {0, 1}:
-        raise CharacterConsistencyError(
-            f"assembled character is not 0/1-valued: {plain}"
-        )
     part, complement_part = _exceptional_pair(desc, i)
     return BlockCharacter(plain, complement_part if complement else part)

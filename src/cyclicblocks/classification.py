@@ -110,20 +110,6 @@ class M1Enumeration:
     hooks: tuple[ConditionalHook, ...]
 
 
-def _spine_to_exceptional(
-    desc: BlockDescriptor, start: str
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The unique tree path from start to the exceptional vertex: the
-    non-exceptional vertices visited and the edges walked."""
-    vertices, edges = [], []
-    v = start
-    while v != desc.exceptional:
-        vertices.append(v)
-        edge, v = desc.toward_exceptional[v]
-        edges.append(edge)
-    return tuple(vertices), tuple(edges)
-
-
 def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
     """All syntactic path shapes for vertex index i, before admissibility."""
     if desc.m == 1:
@@ -145,7 +131,7 @@ def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
                 if desc.sign(v) > 0:
                     out.append(PathDescriptor(1, (v,), (edge.id,), (), (1, 1)))
     for x0 in desc.nonexceptional_vertices:
-        spine_v, spine_e = _spine_to_exceptional(desc, x0)
+        spine_v, spine_e = desc.spines[x0]
         if desc.is_leaf(x0):
             out.append(PathDescriptor(2, spine_v, spine_e, (), (1, -1)))
             continue

@@ -23,6 +23,7 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .brauer_tree import (
+    BlockCharacter,
     BlockDescriptor,
     Edge,
     sign_alternation_violations,
@@ -31,6 +32,7 @@ from .brauer_tree import (
 from .characters import character_of, exceptional_orbits
 from .classification import (
     ClassificationError,
+    M1Enumeration,
     PathDescriptor,
     enumerate_trivial_source,
     m1_enumerate,
@@ -145,38 +147,13 @@ def _load_descriptor(path: str) -> BlockDescriptor | None:
         return None
 
 
-class _Exceptional:
-    """The exceptional coordinates of one character in an enumerate payload.
-    The writer prints the orbit representatives where they are nonzero."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[int, ...]):
-        self.coords = coords
-
-
 def _character_obj(desc: BlockDescriptor, char) -> dict:
-    plain = desc.nonexceptional_vertices
+    """A character of an m = 1 block, which has no exceptional part."""
     return {
-        "nonexceptional": [
-            v for v, c in zip(plain, char.nonexceptional) if c
-        ],
-        "exceptional": _Exceptional(char.exceptional),
-    }
-
-
-def _path_obj(desc: BlockDescriptor, i: int, path: PathDescriptor) -> dict:
-    return {
-        "type": path.type_tag,
-        "case": path.case_tag,
-        "multiplicity": path.multiplicity,
-        "path": {
-            "spine_vertices": list(path.spine_vertices),
-            "spine_edges": list(path.spine_edges),
-            "extra_edges": list(path.extra_edges),
-            "direction": list(path.direction),
-        },
-        "character": _character_obj(desc, character_of(desc, i, path)),
+        "nonexceptional": list(
+            compress(desc.nonexceptional_vertices, char.nonexceptional)
+        ),
+        "exceptional": [],
     }
 
 
@@ -214,160 +191,155 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     )
     status = EXIT_OK
     if desc.m == 1:
-        result = m1_enumerate(desc)
-        payload = {
-            "p": desc.p,
-            "n": desc.n,
-            "e": desc.e,
-            "m": 1,
-            "pims": [
-                {
-                    "edge": pim.edge_id,
-                    "character": _character_obj(desc, pim.character),
-                }
-                for pim in result.pims
-            ],
-            "hooks": [
-                {
-                    "edge": hook.edge_id,
-                    "vertex": hook.vertex,
-                    "conditional": True,
-                    "character": _character_obj(desc, hook.character),
-                }
-                for hook in result.hooks
-            ],
-        }
+        text = _m1_text(desc, m1_enumerate(desc), args.format)
     else:
         indices = (
             range(1, desc.n + 1) if args.vertex is None else (args.vertex,)
         )
         results = []
         for i in indices:
-            entry: dict = {"vertex": i}
+            error = None
             try:
                 modules = enumerate_trivial_source(desc, i)
-                entry["modules"] = [_path_obj(desc, i, m) for m in modules]
             except ClassificationError as err:
-                entry["modules"] = [_path_obj(desc, i, m) for m in err.paths]
-                entry["error"] = str(err)
+                modules, error = err.paths, str(err)
                 status = EXIT_SEMANTIC
-            results.append(entry)
-        payload = {
-            "p": desc.p,
-            "n": desc.n,
-            "e": desc.e,
-            "m": desc.m,
-            "results": results,
-        }
-    sys.stdout.write(_enumerate_text(payload, reps, args.format))
+            characters = [(path, character_of(desc, i, path)) for path in modules]
+            results.append((i, characters, error))
+        text = _enumerate_text(desc, results, reps, args.format)
+    sys.stdout.write(text)
     return status
 
 
-def _enumerate_text(payload: dict, reps: tuple[int, ...], fmt: str) -> str:
-    """The enumerate payload as printed: the text of json.dumps(payload,
-    indent=2) plus a newline, or the flattened CSV view.
+# One module of `enumerate --format json` as json.dumps(payload, indent=2)
+# lays it out, up to its exceptional list; the module object sits at depth
+# 4 and each of its lists at depth 6.
+_MODULE_JSON = """{
+          "type": %d,
+          "case": %s,
+          "multiplicity": %s,
+          "path": {
+            "spine_vertices": %s,
+            "spine_edges": %s,
+            "extra_edges": %s,
+            "direction": %s
+          },
+          "character": {
+            "nonexceptional": %s,
+            "exceptional": """
+_MODULE_JSON_END = "\n          }\n        }"
+_HEAD_JSON = '{\n  "p": %d,\n  "n": %d,\n  "e": %d,\n  "m": %d,\n  "results": ['
+_ENTRY_JSON = '{\n      "vertex": %d,\n      "modules": ['
 
-    A payload holds few distinct exceptional parts (xi, its complement, the
-    bundle), so each distinct coordinate tuple is rendered once per call and
-    its text pasted into every module that carries it.  Every exceptional
-    list of a payload sits at the same depth, so the tuple alone keys it.
+
+def _enumerate_text(
+    desc: BlockDescriptor,
+    results: list[tuple[int, list[tuple[PathDescriptor, BlockCharacter]], str | None]],
+    reps: tuple[int, ...],
+    fmt: str,
+) -> str:
+    """What `enumerate` prints for an m > 1 block, given per vertex index
+    its modules with their characters and its error, if any: the text of
+    json.dumps(payload, indent=2) plus a newline, or the flattened CSV view.
+
+    The modules of a call carry few distinct exceptional parts (xi and its
+    complement per vertex index, the bundle), each one shared tuple, so the
+    text of each is rendered once per call; the output is joined once from
+    its pieces, so that no long list is copied again.
     """
-    rendered: dict[tuple[int, ...], str] = {}
-
-    def exceptional(value: _Exceptional, depth: int) -> str:
-        text = rendered.get(value.coords)
-        if text is None:
-            listed = map(str, compress(reps, value.coords))
-            if fmt == "json":
-                text = _json_list(list(listed), depth)
-            else:
-                text = ";".join(listed)
-            rendered[value.coords] = text
-        return text
-
-    if fmt == "json":
-        out = []
-        _emit_json(payload, 0, out, exceptional)
-        out.append("\n")
-        return "".join(out)
-    return "".join(line + "\n" for line in _csv_lines(payload, exceptional))
-
-
-def _emit_json(obj, depth: int, out: list[str], exceptional) -> None:
-    """Append the indent-2 JSON text of obj at nesting depth `depth`, as
-    json.dumps writes it; an _Exceptional goes through `exceptional`."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, _Exceptional):
-        out.append(exceptional(obj, depth))
-    elif isinstance(obj, (list, dict)):
-        if not obj:
-            out.append("[]" if isinstance(obj, list) else "{}")
-            return
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(obj, list):
-            out.append("[")
-            for k, item in enumerate(obj):
-                out.append(inner if k == 0 else "," + inner)
-                _emit_json(item, depth + 1, out, exceptional)
-            close = "]"
-        else:
-            out.append("{")
-            for k, (key, value) in enumerate(obj.items()):
-                out.append(inner if k == 0 else "," + inner)
-                out.append(_quote(key))
-                out.append(": ")
-                _emit_json(value, depth + 1, out, exceptional)
-            close = "}"
-        out.append("\n" + "  " * depth + close)
+    as_json = fmt == "json"
+    if as_json:
+        names = tuple(map(_quote, desc.nonexceptional_vertices))
+        listed = _json_list
     else:
-        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        names = desc.nonexceptional_vertices
+        listed = ";".join
+    rep_text = tuple(map(str, reps))
+    # keyed by identity, which costs no hash of a length-m tuple; each value
+    # holds its tuple, so no key is reused for another one within the call
+    rendered: dict[int, tuple[tuple[int, ...], str]] = {}
 
+    def character(char: BlockCharacter) -> tuple[str, str]:
+        coords = char.exceptional
+        hit = rendered.get(id(coords))
+        if hit is None:
+            hit = rendered[id(coords)] = (coords, listed(compress(rep_text, coords)))
+        return listed(compress(names, char.nonexceptional)), hit[1]
 
-def _json_list(items: list[str], depth: int) -> str:
-    """A list of already encoded items, laid out as _emit_json lays out a
-    list at nesting depth `depth`."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
-
-
-def _csv_lines(payload: dict, exceptional):
-    # flattened view for human inspection; JSON is the canonical format
-    def columns(char: dict) -> str:
-        return (
-            f"{';'.join(char['nonexceptional'])},"
-            f"{exceptional(char['exceptional'], 0)}"
-        )
-
-    if payload.get("m") == 1:
-        yield "kind,edge,vertex,conditional,nonexceptional,exceptional"
-        for pim in payload["pims"]:
-            yield f"pim,{pim['edge']},,,{columns(pim['character'])}"
-        for hook in payload["hooks"]:
-            yield (
-                f"hook,{hook['edge']},{hook['vertex']},true,"
-                f"{columns(hook['character'])}"
+    if not as_json:
+        out = ["vertex,type,case,multiplicity,nonexceptional,exceptional\n"]
+        for i, modules, _ in results:
+            for path, char in modules:
+                case = "" if path.case_tag is None else path.case_tag
+                mult = "" if path.multiplicity is None else path.multiplicity
+                plain, exc = character(char)
+                out += (f"{i},{path.type_tag},{case},{mult},{plain},", exc, "\n")
+        return "".join(out)
+    out = [_HEAD_JSON % (desc.p, desc.n, desc.e, desc.m)]
+    entry_sep = "\n    "
+    for i, modules, error in results:
+        out.append(entry_sep + _ENTRY_JSON % i)
+        module_sep = "\n        "
+        for path, char in modules:
+            plain, exc = character(char)
+            case = "null" if path.case_tag is None else _quote(path.case_tag)
+            mult = "null" if path.multiplicity is None else path.multiplicity
+            text = _MODULE_JSON % (
+                path.type_tag,
+                case,
+                mult,
+                listed(map(_quote, path.spine_vertices)),
+                listed(map(_quote, path.spine_edges)),
+                listed(map(_quote, path.extra_edges)),
+                listed(map(str, path.direction)),
+                plain,
             )
-        return
-    yield "vertex,type,case,multiplicity,nonexceptional,exceptional"
-    for entry in payload["results"]:
-        for module in entry["modules"]:
-            mult = "" if module["multiplicity"] is None else module["multiplicity"]
-            case = "" if module["case"] is None else module["case"]
-            yield (
-                f"{entry['vertex']},{module['type']},{case},{mult},"
-                f"{columns(module['character'])}"
-            )
+            out += (module_sep, text, exc, _MODULE_JSON_END)
+            module_sep = ",\n        "
+        out.append("\n      ]" if modules else "]")
+        if error is not None:
+            out.append(',\n      "error": ' + _quote(error))
+        out.append("\n    }")
+        entry_sep = ",\n    "
+    out.append("\n  ]\n}\n" if results else "]\n}\n")
+    return "".join(out)
+
+
+def _json_list(items) -> str:
+    """A list of already encoded items, none of them empty, laid out as
+    json.dumps(..., indent=2) lays out a list at depth 6, the depth of
+    every list in an enumerate module."""
+    body = ",\n              ".join(items)
+    return f"[\n              {body}\n            ]" if body else "[]"
+
+
+def _m1_text(desc: BlockDescriptor, found: M1Enumeration, fmt: str) -> str:
+    """What `enumerate` prints for an m = 1 block: its projectives and
+    conditional hooks, as indent-2 JSON plus a newline or as CSV."""
+    pims = [
+        {"edge": pim.edge_id, "character": _character_obj(desc, pim.character)}
+        for pim in found.pims
+    ]
+    hooks = [
+        {
+            "edge": hook.edge_id,
+            "vertex": hook.vertex,
+            "conditional": True,
+            "character": _character_obj(desc, hook.character),
+        }
+        for hook in found.hooks
+    ]
+    if fmt == "json":
+        payload = {"p": desc.p, "n": desc.n, "e": desc.e, "m": 1}
+        return json.dumps({**payload, "pims": pims, "hooks": hooks}, indent=2) + "\n"
+    lines = ["kind,edge,vertex,conditional,nonexceptional,exceptional\n"]
+    for pim in pims:
+        plain = ";".join(pim["character"]["nonexceptional"])
+        lines.append(f"pim,{pim['edge']},,,{plain},\n")
+    for hook in hooks:
+        plain = ";".join(hook["character"]["nonexceptional"])
+        lines.append(f"hook,{hook['edge']},{hook['vertex']},true,{plain},\n")
+    return "".join(lines)
 
 
 def _parse_w(raw: str) -> EndoPermParams:

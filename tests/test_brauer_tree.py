@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from cyclicblocks.brauer_tree import (
     vertex_character,
 )
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
-from cyclicblocks.oracle import random_corpus
+from cyclicblocks.oracle import random_block_descriptor, random_corpus
 
 W = EndoPermParams
 
@@ -288,3 +289,69 @@ def test_descriptor_lookup_errors():
         desc.other_end("E1", "exc")
     with pytest.raises(KeyError):
         vertex_character(desc, "nope")
+
+
+def _spine_by_walk(desc, start):
+    """The unique tree path from start to the exceptional vertex, walked one
+    step of toward_exceptional at a time: the non-exceptional vertices
+    visited and the edges walked.  The reference for desc.spines."""
+    vertices, edges = [], []
+    v = start
+    while v != desc.exceptional:
+        vertices.append(v)
+        edge, v = desc.toward_exceptional[v]
+        edges.append(edge)
+    return tuple(vertices), tuple(edges)
+
+
+def _long_path(e):
+    """v0 - v1 - ... - v_e with the exceptional vertex at the end, so that
+    the spines have every length from 1 to e."""
+    names = [f"v{k}" for k in range(e + 1)]
+    edges = tuple(Edge(f"E{k + 1}", (names[k], names[k + 1])) for k in range(e))
+    order = {v: () for v in names}
+    for edge in edges:
+        for v in edge.ends:
+            order[v] += (edge.id,)
+    return BlockDescriptor(
+        p=101,
+        n=2,
+        e=e,
+        vertices=tuple(names),
+        signs={v: (-1) ** k for k, v in enumerate(names)},
+        edges=edges,
+        cyclic_order=order,
+        exceptional=names[-1],
+        w=W(()),
+    )
+
+
+def _random_trees():
+    rng = random.Random(29)
+    sizes = ((3, 2), (5, 4), (13, 12), (41, 40), (61, 60), (71, 70), (101, 100))
+    for _ in range(40):
+        p, e = rng.choice(sizes)
+        yield random_block_descriptor(rng, p, 2, e)
+    yield _long_path(100)
+
+
+def test_spines_match_a_walk_toward_the_exceptional_vertex():
+    for desc in _random_trees():
+        assert validate(desc) == []
+        assert list(desc.spines) == list(desc.toward_exceptional)
+        for v in desc.nonexceptional_vertices:
+            assert desc.spines[v] == _spine_by_walk(desc, v)
+    assert len(_long_path(100).spines["v0"][0]) == 100
+
+
+def test_vertex_characters_by_position_match_the_indicator():
+    for desc in _random_trees():
+        plain = desc.nonexceptional_vertices
+        assert [desc.nonexceptional_positions[v] for v in plain] == list(
+            range(len(plain))
+        )
+        zeros = (0,) * desc.m
+        for vertex in plain:
+            char = vertex_character(desc, vertex)
+            assert char.nonexceptional == tuple(1 if v == vertex else 0 for v in plain)
+            assert char.exceptional == zeros

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import cyclicblocks.characters
-from cyclicblocks.brauer_tree import exceptional_bundle, star_tree
+from cyclicblocks.brauer_tree import exceptional_bundle, star_tree, vertex_character
 from cyclicblocks.characters import (
     CharacterConsistencyError,
     _smallest_of_order,
@@ -24,7 +25,7 @@ from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
 from cyclicblocks.cyclotomic import valuation
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, cap_dim
-from cyclicblocks.oracle import GridSpec, consistency_suite
+from cyclicblocks.oracle import GridSpec, consistency_suite, random_block_descriptor
 
 W = EndoPermParams
 
@@ -350,8 +351,35 @@ def test_character_of_rejects_a_repeated_spine_vertex():
     star = star_tree(2, 3, 2, W(()), -1)
     path = enumerate_trivial_source(star, 1)[0]
     doubled = replace(path, spine_vertices=("v1", "v1"))
-    with pytest.raises(CharacterConsistencyError, match="not 0/1"):
+    with pytest.raises(CharacterConsistencyError, match=r"not 0/1-valued: \(2, 0\)"):
         character_of(star, 1, doubled)
+
+
+def test_characters_name_an_unknown_vertex():
+    star = star_tree(2, 3, 2, W(()), -1)
+    path = enumerate_trivial_source(star, 1)[0]
+    for spine, unknown in ((("x",), "x"), (("v1", "exc"), "exc")):
+        unnamed = replace(path, spine_vertices=spine)
+        with pytest.raises(KeyError, match=f"no non-exceptional vertex '{unknown}'"):
+            character_of(star, 1, unnamed)
+    with pytest.raises(KeyError, match="no vertex 'x'"):
+        vertex_character(star, "x")
+
+
+def test_nonexceptional_part_counts_the_spine():
+    # the reference counts the spine vertices over all e + 1 vertices; a hook
+    # at the exceptional vertex counts nothing non-exceptional
+    rng = random.Random(37)
+    sizes = ((3, 2, 2), (7, 2, 6), (13, 2, 12), (41, 2, 40), (101, 2, 100), (5, 3, 4))
+    for _ in range(24):
+        p, n, e = rng.choice(sizes)
+        desc = random_block_descriptor(rng, p, n, e)
+        plain = desc.nonexceptional_vertices
+        for i in range(1, n + 1):
+            for path in enumerate_trivial_source(desc, i):
+                counts = Counter(path.spine_vertices)
+                char = character_of(desc, i, path)
+                assert char.nonexceptional == tuple(counts[v] for v in plain)
 
 
 def _clear_package_caches():

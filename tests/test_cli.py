@@ -1,19 +1,33 @@
+import io
+import itertools
 import json
 import time
+from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import fixtures
 
-from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
+import cyclicblocks.cli
+from cyclicblocks.brauer_tree import (
+    BlockCharacter,
+    BlockDescriptor,
+    Edge,
+    exceptional_bundle,
+    star_tree,
+)
+from cyclicblocks.characters import character_of, exceptional_orbits
+from cyclicblocks.classification import PathDescriptor, enumerate_trivial_source
 from cyclicblocks.cli import (
     _enumerate_text,
-    _Exceptional,
     descriptor_from_obj,
     descriptor_to_obj,
     main,
 )
 from cyclicblocks.local_reps import EndoPermParams
+from cyclicblocks.oracle import random_corpus
 
 W = EndoPermParams
 
@@ -313,81 +327,143 @@ _INTS = st.integers() | st.integers(min_value=10**20)
 
 
 @st.composite
-def _enumerate_payloads(draw):
-    """Payloads of both enumerate shapes, with exceptional parts drawn from a
-    small pool so that the writer's cache is hit."""
+def _enumerate_results(draw):
+    """A descriptor stand-in, representatives and per vertex index results
+    as `cmd_enumerate` hands them to the writer: modules of the real schema
+    with arbitrary ids and numbers, exceptional parts drawn from a small
+    pool of shared tuples so that the writer's cache is hit."""
+    names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
     coords = st.lists(st.sampled_from((0, 1)), min_size=len(reps), max_size=len(reps))
     pool = draw(st.lists(coords.map(tuple), min_size=1, max_size=3))
+    ids = st.lists(_IDS, max_size=3).map(tuple)
 
-    def character():
-        return {
-            "nonexceptional": draw(st.lists(_IDS, max_size=3)),
-            "exceptional": _Exceptional(draw(st.sampled_from(pool))),
-        }
+    def module():
+        path = PathDescriptor(
+            type_tag=draw(_INTS),
+            spine_vertices=draw(ids),
+            spine_edges=draw(ids),
+            extra_edges=draw(ids),
+            direction=(draw(_INTS), draw(_INTS)),
+            multiplicity=draw(st.none() | _INTS),
+            case_tag=draw(st.none() | _IDS),
+        )
+        plain = draw(
+            st.lists(st.sampled_from((0, 1)), min_size=len(names), max_size=len(names))
+        )
+        return path, BlockCharacter(tuple(plain), draw(st.sampled_from(pool)))
 
-    def some(make):
-        return [make() for _ in range(draw(st.integers(0, 3)))]
-
+    results = [
+        (
+            draw(_INTS),
+            [module() for _ in range(draw(st.integers(0, 3)))],
+            draw(st.none() | _IDS),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
     head = {key: draw(_INTS) for key in ("p", "n", "e", "m")}
-    if draw(st.booleans()):
-        pims = some(lambda: {"edge": draw(_IDS), "character": character()})
-        hooks = some(
-            lambda: {
-                "edge": draw(_IDS),
-                "vertex": draw(_IDS),
-                "conditional": True,
-                "character": character(),
-            }
-        )
-        return {**head, "m": 1, "pims": pims, "hooks": hooks}, reps
-    path = st.dictionaries(_IDS, st.lists(_IDS | _INTS, max_size=3), max_size=4)
+    return SimpleNamespace(**head, nonexceptional_vertices=names), results, reps
 
-    def entry():
-        modules = some(
-            lambda: {
-                "type": draw(_INTS),
-                "case": draw(st.none() | _IDS),
-                "multiplicity": draw(st.none() | _INTS),
-                "path": draw(path),
-                "character": character(),
-            }
-        )
-        out = {"vertex": draw(_INTS), "modules": modules}
-        if draw(st.booleans()):
-            out["error"] = draw(_IDS)
+
+def _payload(desc, results, reps):
+    """The data the writer prints, as the dicts json.dumps would take."""
+
+    def listed(values, selectors):
+        return list(itertools.compress(values, selectors))
+
+    def entry(i, modules, error):
+        out = {
+            "vertex": i,
+            "modules": [
+                {
+                    "type": path.type_tag,
+                    "case": path.case_tag,
+                    "multiplicity": path.multiplicity,
+                    "path": {
+                        "spine_vertices": list(path.spine_vertices),
+                        "spine_edges": list(path.spine_edges),
+                        "extra_edges": list(path.extra_edges),
+                        "direction": list(path.direction),
+                    },
+                    "character": {
+                        "nonexceptional": listed(
+                            desc.nonexceptional_vertices, char.nonexceptional
+                        ),
+                        "exceptional": listed(reps, char.exceptional),
+                    },
+                }
+                for path, char in modules
+            ],
+        }
+        if error is not None:
+            out["error"] = error
         return out
 
-    return {**head, "results": some(entry)}, reps
-
-
-def _listed(obj, reps):
-    """The payload as plain JSON data, each exceptional part written out."""
-    if isinstance(obj, _Exceptional):
-        return [rep for rep, c in zip(reps, obj.coords) if c]
-    if isinstance(obj, dict):
-        return {key: _listed(value, reps) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_listed(item, reps) for item in obj]
-    return obj
+    head = {key: getattr(desc, key) for key in ("p", "n", "e", "m")}
+    return {**head, "results": [entry(*result) for result in results]}
 
 
 @settings(max_examples=100, deadline=None)
-@given(_enumerate_payloads())
-def test_enumerate_writer_matches_json_dumps(payload_and_reps):
-    payload, reps = payload_and_reps
-    expected = json.dumps(_listed(payload, reps), indent=2) + "\n"
-    assert _enumerate_text(payload, reps, "json") == expected
+@given(_enumerate_results())
+def test_enumerate_writer_matches_json_dumps(drawn):
+    desc, results, reps = drawn
+    expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
+    assert _enumerate_text(desc, results, reps, "json") == expected
 
 
 def test_enumerate_writer_cache_lasts_one_call():
-    char = {"nonexceptional": [], "exceptional": _Exceptional((1, 0))}
-    payload = {"m": 1, "pims": [{"edge": "E1", "character": char}], "hooks": []}
+    desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=())
+    path = PathDescriptor(2, (), ("E1",), (), (1, -1), 2, "ii")
+    results = [(1, [(path, BlockCharacter((), (1, 0)))], None)]
     for reps in ((5, 6), (7, 8)):
-        as_json = json.loads(_enumerate_text(payload, reps, "json"))
-        assert as_json["pims"][0]["character"]["exceptional"] == [reps[0]]
-        as_csv = _enumerate_text(payload, reps, "csv")
-        assert as_csv.endswith(f"pim,E1,,,,{reps[0]}\n")
+        as_json = json.loads(_enumerate_text(desc, results, reps, "json"))
+        module = as_json["results"][0]["modules"][0]
+        assert module["character"]["exceptional"] == [reps[0]]
+        as_csv = _enumerate_text(desc, results, reps, "csv")
+        assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n")
+
+
+def test_enumerate_renders_the_bundle_once(monkeypatch):
+    # at the full vertex a trivial parameter gives a hook per edge; with a
+    # positive exceptional centre every one of them affords the bundle
+    star = star_tree(4, 5, 2, W(()), 1)
+    modules = [
+        (path, character_of(star, 2, path))
+        for path in enumerate_trivial_source(star, 2)
+    ]
+    bundle = exceptional_bundle(star).exceptional
+    hooks = [char for path, char in modules if path.type_tag == 1]
+    assert len(hooks) == 4
+    assert all(char.exceptional is bundle for char in hooks)
+    selectors = []
+    real = itertools.compress
+
+    def spy(data, chosen):
+        selectors.append(chosen)
+        return real(data, chosen)
+
+    monkeypatch.setattr(cyclicblocks.cli, "compress", spy)
+    reps = exceptional_orbits(5, 2, 4).representatives
+    _enumerate_text(star, [(2, modules, None)], reps, "json")
+    assert sum(chosen is bundle for chosen in selectors) == 1
+
+
+def _round_trip_descriptors():
+    yield from fixtures().items()
+    corpus = random_corpus(primes=(3, 5, 7, 11), n_max=3, seed=23, count=20)
+    yield from ((f"corpus{k:02d}", desc) for k, desc in enumerate(corpus))
+
+
+def test_enumerate_json_is_what_json_dumps_writes(tmp_path):
+    # independent of the payload: whatever enumerate prints, it is laid out
+    # exactly as json.dumps(..., indent=2) lays out the same data
+    for name, desc in _round_trip_descriptors():
+        path = write_obj(tmp_path, descriptor_to_obj(desc), f"{name}.json")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(["enumerate", path])
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def test_oracle_small_grid(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,22 @@ def test_zeta_power_basics():
 def test_zeta_power_rejects_bad_order():
     with pytest.raises(ValueError):
         zeta_power(8, 1)
+
+
+def test_reduce_canonical_against_sympy():
+    # the remainder modulo the cyclotomic polynomial, from sympy's division
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("X")
+    rng = random.Random(13)
+    for order in (3, 9, 27, 5, 25, 7):
+        phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x)
+        for _ in range(25):
+            coeffs = tuple(rng.randint(-50, 50) for _ in range(order))
+            poly = sympy.Poly(coeffs[::-1], x)
+            rem = [int(c) for c in sympy.rem(poly, phi).all_coeffs()[::-1]]
+            expected = tuple(rem) + (0,) * (order - len(rem))
+            reduced = reduce_canonical(CyclotomicInteger(order, coeffs))
+            assert reduced.coeffs == expected, (order, coeffs)
 
 
 def test_reduce_canonical_examples():
