@@ -197,10 +197,12 @@ def _exceptional_coordinates(
     The indicator sum depends on a representative only through its p-adic
     valuation, so it is taken once per valuation level 0..n-1; the 0/1
     check and the count law run on those n values, level v weighted by its
-    p^(n-v-1)(p-1)/e orbits.  Each coordinate tuple is then one byte
-    translation of the representatives' levels.
+    p^(n-v-1)(p-1)/e orbits.  Each coordinate tuple is then spread from
+    its level values by `_spread_levels`.
     """
-    levels = exceptional_orbits(p, n, e).levels
+    # the orbits come first, so that a p^n too large to index is refused
+    # before any per-level work
+    exceptional_orbits(p, n, e)
     g = CyclicGroupData(p, n)
     # the cut at index a adds its sign to every level from a up
     steps = [0] * (n + 1)
@@ -218,11 +220,22 @@ def _exceptional_coordinates(
     )
     if (dim - d0) % e != 0 or count != (dim - d0) // e:
         raise CharacterConsistencyError(f"count {count} != ({dim} - {d0})/{e}")
+    return (
+        _spread_levels(p, n, e, bytes(per_level)),
+        _spread_levels(p, n, e, bytes(1 - c for c in per_level)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _spread_levels(p: int, n: int, e: int, per_level: bytes) -> tuple[int, ...]:
+    """The exceptional coordinates whose value at each representative is
+    the value of its valuation level: one byte translation of the
+    representatives' levels.  Every level holds an orbit, so equal parts
+    have equal level values; cached by those, equal parts at different
+    vertex indices are one tuple, which the enumerate writer renders once."""
+    levels = exceptional_orbits(p, n, e).levels
     # a translation table has 256 entries; only the first n are levels
-    unused = bytes(256 - n)
-    part = levels.translate(bytes(per_level) + unused)
-    complement = levels.translate(bytes(1 - c for c in per_level) + unused)
-    return tuple(part), tuple(complement)
+    return tuple(levels.translate(per_level + bytes(256 - n)))
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:

@@ -3,9 +3,7 @@
 An indecomposable non-projective module of the block is encoded by a path
 on the Brauer tree together with a direction and a multiplicity.  The
 trivial source modules with a fixed non-trivial vertex fall into seven
-shapes, generated here and then filtered by the admissibility conditions
-(sign of the anchoring vertex, a divisibility tied to the parity datum of
-the endo-permutation parameter, and the multiplicity range):
+shapes:
 
   1  a single hook affording a positive vertex character
      (full-order vertex and trivial parameter only);
@@ -21,21 +19,33 @@ the endo-permutation parameter, and the multiplicity range):
   7  an ordered pair of consecutive edges around a non-leaf exceptional
      vertex, direction (-1, 1).
 
-Enumeration is generate-and-filter; the classification guarantees exactly
-e modules per vertex, so any other count is surfaced as a
-ClassificationError carrying the partial list, never suppressed.
+The admissibility conditions (sign of the anchoring vertex, a divisibility
+tied to the parity datum of the endo-permutation parameter, and the
+multiplicity range) read a path only through its class: the sign of its
+anchoring vertex, the parity of its spine, and whether it is a hook, a
+spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
+class once per (p, n, e, W, i).  `admissible` looks a path's class up in
+it, and the enumeration looks up each anchor's class before building any
+path anchored there, so it builds only the admitted modules.  The
+classification guarantees exactly e modules per vertex, so any other count
+is surfaced as a ClassificationError carrying the partial list, never
+suppressed.
 
 One-edge blocks (e = 1) only admit the back-and-forth path along their
-single edge; they are enumerated from the same candidates with their own
-two admissibility cases.
+single edge, the shape-2 path from the plain vertex, with its own two
+admissibility cases; their table rejects every other class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .brauer_tree import (
+    NEGATIVE,
+    POSITIVE,
     BlockCharacter,
     BlockDescriptor,
     hook_characters,
@@ -49,6 +59,16 @@ from .local_reps import (
     EndoPermParams,
     cap_dim,
 )
+
+# The shape under which the verdict table files the spine shapes 2, 4, 5
+# and 6, which share their conditions.
+SPINE = 2
+_SPINE_SHAPES = (2, 4, 5, 6)
+
+# A class key: (shape, sign of the anchoring vertex, spine parity).
+ClassKey = tuple[int, int, int]
+# Case tag and multiplicity of an admitted path; (None, None) for hooks.
+Verdict = tuple[str | None, int | None]
 
 
 class ClassificationError(Exception):
@@ -68,8 +88,8 @@ class ClassificationError(Exception):
 
 @dataclass(frozen=True)
 class PathDescriptor:
-    """Typed path on the tree; multiplicity and case are filled in by
-    `admissible`.
+    """Typed path on the tree; multiplicity and case are those of its
+    class's verdict.
 
     `spine_vertices` runs from the anchoring vertex x0 towards the
     exceptional vertex (exclusive); for single-edge hooks it holds the one
@@ -112,111 +132,47 @@ class M1Enumeration:
 
 def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
     """All syntactic path shapes for vertex index i, before admissibility."""
-    if desc.m == 1:
-        raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
-    if not 1 <= i <= desc.n:
-        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
-    exc = desc.exceptional
-    if desc.e == 1:
-        plain = desc.nonexceptional_vertices[0]
-        edge = desc.edges[0].id
-        return [
-            PathDescriptor(2, (plain,), (edge,), (), (1, -1)),
-            PathDescriptor(3, (), (edge,), (), (-1, 1)),
-        ]
-    out: list[PathDescriptor] = []
-    if desc.w.is_trivial and i == desc.n:
-        for edge in desc.edges:
-            for v in edge.ends:
-                if desc.sign(v) > 0:
-                    out.append(PathDescriptor(1, (v,), (edge.id,), (), (1, 1)))
-    for x0 in desc.nonexceptional_vertices:
-        spine_v, spine_e = desc.spines[x0]
-        if desc.is_leaf(x0):
-            out.append(PathDescriptor(2, spine_v, spine_e, (), (1, -1)))
-            continue
-        first = spine_e[0]
-        out.append(
-            PathDescriptor(
-                4, spine_v, spine_e, (successor(desc, x0, first),), (1, 1)
-            )
-        )
-        out.append(
-            PathDescriptor(
-                5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
-            )
-        )
-        order = desc.incident(x0)
-        for e1, e2 in zip(order, order[1:] + order[:1]):
-            if e1 != first and e2 != first and e1 != e2:
-                out.append(
-                    PathDescriptor(6, spine_v, spine_e, (e1, e2), (-1, 1))
-                )
-    if desc.is_leaf(exc):
-        out.append(PathDescriptor(3, (), (desc.incident(exc)[0],), (), (-1, 1)))
-    else:
-        order = desc.incident(exc)
-        for e1, e2 in zip(order, order[1:] + order[:1]):
-            if e1 != e2:
-                out.append(PathDescriptor(7, (), (), (e1, e2), (-1, 1)))
-    return out
+    _require_vertex_index(desc, i)
+    return [
+        PathDescriptor(*fields) for _, paths in _anchors(desc, i) for fields in paths
+    ]
 
 
 def admissible(
     desc: BlockDescriptor, i: int, path: PathDescriptor
-) -> tuple[str | None, int | None] | None:
+) -> Verdict | None:
     """Case tag and multiplicity when the path passes its shape's
-    conditions, None when it does not.
-
-    The sign condition reads the anchoring vertex (the exceptional vertex
-    for shapes 3 and 7); positive vertices pair with e | (dim - 1) and
-    negative ones with e | cap_dim, where dim is the dimension
-    cap_dim * p^{n-i} of the local module.  The parity of the spine length
-    selects between the shared exceptional part and its complement, and the
-    multiplicity must respect the shape's range.
-    """
-    dim, pos_ok, neg_ok = _local_dimension(desc.p, desc.n, desc.e, desc.w, i)
-    m = desc.m
-    e = desc.e
-    if e == 1:
-        if path.type_tag != 2:
-            return None
-        plain = desc.nonexceptional_vertices[0]
-        if desc.sign(plain) > 0:
-            return "i", dim
-        return "ii", desc.p ** desc.n - dim
-    if path.type_tag == 1:
-        return None, None
-    if path.type_tag in (2, 4, 5, 6):
-        sign = desc.sign(path.spine_vertices[0])
-        spine_parity = (len(path.spine_vertices) - 1) % 2
-        if sign > 0 and pos_ok:
-            count = (dim - 1) // e
-            case, mu = ("i", m + 1 - count) if spine_parity else ("ii", count + 1)
-        elif sign < 0 and neg_ok:
-            count = dim // e
-            case, mu = ("iii", count + 1) if spine_parity else ("iv", m + 1 - count)
-        else:
-            return None
-        return (case, mu) if 2 <= mu <= m else None
-    sign = desc.sign(desc.exceptional)
-    if sign > 0 and pos_ok:
-        case, mu = "i", m - (dim - 1) // e
-    elif sign < 0 and neg_ok:
-        case, mu = "ii", dim // e
+    conditions, None when it does not: the verdict of the path's class in
+    `verdict_table`.  The class of shapes 3 and 7 reads the sign of the
+    exceptional vertex; every other shape reads the sign of its first spine
+    vertex and the parity of its spine length less one."""
+    if path.type_tag in (3, 7):
+        key = path.type_tag, desc.sign(desc.exceptional), 0
     else:
-        return None
-    low = 2 if path.type_tag == 3 else 1
-    return (case, mu) if low <= mu <= m - 1 else None
+        shape = SPINE if path.type_tag in _SPINE_SHAPES else path.type_tag
+        spine = path.spine_vertices
+        key = shape, desc.sign(spine[0]), (len(spine) - 1) % 2
+    return verdict_table(desc.p, desc.n, desc.e, desc.w, i).get(key)
 
 
 @lru_cache(maxsize=None)
-def _local_dimension(
+def verdict_table(
     p: int, n: int, e: int, w: EndoPermParams, i: int
-) -> tuple[int, bool, bool]:
-    """The dimension cap_dim * p^{n-i} of the local module, whether e
-    divides dim - 1 (the positive-sign condition), and whether e divides
-    cap_dim (the negative-sign condition)."""
+) -> Mapping[ClassKey, Verdict | None]:
+    """The admissibility verdict of every class of paths at vertex index i,
+    read-only and shared by every descriptor with these invariants.
+
+    Keys are (shape, anchor sign, spine parity): shape SPINE stands for the
+    spine shapes 2, 4, 5 and 6 at both parities; shapes 1 (hooks), 3 and 7
+    have parity 0.  A rejected class maps to None.  Positive anchors need
+    e | (dim - 1) and negative ones e | cap_dim, where dim = cap_dim *
+    p^{n-i} is the dimension of the local module.  The spine parity selects
+    between the shared exceptional part and its complement, and the
+    multiplicity must lie in the shape's range: 2..m for the spine shapes,
+    2..m-1 for shape 3 and 1..m-1 for shape 7.  When e = 1 the one class
+    admitted is the even spine: case i with multiplicity dim at a positive
+    plain vertex, case ii with p^n - dim at a negative one.
+    """
     ell = cap_dim(w, CyclicGroupData(p, n), i)
     dim = ell * p ** (n - i)
     neg_ok = ell % e == 0
@@ -226,7 +182,36 @@ def _local_dimension(
         raise CharacterConsistencyError(
             f"e = {e} divides cap_dim {ell} and dim {dim} differently"
         )
-    return dim, (dim - 1) % e == 0, neg_ok
+    q = p ** n
+    m = (q - 1) // e
+    table: dict[ClassKey, Verdict | None] = {}
+    for sign in (POSITIVE, NEGATIVE):
+        # verdicts at even and odd spine parity, and at the exceptional vertex
+        even = odd = at_exceptional = None
+        if e == 1:
+            even = ("i", dim) if sign > 0 else ("ii", q - dim)
+        elif sign > 0 and (dim - 1) % e == 0:
+            count = (dim - 1) // e
+            even = _within(("ii", count + 1), 2, m)
+            odd = _within(("i", m + 1 - count), 2, m)
+            at_exceptional = "i", m - count
+        elif sign < 0 and neg_ok:
+            count = dim // e
+            even = _within(("iv", m + 1 - count), 2, m)
+            odd = _within(("iii", count + 1), 2, m)
+            at_exceptional = "ii", count
+        table[SPINE, sign, 0] = even
+        table[SPINE, sign, 1] = odd
+        table[1, sign, 0] = (None, None) if e > 1 else None
+        table[3, sign, 0] = _within(at_exceptional, 2, m - 1)
+        table[7, sign, 0] = _within(at_exceptional, 1, m - 1)
+    return MappingProxyType(table)
+
+
+def _within(verdict: Verdict | None, low: int, high: int) -> Verdict | None:
+    if verdict is None or not low <= verdict[1] <= high:
+        return None
+    return verdict
 
 
 def enumerate_trivial_source(
@@ -235,15 +220,85 @@ def enumerate_trivial_source(
     """The e trivial source modules with vertex of order p^i, as completed
     path descriptors; raises ClassificationError when the admissible set
     does not have size e."""
+    _require_vertex_index(desc, i)
+    table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
     found = []
-    for cand in candidate_paths(desc, i):
-        verdict = admissible(desc, i, cand)
+    for key, paths in _anchors(desc, i):
+        verdict = table.get(key)
         if verdict is not None:
             case, mu = verdict
-            found.append(replace(cand, case_tag=case, multiplicity=mu))
+            for fields in paths:
+                found.append(PathDescriptor(*fields, mu, case))
     if len(found) != desc.e:
         raise ClassificationError(desc, i, found)
     return found
+
+
+def _require_vertex_index(desc: BlockDescriptor, i: int) -> None:
+    if desc.m == 1:
+        raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
+    if not 1 <= i <= desc.n:
+        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
+
+
+# The fields of a PathDescriptor up to its multiplicity and case.
+_Fields = tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[int, int]]
+
+
+def _anchors(
+    desc: BlockDescriptor, i: int
+) -> Iterator[tuple[ClassKey, Iterator[_Fields]]]:
+    """The candidate paths at vertex index i, anchor by anchor in candidate
+    order: each anchor's class key, with a generator of the paths anchored
+    there that builds nothing until it is run.  The hooks come first as one
+    anchor (each affords a positive endpoint), then the non-exceptional
+    vertices in descriptor order, then the exceptional vertex."""
+    if desc.e > 1 and desc.w.is_trivial and i == desc.n:
+        yield (1, POSITIVE, 0), _hooks(desc)
+    for x0 in desc.nonexceptional_vertices:
+        spine_v, spine_e = desc.spines[x0]
+        key = SPINE, desc.sign(x0), (len(spine_v) - 1) % 2
+        yield key, _spine_paths(desc, x0, spine_v, spine_e)
+    exc = desc.exceptional
+    shape = 3 if desc.is_leaf(exc) else 7
+    yield (shape, desc.sign(exc), 0), _exceptional_paths(desc, exc)
+
+
+def _hooks(desc: BlockDescriptor) -> Iterator[_Fields]:
+    for edge in desc.edges:
+        for v in edge.ends:
+            if desc.sign(v) > 0:
+                yield 1, (v,), (edge.id,), (), (1, 1)
+
+
+def _spine_paths(
+    desc: BlockDescriptor,
+    x0: str,
+    spine_v: tuple[str, ...],
+    spine_e: tuple[str, ...],
+) -> Iterator[_Fields]:
+    """Shape 2 at a leaf x0; shapes 4, 5 and 6 at any other x0."""
+    if desc.is_leaf(x0):
+        yield 2, spine_v, spine_e, (), (1, -1)
+        return
+    first = spine_e[0]
+    yield 4, spine_v, spine_e, (successor(desc, x0, first),), (1, 1)
+    yield 5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
+    order = desc.incident(x0)
+    for e1, e2 in zip(order, order[1:] + order[:1]):
+        if e1 != first and e2 != first and e1 != e2:
+            yield 6, spine_v, spine_e, (e1, e2), (-1, 1)
+
+
+def _exceptional_paths(desc: BlockDescriptor, exc: str) -> Iterator[_Fields]:
+    """Shape 3 at a leaf exceptional vertex; shape 7 at any other."""
+    order = desc.incident(exc)
+    if desc.is_leaf(exc):
+        yield 3, (), (order[0],), (), (-1, 1)
+        return
+    for e1, e2 in zip(order, order[1:] + order[:1]):
+        if e1 != e2:
+            yield 7, (), (), (e1, e2), (-1, 1)
 
 
 def enumerate_projective(desc: BlockDescriptor) -> tuple[ProjectiveModule, ...]:

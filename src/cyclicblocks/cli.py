@@ -74,20 +74,21 @@ def descriptor_to_obj(desc: BlockDescriptor) -> dict:
 
 def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     """Read a descriptor object.  An id that is not a string, a number that
-    is not an integer (a bool included), an edge without exactly two ends
+    is not an integer (a bool included), a vertex, edge, cyclic order or
+    index collection that is not a list, an edge without exactly two ends
     or a cyclic order at an unknown vertex raises ValueError naming the
     field."""
     tree = obj["tree"]
     signs = {}
     vertices = []
-    for k, entry in enumerate(tree["vertices"]):
+    for k, entry in enumerate(_list(tree["vertices"], "tree.vertices")):
         vertex = _id(entry["id"], f"tree.vertices[{k}].id")
         vertices.append(vertex)
         if entry["sign"] not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {entry['sign']!r}")
         signs[vertex] = 1 if entry["sign"] == "+" else -1
     edges = []
-    for k, entry in enumerate(tree["edges"]):
+    for k, entry in enumerate(_list(tree["edges"], "tree.edges")):
         ends = entry["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
             raise ValueError(
@@ -101,11 +102,10 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
         )
     cyclic_order = {}
     for v, order in tree["cyclic_order"].items():
+        field = f"tree.cyclic_order.{v}"
         if v not in signs:
-            raise ValueError(f"tree.cyclic_order.{v} names no vertex")
-        cyclic_order[v] = tuple(
-            _id(eid, f"tree.cyclic_order.{v}") for eid in order
-        )
+            raise ValueError(f"{field} names no vertex")
+        cyclic_order[v] = tuple(_id(eid, field) for eid in _list(order, field))
     exceptional = tree.get("exceptional")
     if exceptional is not None:
         exceptional = _id(exceptional, "tree.exceptional")
@@ -119,9 +119,18 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
         cyclic_order=cyclic_order,
         exceptional=exceptional,
         w=EndoPermParams(
-            tuple(_integer(a, "W.indices") for a in obj["W"]["indices"])
+            tuple(
+                _integer(a, "W.indices")
+                for a in _list(obj["W"]["indices"], "W.indices")
+            )
         ),
     )
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
 
 
 def _id(value, field: str) -> str:

@@ -382,6 +382,24 @@ def test_nonexceptional_part_counts_the_spine():
                 assert char.nonexceptional == tuple(counts[v] for v in plain)
 
 
+def test_equal_exceptional_parts_are_one_tuple():
+    # parts at different vertex indices that agree in value are one tuple,
+    # so that the enumerate writer, which keys rendered lists by identity,
+    # renders each value once; (3, 9, 2) trees repeat a part in most calls
+    rng = random.Random(7)
+    repeated = 0
+    for _ in range(4):
+        desc = random_block_descriptor(rng, 3, 9, 2)
+        parts = [xi(desc, i).exceptional for i in range(1, 10)]
+        parts += [xi_complement(desc, i).exceptional for i in range(1, 10)]
+        for i in range(1, 10):
+            for path in enumerate_trivial_source(desc, i):
+                parts.append(character_of(desc, i, path).exceptional)
+        assert len({id(part) for part in parts}) == len(set(parts))
+        repeated += len(set(parts)) < 18
+    assert repeated > 0
+
+
 def _clear_package_caches():
     for name, module in list(sys.modules.items()):
         if name.startswith("cyclicblocks"):

@@ -1,21 +1,34 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from cyclicblocks.brauer_tree import (
     BlockDescriptor,
     Edge,
     group_algebra_block,
+    predecessor,
     star_tree,
+    successor,
 )
 from cyclicblocks.characters import character_of
 from cyclicblocks.classification import (
     ClassificationError,
+    PathDescriptor,
     admissible,
     candidate_paths,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
+    verdict_table,
 )
-from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, perm_module_character
+from cyclicblocks.local_reps import (
+    CyclicGroupData,
+    EndoPermParams,
+    cap_dim,
+    perm_module_character,
+)
+from cyclicblocks.oracle import random_block_descriptor
 
 W = EndoPermParams
 
@@ -300,3 +313,158 @@ def test_exhaustive_small_trees_have_e_modules():
                                 except ClassificationError as err:
                                     assert guarded and i == n
                                     assert len(err.paths) == e - 1
+
+
+# The enumeration as it stood before the verdict table, kept as the
+# reference: every candidate is built, judged on its own and completed with
+# `replace`.
+
+
+def _reference_candidates(desc, i):
+    exc = desc.exceptional
+    if desc.e == 1:
+        plain = desc.nonexceptional_vertices[0]
+        edge = desc.edges[0].id
+        return [
+            PathDescriptor(2, (plain,), (edge,), (), (1, -1)),
+            PathDescriptor(3, (), (edge,), (), (-1, 1)),
+        ]
+    out = []
+    if desc.w.is_trivial and i == desc.n:
+        for edge in desc.edges:
+            for v in edge.ends:
+                if desc.sign(v) > 0:
+                    out.append(PathDescriptor(1, (v,), (edge.id,), (), (1, 1)))
+    for x0 in desc.nonexceptional_vertices:
+        spine_v, spine_e = desc.spines[x0]
+        if desc.is_leaf(x0):
+            out.append(PathDescriptor(2, spine_v, spine_e, (), (1, -1)))
+            continue
+        first = spine_e[0]
+        out.append(
+            PathDescriptor(4, spine_v, spine_e, (successor(desc, x0, first),), (1, 1))
+        )
+        out.append(
+            PathDescriptor(
+                5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
+            )
+        )
+        order = desc.incident(x0)
+        for e1, e2 in zip(order, order[1:] + order[:1]):
+            if e1 != first and e2 != first and e1 != e2:
+                out.append(PathDescriptor(6, spine_v, spine_e, (e1, e2), (-1, 1)))
+    if desc.is_leaf(exc):
+        out.append(PathDescriptor(3, (), (desc.incident(exc)[0],), (), (-1, 1)))
+    else:
+        order = desc.incident(exc)
+        for e1, e2 in zip(order, order[1:] + order[:1]):
+            if e1 != e2:
+                out.append(PathDescriptor(7, (), (), (e1, e2), (-1, 1)))
+    return out
+
+
+def _reference_admissible(desc, i, path):
+    ell = cap_dim(desc.w, CyclicGroupData(desc.p, desc.n), i)
+    dim = ell * desc.p ** (desc.n - i)
+    pos_ok, neg_ok = (dim - 1) % desc.e == 0, ell % desc.e == 0
+    m = desc.m
+    e = desc.e
+    if e == 1:
+        if path.type_tag != 2:
+            return None
+        plain = desc.nonexceptional_vertices[0]
+        if desc.sign(plain) > 0:
+            return "i", dim
+        return "ii", desc.p ** desc.n - dim
+    if path.type_tag == 1:
+        return None, None
+    if path.type_tag in (2, 4, 5, 6):
+        sign = desc.sign(path.spine_vertices[0])
+        spine_parity = (len(path.spine_vertices) - 1) % 2
+        if sign > 0 and pos_ok:
+            count = (dim - 1) // e
+            case, mu = ("i", m + 1 - count) if spine_parity else ("ii", count + 1)
+        elif sign < 0 and neg_ok:
+            count = dim // e
+            case, mu = ("iii", count + 1) if spine_parity else ("iv", m + 1 - count)
+        else:
+            return None
+        return (case, mu) if 2 <= mu <= m else None
+    sign = desc.sign(desc.exceptional)
+    if sign > 0 and pos_ok:
+        case, mu = "i", m - (dim - 1) // e
+    elif sign < 0 and neg_ok:
+        case, mu = "ii", dim // e
+    else:
+        return None
+    low = 2 if path.type_tag == 3 else 1
+    return (case, mu) if low <= mu <= m - 1 else None
+
+
+def _reference_enumeration(desc, i):
+    found = []
+    for cand in _reference_candidates(desc, i):
+        verdict = _reference_admissible(desc, i, cand)
+        if verdict is not None:
+            case, mu = verdict
+            found.append(replace(cand, case_tag=case, multiplicity=mu))
+    return found
+
+
+def _reference_corpus():
+    # random trees up to e = 100, each in both sign orientations (the twin
+    # of a negative exceptional leaf can be the unrealisable case), plus
+    # the one-edge blocks
+    rng = random.Random(2024)
+    sizes = (
+        (3, 2, 1), (7, 2, 1), (3, 4, 2), (5, 3, 4), (7, 3, 6), (13, 2, 12),
+        (7, 2, 3), (41, 2, 40), (71, 2, 70), (101, 2, 100),
+    )
+    out = [group_algebra_block(3, 3), group_algebra_block(5, 2)]
+    for _ in range(4):
+        for p, n, e in sizes:
+            desc = random_block_descriptor(rng, p, n, e)
+            out += [desc, replace(desc, signs={v: -s for v, s in desc.signs.items()})]
+    return out
+
+
+def test_enumeration_matches_generate_and_filter():
+    errors = 0
+    for desc in _reference_corpus():
+        for i in range(1, desc.n + 1):
+            expected = _reference_enumeration(desc, i)
+            if len(expected) == desc.e:
+                assert enumerate_trivial_source(desc, i) == expected
+                continue
+            errors += 1
+            with pytest.raises(ClassificationError) as err:
+                enumerate_trivial_source(desc, i)
+            assert err.value.paths == expected
+            assert str(err.value) == (
+                f"enumeration at vertex index {i} returned {len(expected)} "
+                f"modules, expected e = {desc.e}"
+            )
+    assert errors > 0
+
+
+def test_admissible_reads_the_table_like_the_reference():
+    seen = set()
+    for desc in _reference_corpus():
+        for i in range(1, desc.n + 1):
+            candidates = candidate_paths(desc, i)
+            assert candidates == _reference_candidates(desc, i)
+            for cand in candidates:
+                verdict = admissible(desc, i, cand)
+                assert verdict == _reference_admissible(desc, i, cand)
+                seen.add((desc.e == 1, cand.type_tag, verdict is None))
+    # every shape met both verdicts somewhere in the corpus, except hooks,
+    # which are always admitted
+    for shape in (2, 3, 4, 5, 6, 7):
+        assert {(False, shape, True), (False, shape, False)} <= seen
+    assert {(False, 1, False), (True, 2, False), (True, 3, True)} <= seen
+
+
+def test_verdict_table_is_read_only():
+    table = verdict_table(7, 2, 6, W((1,)), 1)
+    with pytest.raises(TypeError):
+        table[2, 1, 0] = None

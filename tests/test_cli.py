@@ -99,10 +99,16 @@ def _set(*keys_and_value):
         (_set("tree", "cyclic_order", "ghost", []), "tree.cyclic_order.ghost"),
         (_set("tree", "edges", 0, "id", ["E1"]), "tree.edges[0].id"),
         (_set("tree", "cyclic_order", []), "cannot read descriptor"),
+        (_set("tree", "vertices", {"id": "v1", "sign": "+"}), "tree.vertices"),
+        (_set("tree", "edges", "E1"), "tree.edges"),
+        (_set("tree", "cyclic_order", "exc", "E1E2"), "tree.cyclic_order.exc"),
+        (_set("W", "indices", 5), "W.indices"),
     ],
     ids=[
         "one-end", "exceptional-list", "p-bool", "p-float", "index-bool",
         "unknown-cyclic-order-key", "edge-id-list", "cyclic-order-list",
+        "vertices-object", "edges-string", "cyclic-order-string",
+        "indices-int",
     ],
 )
 def test_malformed_descriptor_exits_2_naming_the_field(
@@ -116,6 +122,24 @@ def test_malformed_descriptor_exits_2_naming_the_field(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err
+
+
+def test_string_cyclic_order_is_refused_not_spelled_out(tmp_path, capsys):
+    # with one-letter edge ids, "ab" read one letter at a time would be the
+    # valid order ["a", "b"]
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W(()), -1))
+    tree = obj["tree"]
+    for edge, name in zip(tree["edges"], "ab"):
+        edge["id"] = name
+    tree["cyclic_order"] = {"v1": ["a"], "v2": ["b"], "exc": "ab"}
+    path = write_obj(tmp_path, obj)
+    for command in ("validate", "enumerate"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tree.cyclic_order.exc must be a list" in captured.err
+    tree["cyclic_order"]["exc"] = ["a", "b"]
+    assert main(["validate", write_obj(tmp_path, obj, "listed.json")]) == 0
 
 
 def test_validate_lax_warns_on_signs(tmp_path, capsys):

@@ -13,6 +13,7 @@ from cyclicblocks.local_reps import (
 from cyclicblocks.oracle import (
     ConsistencyReport,
     GridSpec,
+    _check_descriptor,
     block_params_for,
     consistency_suite,
     det1_char_by_recursion,
@@ -149,3 +150,24 @@ def test_pruefer_tree_shapes():
     edges = _tree_edges_from_pruefer([3, 3, 3], 5)
     assert len(edges) == 4
     assert sorted(v for pair in edges for v in pair if v == 3) == [3, 3, 3, 3]
+
+
+def test_descriptor_checks_hold_at_large_e():
+    # the enumerate benchmark's wide sizes, beyond the default corpus's
+    # e <= 12: a few trees each, every check of the corpus descriptors
+    checks, failures = [], []
+
+    def check(name, params, expected, actual):
+        checks.append(name)
+        if expected != actual:
+            failures.append((name, params, expected, actual))
+
+    sizes = ((41, 2, 40), (61, 2, 60), (67, 2, 66), (71, 2, 70), (101, 2, 100))
+    for p, n, e in sizes:
+        for seed in range(3):
+            desc = random_block_descriptor(random.Random(seed), p, n, e)
+            _check_descriptor(desc, check)
+    assert failures == []
+    # per tree and vertex index: the count, e characters, one uniform part
+    assert checks.count("enumeration count") == len(sizes) * 3 * 2
+    assert checks.count("vertex-uniform exceptional part") == len(sizes) * 3 * 2
