@@ -51,8 +51,10 @@ class OrbitStructure:
 
     a is the smallest positive integer of multiplicative order exactly e;
     the subgroup of order e is unique, so the orbits do not depend on this
-    choice.  The p-adic valuation is constant on each orbit (a is a unit),
-    so divisibility of a representative by p^j is a property of the orbit:
+    choice.  For even e that subgroup holds -1 = a^(e/2), so every orbit is
+    a union of pairs {kappa, p^n - kappa} and its minimum lies below p^n/2.
+    The p-adic valuation is constant on each orbit (a is a unit), so
+    divisibility of a representative by p^j is a property of the orbit:
     `levels[r]` is the valuation of `representatives[r]`, one byte each
     (a p^n that can be indexed has n < 256).
     """
@@ -81,9 +83,17 @@ class OrbitStructure:
 def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     """Orbit structure for the order-e inertial action, e | p-1.
 
-    One pass over the indices: each orbit u*H of the order-e subgroup H is
-    marked from its least unmarked element u, which is its representative.
-    A mark that lands twice means an orbit shorter than e.
+    One pass over the indices up to `half`: each orbit u*H of the order-e
+    subgroup H is marked from its least unmarked element u, which is its
+    representative.  For even e each index is folded onto
+    min(kappa, p^n - kappa), so `half` is (p^n - 1)/2 and the powers
+    a^1 ... a^(e/2 - 1) mark the rest of an orbit; for odd e `half` is
+    p^n - 1 and the same loop runs unfolded.  At e <= 2 no power is left
+    and the representatives are 1 ... half.  An orbit shorter than e shows
+    as a^(e/2) != -1 or as more than (p^n - 1)/e representatives.
+
+    >>> exceptional_orbits(7, 1, 3).representatives == (1, 3)
+    True
     """
     CyclicGroupData(p, n)
     if e < 1 or (p - 1) % e != 0:
@@ -93,24 +103,37 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     # index is refused at once
     seen = bytearray(q)
     a = _smallest_of_order(p, n, e)
-    others = _powers(a, e, q)[1:]
-    reps = []
-    append, find = reps.append, seen.find
-    start = 1
-    while start > 0:
-        seen[start] = 1
-        for h in others:
-            kappa = start * h % q
-            if seen[kappa]:
-                raise CharacterConsistencyError(
-                    f"orbit of {start} is shorter than {e}"
-                )
-            seen[kappa] = 1
-        append(start)
-        start = find(0, start + 1)
-    # gcd(kappa, p^n) = p^v for the valuation v < n of kappa
-    level_of = {p ** v: v for v in range(n)}
-    levels = bytes(map(level_of.__getitem__, map(gcd, reps, repeat(q))))
+    powers = _powers(a, e, q)
+    if e % 2 == 0:
+        if powers[e // 2] != q - 1:
+            raise CharacterConsistencyError(f"{a}^{e // 2} is not -1 mod {q}")
+        half, others = q // 2, powers[1 : e // 2]
+    else:
+        half, others = q - 1, powers[1:]
+    # level[kappa] is the valuation v < n of kappa
+    level = bytearray(q)
+    for v in range(1, n):
+        step = p ** v
+        level[step::step] = bytes((v,)) * (q // step - 1)
+    if others:
+        reps = []
+        append, find = reps.append, seen.find
+        start = 1
+        while 0 < start <= half:
+            for h in others:
+                kappa = start * h % q
+                seen[kappa if kappa <= half else q - kappa] = 1
+            append(start)
+            start = find(0, start + 1)
+        levels = bytes(map(level.__getitem__, reps))
+    else:
+        reps = range(1, half + 1)
+        levels = bytes(level[1 : half + 1])
+    if len(reps) != (q - 1) // e:
+        raise CharacterConsistencyError(
+            f"{len(reps)} orbits of <{a}> mod {q}, not {(q - 1) // e}: "
+            f"an orbit is shorter than {e}"
+        )
     return OrbitStructure(p, n, e, a, tuple(reps), levels)
 
 

@@ -74,22 +74,27 @@ def descriptor_to_obj(desc: BlockDescriptor) -> dict:
 
 def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     """Read a descriptor object.  An id that is not a string, a number that
-    is not an integer (a bool included), a vertex, edge, cyclic order or
-    index collection that is not a list, an edge without exactly two ends
-    or a cyclic order at an unknown vertex raises ValueError naming the
-    field."""
-    tree = obj["tree"]
+    is not an integer (a bool included), a descriptor, tree, vertex, edge,
+    cyclic order map or W that is not an object, a vertex, edge, cyclic
+    order or index collection that is not a list, a sign other than '+' or
+    '-', an edge without exactly two ends or a cyclic order at an unknown
+    vertex raises ValueError naming the field."""
+    obj = _object(obj, "descriptor")
+    tree = _object(obj["tree"], "tree")
     signs = {}
     vertices = []
     for k, entry in enumerate(_list(tree["vertices"], "tree.vertices")):
-        vertex = _id(entry["id"], f"tree.vertices[{k}].id")
+        field = f"tree.vertices[{k}]"
+        entry = _object(entry, field)
+        vertex = _id(entry["id"], f"{field}.id")
         vertices.append(vertex)
-        if entry["sign"] not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {entry['sign']!r}")
-        signs[vertex] = 1 if entry["sign"] == "+" else -1
+        sign = entry["sign"]
+        if sign not in ("+", "-"):
+            raise ValueError(f"{field}.sign must be '+' or '-', got {sign!r}")
+        signs[vertex] = 1 if sign == "+" else -1
     edges = []
     for k, entry in enumerate(_list(tree["edges"], "tree.edges")):
-        ends = entry["ends"]
+        ends = _object(entry, f"tree.edges[{k}]")["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
             raise ValueError(
                 f"tree.edges[{k}].ends must list two vertices, got {ends!r}"
@@ -101,7 +106,7 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
             )
         )
     cyclic_order = {}
-    for v, order in tree["cyclic_order"].items():
+    for v, order in _object(tree["cyclic_order"], "tree.cyclic_order").items():
         field = f"tree.cyclic_order.{v}"
         if v not in signs:
             raise ValueError(f"{field} names no vertex")
@@ -121,7 +126,7 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
         w=EndoPermParams(
             tuple(
                 _integer(a, "W.indices")
-                for a in _list(obj["W"]["indices"], "W.indices")
+                for a in _list(_object(obj["W"], "W")["indices"], "W.indices")
             )
         ),
     )
@@ -130,6 +135,12 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
 def _list(value, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {value!r}")
     return value
 
 

@@ -1,8 +1,10 @@
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -104,17 +106,23 @@ def test_order_e_generator_against_sympy():
 
 
 def test_representative_levels_follow_the_count_law():
-    for p in (3, 5, 7, 11, 13):
-        for n in range(1, 4):
-            for e in _divisors(p - 1):
-                s = exceptional_orbits(p, n, e)
-                assert list(s.levels) == [
-                    valuation(p, rep) for rep in s.representatives
-                ], (p, n, e)
-                counts = Counter(s.levels)
-                assert counts == {
-                    v: p ** (n - v - 1) * (p - 1) // e for v in range(n)
-                }, (p, n, e)
+    grid = [
+        (p, n, e)
+        for p in (3, 5, 7, 11, 13)
+        for n in range(1, 4)
+        for e in _divisors(p - 1)
+    ]
+    # at e <= 2 the levels are a slice of the level table, with no marking
+    grid += [(3, 12, 1), (3, 12, 2)]
+    for p, n, e in grid:
+        s = exceptional_orbits.__wrapped__(p, n, e)
+        assert list(s.levels) == [
+            valuation(p, rep) for rep in s.representatives
+        ], (p, n, e)
+        counts = Counter(s.levels)
+        assert counts == {
+            v: p ** (n - v - 1) * (p - 1) // e for v in range(n)
+        }, (p, n, e)
 
 
 def _orbits_by_walk(p, n, e):
@@ -151,17 +159,71 @@ def test_lazy_orbits_match_the_walk():
                 assert s.representatives == tuple(o[0] for o in walked), (p, n, e)
 
 
-@pytest.mark.parametrize("a, e", [(3, 2), (2, 6)])
+def _orbits_by_marking(p, n, e):
+    """Reference: the marking pass that exceptional_orbits ran before it
+    folded by -1; it marks every orbit u*H in full from its least unmarked
+    element u, checks that no mark lands twice, and reads each level off
+    gcd(u, p^n).  Returns (a, representatives, levels)."""
+    q = p ** n
+    seen = bytearray(q)
+    a = _smallest_of_order(p, n, e)
+    others = [pow(a, j, q) for j in range(1, e)]
+    assert pow(a, e, q) == 1
+    reps = []
+    start = 1
+    while start > 0:
+        seen[start] = 1
+        for h in others:
+            kappa = start * h % q
+            assert not seen[kappa], f"orbit of {start} is shorter than {e}"
+            seen[kappa] = 1
+        reps.append(start)
+        start = seen.find(0, start + 1)
+    level_of = {p ** v: v for v in range(n)}
+    levels = bytes(level_of[gcd(rep, q)] for rep in reps)
+    return a, tuple(reps), levels
+
+
+def test_folded_orbits_match_the_marking_pass():
+    build = exceptional_orbits.__wrapped__  # leaves the cache alone
+    grid = [
+        (p, n, e)
+        for p in (3, 5, 7, 11, 13, 37, 41)
+        for n in range(1, 12)
+        if p ** n <= 2 * 10**5
+        for e in _divisors(p - 1)
+    ]
+    for p, n, e in grid + [(3, 12, 2)]:
+        s = build(p, n, e)
+        assert (s.a, s.representatives, s.levels) == _orbits_by_marking(
+            p, n, e
+        ), (p, n, e)
+
+
+@pytest.mark.parametrize(
+    "a, e, message",
+    [
+        # mod 7: 3 has order 6, so 3^2 != 1 (the pairs {u, 3u} would still
+        # cover 1..6 without overlap)
+        pytest.param(3, 2, "3^2 is not 1 mod 7", id="3-2"),
+        # 2 has order 3, so 2^3 = 1 is not -1; folded by -1 its orbits
+        # would join into the one true orbit {1, ..., 6}, which the count
+        # cannot tell apart
+        pytest.param(2, 6, "2^3 is not -1 mod 7", id="2-6"),
+        # 6 = -1 has order 2: 6^6 = 1 and 6^3 = -1 both hold, and only the
+        # count of three folded orbits, not one, shows the short orbits
+        pytest.param(6, 6, "shorter than 6", id="6-6"),
+        # odd e, unfolded: 1 has order 1, so each index is its own orbit
+        pytest.param(1, 3, "shorter than 3", id="1-3"),
+    ],
+)
 def test_orbit_length_check_fires_on_a_generator_of_the_wrong_order(
-    monkeypatch, a, e
+    monkeypatch, a, e, message
 ):
-    # mod 7: 3 has order 6, so 3^2 != 1 (the pairs {u, 3u} would still
-    # cover 1..6 without overlap); 2 has order 3, so its orbits of length 3
-    # collide when marked as if they had length 6
     monkeypatch.setattr(
         cyclicblocks.characters, "_smallest_of_order", lambda p, n, e: a
     )
-    with pytest.raises(CharacterConsistencyError):
+    with pytest.raises(CharacterConsistencyError, match=re.escape(message)):
         exceptional_orbits.__wrapped__(7, 1, e)
 
 
