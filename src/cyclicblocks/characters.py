@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import mod, mul
 from typing import TYPE_CHECKING
@@ -53,6 +53,8 @@ class OrbitStructure:
     the subgroup of order e is unique, so the orbits do not depend on this
     choice.  For even e that subgroup holds -1 = a^(e/2), so every orbit is
     a union of pairs {kappa, p^n - kappa} and its minimum lies below p^n/2.
+    `representatives` are the orbit minima in ascending order; see
+    `exceptional_orbits` for how they are found.
     The p-adic valuation is constant on each orbit (a is a unit), so
     divisibility of a representative by p^j is a property of the orbit:
     `levels[r]` is the valuation of `representatives[r]`, one byte each
@@ -83,14 +85,25 @@ class OrbitStructure:
 def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     """Orbit structure for the order-e inertial action, e | p-1.
 
-    One pass over the indices up to `half`: each orbit u*H of the order-e
-    subgroup H is marked from its least unmarked element u, which is its
-    representative.  For even e each index is folded onto
-    min(kappa, p^n - kappa), so `half` is (p^n - 1)/2 and the powers
-    a^1 ... a^(e/2 - 1) mark the rest of an orbit; for odd e `half` is
-    p^n - 1 and the same loop runs unfolded.  At e <= 2 no power is left
-    and the representatives are 1 ... half.  An orbit shorter than e shows
-    as a^(e/2) != -1 or as more than (p^n - 1)/e representatives.
+    With fold(z) = min(z, p^n - z), an index x <= half = (p^n - 1)/2 is
+    an orbit minimum for even e exactly when fold(h*x mod p^n) > x for
+    every h among a^1 ... a^(e/2 - 1), since a^(e/2) = -1; for odd e,
+    with half = p^n - 1, exactly when h*x mod p^n > x for every h among
+    a^1 ... a^(e-1).  There are no ties: the order-e subgroup H embeds in
+    (Z/p)*, so h*x = +-x mod p^n forces h = +-1.
+
+    At e <= 2 no h is left and the representatives are 1 ... half.  When
+    e > 2 and 16*e*e < p^n, the x that fail the test for one h are the
+    first coordinates of the points of a lattice of determinant p^n in a
+    triangle; they lie on about sqrt(p^n) lines, each marked by one
+    C-level strided write (`_mark_lattice_points`), so the interpreted
+    work is O(e*sqrt(p^n)) and only the byte work O(p^n).  Otherwise (n
+    small, e near p) there are more lines than indices to visit, and one
+    pass over the indices up to `half` marks each orbit from its least
+    unmarked element, O(p^n) steps.  The gate reads (e, p^n) only: the
+    line count grows with e*sqrt(p^n) and the pass with p^n.  An orbit
+    shorter than e (a generator of the wrong order) shows as
+    a^(e/2) != -1 or as more than (p^n - 1)/e representatives.
 
     >>> exceptional_orbits(7, 1, 3).representatives == (1, 3)
     True
@@ -99,9 +112,10 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     if e < 1 or (p - 1) % e != 0:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
-    # allocated before the generator's powers, so that a q too large to
-    # index is refused at once
-    seen = bytearray(q)
+    # level[kappa] will be the valuation v < n of kappa; allocated before
+    # the generator's powers, so that a q too large to index is refused at
+    # once
+    level = bytearray(q)
     a = _smallest_of_order(p, n, e)
     powers = _powers(a, e, q)
     if e % 2 == 0:
@@ -110,12 +124,19 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
         half, others = q // 2, powers[1 : e // 2]
     else:
         half, others = q - 1, powers[1:]
-    # level[kappa] is the valuation v < n of kappa
-    level = bytearray(q)
     for v in range(1, n):
         step = p ** v
         level[step::step] = bytes((v,)) * (q // step - 1)
-    if others:
+    if e > 2 and 16 * e * e < q:
+        # the indices that are not orbit minima are marked in the level
+        # table itself, with the one byte no level takes
+        for h in others:
+            _mark_lattice_points(level, h, q, e % 2 == 0)
+        table = bytes(level[1 : half + 1])
+        reps = tuple(compress(range(1, half + 1), table.translate(_UNMARKED)))
+        levels = table.translate(None, _MARK)
+    elif others:
+        seen = bytearray(q)
         reps = []
         append, find = reps.append, seen.find
         start = 1
@@ -135,6 +156,100 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
             f"an orbit is shorter than {e}"
         )
     return OrbitStructure(p, n, e, a, tuple(reps), levels)
+
+
+# the byte that marks an index in the level table, and the translation
+# that reads 1 at every unmarked index and 0 at every marked one
+_MARK = b"\xff"
+_UNMARKED = b"\x01" * 255 + b"\x00"
+
+
+def _reduced_basis(h: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A Gauss-reduced basis (u, v), |u| <= |v|, of the lattice of the
+    (x, y) with y = h*x mod q, whose determinant is q."""
+    u, v = (1, h % q), (0, q)
+    nu = 1 + u[1] * u[1]
+    while True:
+        # v minus the multiple of u nearest to its projection on u
+        m = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+        nv = v[0] * v[0] + v[1] * v[1]
+        if nv >= nu:
+            return u, v
+        u, v, nu = v, u, nv
+
+
+def _mark_lattice_points(table: bytearray, h: int, q: int, folded: bool) -> None:
+    """Write `_MARK` at table[x] for every x in 1 ... half whose image is
+    smaller: fold(h*x mod q) < x, fold(z) = min(z, q - z), with
+    half = q // 2 when `folded`; h*x mod q < x, half = q - 1, otherwise.
+
+    These x are the first coordinates of the points of the lattice
+    {(x, y) : y = h*x mod q} in the triangle T = {0 < x <= half, |y| < x}
+    (T = {0 < x <= half, 0 <= y < x} unfolded); each x has at most one such
+    point.  They lie on the lines s*u + t*v, s fixed, of a basis (u, v):
+    v is whichever of b1, b2, b1 + b2, b1 - b2 (b1, b2 a reduced basis)
+    meets T in the fewest lines and runs along no side of T.  When h is a
+    unit other than +-1 mod p, as every h of the orbits is, a lattice
+    vector along a side is a multiple of q, so v can be b1 and there are
+    O(|b1|) = O(sqrt(q)) lines, each one strided slice assignment over the
+    range of t that the three sides of T leave.
+    """
+    half = q // 2 if folded else q - 1
+    if folded:
+        corners = ((0, 0), (half, half), (half, -half))
+        # each side as alpha*x + beta*y <= gamma
+        sides = ((1, 0, half), (-1, 1, -1), (-1, -1, -1))
+    else:
+        corners = ((0, 0), (half, 0), (half, half))
+        sides = ((1, 0, half), (-1, 1, -1), (0, -1, 0))
+    b1, b2 = _reduced_basis(h, q)
+    best = None
+    for v, u in (
+        (b1, b2),
+        (b2, b1),
+        ((b1[0] + b2[0], b1[1] + b2[1]), b1),
+        ((b1[0] - b2[0], b1[1] - b2[1]), b1),
+    ):
+        if v[0] < 0:
+            v = (-v[0], -v[1])
+        # a line parallel to a side, or with x constant, has no stride
+        if v[0] == 0 or any(a * v[0] + b * v[1] == 0 for a, b, _ in sides):
+            continue
+        # cross(s*u + t*v, v) = s*q once u is turned so that cross(u, v) = q
+        if u[0] * v[1] - u[1] * v[0] < 0:
+            u = (-u[0], -u[1])
+        crosses = [x * v[1] - y * v[0] for x, y in corners]
+        first, last = -(-min(crosses) // q), max(crosses) // q
+        if best is None or last - first + 1 < best[0]:
+            best = (last - first + 1, first, u, v)
+    lines, first, (ux, uy), (vx, vy) = best
+    # side alpha*x + beta*y <= gamma at s*u + t*v: t*c <= gamma + s*k, a
+    # lower bound on t when c < 0 and an upper one when c > 0
+    lower, upper = [], []
+    for a, b, gamma in sides:
+        c, k = a * vx + b * vy, -(a * ux + b * uy)
+        (lower if c < 0 else upper).append((gamma + first * k, k, abs(c)))
+    # two bounds of each kind, one of them perhaps twice
+    (r1, k1, c1), (r2, k2, c2) = (lower * 2)[:2]
+    (r3, k3, c3), (r4, k4, c4) = (upper * 2)[:2]
+    marks = _MARK * (half // vx + 1)
+    x = first * ux
+    for _ in range(lines):
+        lo, lo2 = -(r1 // c1), -(r2 // c2)
+        hi, hi2 = r3 // c3, r4 // c4
+        if lo2 > lo:
+            lo = lo2
+        if hi2 < hi:
+            hi = hi2
+        if lo <= hi:
+            start = x + lo * vx
+            table[start : start + (hi - lo) * vx + 1 : vx] = marks[: hi - lo + 1]
+        r1 += k1
+        r2 += k2
+        r3 += k3
+        r4 += k4
+        x += ux
 
 
 def _powers(a: int, e: int, q: int) -> tuple[int, ...]:

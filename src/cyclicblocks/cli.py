@@ -77,36 +77,38 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     is not an integer (a bool included), a descriptor, tree, vertex, edge,
     cyclic order map or W that is not an object, a vertex, edge, cyclic
     order or index collection that is not a list, a sign other than '+' or
-    '-', an edge without exactly two ends or a cyclic order at an unknown
-    vertex raises ValueError naming the field."""
+    '-', an edge without exactly two ends, a cyclic order at an unknown
+    vertex or a missing required key raises ValueError naming the field."""
     obj = _object(obj, "descriptor")
-    tree = _object(obj["tree"], "tree")
+    tree = _object(_key(obj, "tree"), "tree")
     signs = {}
     vertices = []
-    for k, entry in enumerate(_list(tree["vertices"], "tree.vertices")):
+    listed = _list(_key(tree, "vertices", "tree"), "tree.vertices")
+    for k, entry in enumerate(listed):
         field = f"tree.vertices[{k}]"
         entry = _object(entry, field)
-        vertex = _id(entry["id"], f"{field}.id")
+        vertex = _id(_key(entry, "id", field), f"{field}.id")
         vertices.append(vertex)
-        sign = entry["sign"]
+        sign = _key(entry, "sign", field)
         if sign not in ("+", "-"):
             raise ValueError(f"{field}.sign must be '+' or '-', got {sign!r}")
         signs[vertex] = 1 if sign == "+" else -1
     edges = []
-    for k, entry in enumerate(_list(tree["edges"], "tree.edges")):
-        ends = _object(entry, f"tree.edges[{k}]")["ends"]
+    listed = _list(_key(tree, "edges", "tree"), "tree.edges")
+    for k, entry in enumerate(listed):
+        field = f"tree.edges[{k}]"
+        ends = _key(_object(entry, field), "ends", field)
         if not isinstance(ends, list) or len(ends) != 2:
-            raise ValueError(
-                f"tree.edges[{k}].ends must list two vertices, got {ends!r}"
-            )
+            raise ValueError(f"{field}.ends must list two vertices, got {ends!r}")
         edges.append(
             Edge(
-                _id(entry["id"], f"tree.edges[{k}].id"),
-                tuple(_id(end, f"tree.edges[{k}].ends") for end in ends),
+                _id(_key(entry, "id", field), f"{field}.id"),
+                tuple(_id(end, f"{field}.ends") for end in ends),
             )
         )
     cyclic_order = {}
-    for v, order in _object(tree["cyclic_order"], "tree.cyclic_order").items():
+    orders = _key(tree, "cyclic_order", "tree")
+    for v, order in _object(orders, "tree.cyclic_order").items():
         field = f"tree.cyclic_order.{v}"
         if v not in signs:
             raise ValueError(f"{field} names no vertex")
@@ -114,22 +116,28 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     exceptional = tree.get("exceptional")
     if exceptional is not None:
         exceptional = _id(exceptional, "tree.exceptional")
+    p, n, e = (_integer(_key(obj, key), key) for key in ("p", "n", "e"))
+    w = _object(_key(obj, "W"), "W")
+    indices = _list(_key(w, "indices", "W"), "W.indices")
     return BlockDescriptor(
-        p=_integer(obj["p"], "p"),
-        n=_integer(obj["n"], "n"),
-        e=_integer(obj["e"], "e"),
+        p=p,
+        n=n,
+        e=e,
         vertices=tuple(vertices),
         signs=signs,
         edges=tuple(edges),
         cyclic_order=cyclic_order,
         exceptional=exceptional,
-        w=EndoPermParams(
-            tuple(
-                _integer(a, "W.indices")
-                for a in _list(_object(obj["W"], "W")["indices"], "W.indices")
-            )
-        ),
+        w=EndoPermParams(tuple(_integer(a, "W.indices") for a in indices)),
     )
+
+
+def _key(obj: dict, key: str, parent: str = ""):
+    """obj[key]; a missing key raises ValueError naming its path below the
+    descriptor (`parent.key`, or `key` at the top)."""
+    if key not in obj:
+        raise ValueError(f"{parent + '.' if parent else ''}{key} is missing")
+    return obj[key]
 
 
 def _list(value, field: str) -> list:

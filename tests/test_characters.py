@@ -13,6 +13,8 @@ import cyclicblocks.characters
 from cyclicblocks.brauer_tree import exceptional_bundle, star_tree, vertex_character
 from cyclicblocks.characters import (
     CharacterConsistencyError,
+    _mark_lattice_points,
+    _reduced_basis,
     _smallest_of_order,
     b_level_character,
     exceptional_orbits,
@@ -193,38 +195,108 @@ def test_folded_orbits_match_the_marking_pass():
         if p ** n <= 2 * 10**5
         for e in _divisors(p - 1)
     ]
-    for p, n, e in grid + [(3, 12, 2)]:
+    # odd e, unfolded on both sides of the lattice gate 16*e*e < p^n
+    grid += [
+        (p, n, e)
+        for p in (31, 61)
+        for n in range(1, 4)
+        if p ** n <= 2 * 10**5
+        for e in (3, 5, 15)
+    ]
+    # the fold pass just below the gate, the lattice just above it
+    named = {
+        (13, 3, 12): False,
+        (11, 3, 10): False,
+        (13, 4, 12): True,
+        (11, 4, 10): True,
+    }
+    for (p, n, e), lattice in named.items():
+        assert (16 * e * e < p ** n) == lattice, (p, n, e)
+    for p, n, e in grid + list(named) + [(3, 12, 2)]:
         s = build(p, n, e)
         assert (s.a, s.representatives, s.levels) == _orbits_by_marking(
             p, n, e
         ), (p, n, e)
 
 
+_SMALL_MODULI = list(range(2, 64)) + [81, 121, 125, 169, 243, 343]
+
+
+def test_lattice_marking_matches_brute_force():
+    for q in _SMALL_MODULI:
+        for h in range(q):
+            for folded in (True, False):
+                half = q // 2 if folded else q - 1
+                table = bytearray(q)
+                _mark_lattice_points(table, h, q, folded)
+                marked = {x for x, byte in enumerate(table) if byte == 255}
+                expected = set()
+                for x in range(1, half + 1):
+                    image = h * x % q
+                    if folded:
+                        image = min(image, q - image)
+                    if image < x:
+                        expected.add(x)
+                assert marked == expected, (q, h, folded)
+                # nothing but the marks is written
+                assert set(table) <= {0, 255}, (q, h, folded)
+
+
+def test_reduced_basis_spans_the_lattice():
+    for q in _SMALL_MODULI + [2401, 28561, 50653]:
+        for h in range(q) if q < 400 else range(1, q, 97):
+            u, v = _reduced_basis(h, q)
+            for x, y in (u, v):
+                assert (y - h * x) % q == 0, (q, h)
+            assert abs(u[0] * v[1] - u[1] * v[0]) == q, (q, h)
+            # Gauss-reduced: u is no longer than v, and v cannot be
+            # shortened by a multiple of u
+            nu, nv = u[0] ** 2 + u[1] ** 2, v[0] ** 2 + v[1] ** 2
+            assert nu <= nv, (q, h)
+            assert 2 * abs(u[0] * v[0] + u[1] * v[1]) <= nu, (q, h)
+
+
 @pytest.mark.parametrize(
-    "a, e, message",
+    "n, a, e, message",
     [
         # mod 7: 3 has order 6, so 3^2 != 1 (the pairs {u, 3u} would still
         # cover 1..6 without overlap)
-        pytest.param(3, 2, "3^2 is not 1 mod 7", id="3-2"),
+        pytest.param(1, 3, 2, "3^2 is not 1 mod 7", id="3-2"),
         # 2 has order 3, so 2^3 = 1 is not -1; folded by -1 its orbits
         # would join into the one true orbit {1, ..., 6}, which the count
         # cannot tell apart
-        pytest.param(2, 6, "2^3 is not -1 mod 7", id="2-6"),
+        pytest.param(1, 2, 6, "2^3 is not -1 mod 7", id="2-6"),
         # 6 = -1 has order 2: 6^6 = 1 and 6^3 = -1 both hold, and only the
         # count of three folded orbits, not one, shows the short orbits
-        pytest.param(6, 6, "shorter than 6", id="6-6"),
+        pytest.param(1, 6, 6, "shorter than 6", id="6-6"),
         # odd e, unfolded: 1 has order 1, so each index is its own orbit
-        pytest.param(1, 3, "shorter than 3", id="1-3"),
+        pytest.param(1, 1, 3, "shorter than 3", id="1-3"),
+        # the same three faults mod 7^4 = 2401, where 16*e*e < 2401 puts the
+        # marking on the lattice lines: 1047 has order 3 there, 2400 = -1
+        pytest.param(4, 1047, 6, "1047^3 is not -1 mod 2401", id="1047-6-mod-2401"),
+        pytest.param(4, 2400, 6, "shorter than 6", id="2400-6-mod-2401"),
+        pytest.param(4, 1, 3, "shorter than 3", id="1-3-mod-2401"),
     ],
 )
 def test_orbit_length_check_fires_on_a_generator_of_the_wrong_order(
-    monkeypatch, a, e, message
+    monkeypatch, n, a, e, message
 ):
     monkeypatch.setattr(
         cyclicblocks.characters, "_smallest_of_order", lambda p, n, e: a
     )
+    marked_by = []
+    mark = cyclicblocks.characters._mark_lattice_points
+
+    def spy(table, h, q, folded):
+        marked_by.append(h)
+        mark(table, h, q, folded)
+
+    monkeypatch.setattr(cyclicblocks.characters, "_mark_lattice_points", spy)
     with pytest.raises(CharacterConsistencyError, match=re.escape(message)):
-        exceptional_orbits.__wrapped__(7, 1, e)
+        exceptional_orbits.__wrapped__(7, n, e)
+    # mod 2401 the count check fires after the lattice has marked; the a^e
+    # and -1 checks fire before any marking
+    assert bool(marked_by) == (n == 4 and "shorter" in message)
 
 
 def test_exceptional_orbits_rejects_non_divisor():

@@ -134,6 +134,52 @@ def test_malformed_descriptor_exits_2_naming_the_field(
         assert field in captured.err
 
 
+def _drop(*keys):
+    *keys, last = keys
+
+    def mutate(obj):
+        for key in keys:
+            obj = obj[key]
+        del obj[last]
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_drop("tree", "vertices", 1, "sign"), "tree.vertices[1].sign"),
+        (_drop("tree", "vertices", 0, "id"), "tree.vertices[0].id"),
+        (_drop("W", "indices"), "W.indices"),
+        (_drop("tree", "edges", 0, "id"), "tree.edges[0].id"),
+        (_drop("tree", "edges", 1, "ends"), "tree.edges[1].ends"),
+        (_drop("tree", "vertices"), "tree.vertices"),
+        (_drop("tree", "edges"), "tree.edges"),
+        (_drop("tree", "cyclic_order"), "tree.cyclic_order"),
+        (_drop("tree"), "tree"),
+        (_drop("p"), "p"),
+        (_drop("n"), "n"),
+        (_drop("e"), "e"),
+        (_drop("W"), "W"),
+    ],
+    ids=[
+        "sign", "vertex-id", "indices", "edge-id", "ends", "vertices",
+        "edges", "cyclic_order", "tree", "p", "n", "e", "W",
+    ],
+)
+def test_missing_descriptor_key_exits_2_naming_its_path(
+    tmp_path, capsys, mutate, field
+):
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W((1,)), -1))
+    mutate(obj)
+    path = write_obj(tmp_path, obj)
+    for command in ("validate", "enumerate"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read descriptor: {field} is missing\n"
+
+
 def test_descriptor_that_is_not_an_object_exits_2(tmp_path, capsys):
     path = write_obj(tmp_path, [descriptor_to_obj(star_tree(2, 3, 2, W(()), -1))])
     for command in ("validate", "enumerate"):
@@ -336,6 +382,22 @@ def test_enumerate_at_large_n_is_refused_at_once(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "too large" in captured.err
+    assert cpu < 1.0
+
+
+@pytest.mark.parametrize("n", [40, 10**4])
+def test_enumerate_too_large_is_refused_on_the_lattice_path(tmp_path, capsys, n):
+    # at e = 6 > 2 the orbits would be marked along lattice lines, so the
+    # refusal has to come before any reduction or line buffer
+    path = write_obj(tmp_path, descriptor_to_obj(star_tree(6, 7, n, W(()), -1)))
+    start = time.process_time()
+    assert main(["enumerate", path]) == 1
+    cpu = time.process_time() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: input too large to hold in memory (OverflowError)\n"
+    )
     assert cpu < 1.0
 
 
