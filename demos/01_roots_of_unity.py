@@ -1,50 +1,36 @@
-"""Exact arithmetic with roots of unity and character decomposition.
+"""Exact decomposition of integer-valued class functions on a cyclic p-group.
 
-Everything in this library runs over the integers: a p^n-th root of unity
-is a coefficient vector, and class functions on the cyclic group decompose
-into irreducible characters by exact inner products.  Run this file to see
-the substrate in action.
+The irreducible characters of C_{p^n} = <u> send u to the p^n-th roots of
+unity zeta^kappa.  A class function with integer values, such as a count of
+fixed points, pairs with lambda_kappa to a number that depends on kappa only
+through its p-adic valuation, so `decompose` finds n + 1 level values with
+integer arithmetic and spreads them over all kappa.  Run this file to see it.
 """
 
-from cyclicblocks.cyclotomic import (
-    class_function_from_integers,
-    decompose,
-    inner_product,
-    lambda_character,
-    reduce_canonical,
-    zeta_power,
-)
-
-# zeta is a primitive 9th root of unity; powers reduce mod 9
-z1 = zeta_power(9, 1)
-z10 = zeta_power(9, 10)
-print("zeta^10 == zeta^1:", z10 == z1)
-
-# the minimal-polynomial relation 1 + zeta^3 + zeta^6 = 0 at order 9
-relation = zeta_power(9, 0) + zeta_power(9, 3) + zeta_power(9, 6)
-print("1 + zeta^3 + zeta^6 reduces to:", reduce_canonical(relation).coeffs)
-
-# the sum of all 9th roots of unity vanishes
-total = zeta_power(9, 0)
-for k in range(1, 9):
-    total = total + zeta_power(9, k)
-print("sum of all 9th roots is zero:", total.is_zero())
-
-# irreducible characters of C_9 are orthonormal
-lam0, lam1, lam3 = (lambda_character(9, k) for k in (0, 1, 3))
-print("<lam0, lam0> =", inner_product(lam0, lam0))
-print("<lam1, lam3> =", inner_product(lam1, lam3))
+from cyclicblocks.cyclotomic import NonIntegralInnerProductError, decompose
 
 # the function counting fixed points of C_9 on the 3 cosets of its order-3
 # subgroup is a genuine character: value 3 whenever the element lies in the
 # subgroup, 0 otherwise
-fixed_points = class_function_from_integers(9, (3, 0, 0, 3, 0, 0, 3, 0, 0))
-print("fixed-point function decomposes as:", decompose(fixed_points).mults)
+fixed_points = (3, 0, 0, 3, 0, 0, 3, 0, 0)
+print("fixed-point function decomposes as:", decompose(3, 2, fixed_points).mults)
 print("   (multiplicity 1 exactly at the characters trivial on the subgroup)")
 
-# non-characters are detected, never rounded
-spike = class_function_from_integers(9, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+# the regular character holds every irreducible character once
+print("regular character of C_9:", decompose(3, 2, (9,) + (0,) * 8).mults)
+
+# the same count at order 5^6 = 15625, on the 5^4 cosets of the subgroup
+# of order 5^2: the characters trivial on it are those with 5^2 | kappa
+p, n, i = 5, 6, 2
+inside = p ** (n - i)
+values = [inside if j % inside == 0 else 0 for j in range(p ** n)]
+hits = [k for k, m in enumerate(decompose(p, n, values).mults) if m]
+print(f"at order {p ** n}: {len(hits)} constituents, kappa in", hits[:4], "...")
+
+# non-characters are detected, never rounded: a spike at the identity
+# pairs to 1/9 with every irreducible character
+spike = (1, 0, 0, 0, 0, 0, 0, 0, 0)
 try:
-    inner_product(spike, lam0)
-except Exception as err:
-    print("pairing a non-character raises:", type(err).__name__)
+    decompose(3, 2, spike)
+except NonIntegralInnerProductError as err:
+    print("decomposing a non-character raises:", err)

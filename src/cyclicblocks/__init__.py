@@ -24,8 +24,6 @@ from .characters import (
     b_level_character,
     character_of,
     exceptional_orbits,
-    nilpotent_level_character,
-    omega_twist,
     t_and_d0,
     xi,
     xi_complement,
@@ -38,16 +36,7 @@ from .classification import (
     enumerate_trivial_source,
     m1_enumerate,
 )
-from .cyclotomic import (
-    ClassFunction,
-    CyclicCharacter,
-    CyclotomicInteger,
-    decompose,
-    inner_product,
-    lambda_character,
-    reduce_canonical,
-    zeta_power,
-)
+from .cyclotomic import CyclicCharacter, decompose
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -74,12 +63,10 @@ from .oracle import (
 __all__ = [
     "BlockCharacter",
     "BlockDescriptor",
-    "ClassFunction",
     "ClassificationError",
     "ConsistencyReport",
     "CyclicCharacter",
     "CyclicGroupData",
-    "CyclotomicInteger",
     "Edge",
     "EndoPermParams",
     "GridSpec",
@@ -102,17 +89,12 @@ __all__ = [
     "heller_relative",
     "hook_characters",
     "induce_character",
-    "inner_product",
-    "lambda_character",
     "m1_enumerate",
     "morita_correspondent_character",
-    "nilpotent_level_character",
-    "omega_twist",
     "perm_character_by_fixed_points",
     "perm_module_character",
     "pim_character",
     "random_corpus",
-    "reduce_canonical",
     "restricted_cap_params",
     "star_tree",
     "successor",
@@ -121,5 +103,4 @@ __all__ = [
     "validate",
     "xi",
     "xi_complement",
-    "zeta_power",
 ]

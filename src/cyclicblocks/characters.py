@@ -30,12 +30,10 @@ from .brauer_tree import (
     BlockDescriptor,
     vertex_character,
 )
-from .cyclotomic import CyclicCharacter, _smallest_factor
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
     EndoPermParams,
-    morita_correspondent_character,
     restricted_cap_params,
     u_module_dimension,
 )
@@ -262,6 +260,16 @@ def _powers(a: int, e: int, q: int) -> tuple[int, ...]:
     return tuple(powers)
 
 
+def _smallest_factor(x: int) -> int:
+    """Smallest divisor d >= 2 of x >= 2."""
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            return d
+        d += 1
+    return x
+
+
 def _smallest_of_order(p: int, n: int, e: int) -> int:
     """Smallest positive integer of multiplicative order exactly e mod p^n.
 
@@ -395,23 +403,6 @@ def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]
     )
 
 
-def nilpotent_level_character(
-    w: EndoPermParams, p: int, n: int, i: int
-) -> CyclicCharacter:
-    """Character of the unique local trivial source module with vertex of
-    order p^i, written over the relabelled irreducibles of the nilpotent
-    block.  The multiplicity vector is the one of the Morita correspondent;
-    the trivial coordinate equals d0."""
-    g = CyclicGroupData(p, n)
-    chi = morita_correspondent_character(w, g, i)
-    _, d0 = t_and_d0(w, i)
-    if chi.mults[0] != d0:
-        raise CharacterConsistencyError(
-            f"trivial coordinate {chi.mults[0]} != d0 = {d0}"
-        )
-    return chi
-
-
 def b_level_character(
     star_desc: BlockDescriptor, i: int, x: int
 ) -> BlockCharacter:
@@ -438,19 +429,6 @@ def b_level_character(
     leaf = star_desc.nonexceptional_vertices[x - 1]
     part = xi(star_desc, i)
     return vertex_character(star_desc, leaf) + part if d0 else part
-
-
-def omega_twist(xi_part: BlockCharacter, steps: int) -> BlockCharacter:
-    """Exceptional part after `steps` syzygies: unchanged for even steps,
-    complemented inside the bundle for odd steps."""
-    if any(c not in (0, 1) for c in xi_part.exceptional):
-        raise ValueError("exceptional part must be 0/1-valued")
-    if steps % 2 == 0:
-        return xi_part
-    return BlockCharacter(
-        xi_part.nonexceptional,
-        tuple(1 - c for c in xi_part.exceptional),
-    )
 
 
 def character_of(

@@ -1,22 +1,17 @@
-"""Exact arithmetic with p^n-th roots of unity and class functions on C_{p^n}.
+"""Characters of the cyclic group C_{p^n} and their exact decomposition.
 
-A cyclotomic integer is an integer coefficient vector of length p^n in the
-group-ring presentation Z[X]/(X^{p^n} - 1): entry j is the coefficient of
-zeta^j for a fixed primitive p^n-th root of unity zeta.  Values are brought
-into normal form (the remainder modulo the p^n-th cyclotomic polynomial
-Phi(X) = 1 + X^q + X^{2q} + ... + X^{(p-1)q}, q = p^{n-1}) only for equality
-and zero tests, so sums, products and index shifts stay plain index
-arithmetic on the full-length vector.
+The irreducible characters of C_{p^n} = <u> are lambda_kappa: u -> zeta^kappa
+for kappa mod p^n and a fixed primitive p^n-th root of unity zeta.  A
+character is stored as its integer multiplicity vector over them
+(`CyclicCharacter`).  `decompose` recovers that vector from the values of an
+integer-valued class function, such as a count of fixed points.  The pairing
+of such a function with lambda_kappa is fixed by the Galois group of
+Q(zeta), so it depends on kappa only through v_p(kappa): the n + 1 level
+values are found with integer arithmetic alone, in O(p^n) in all.
+Exactness is never compromised: a pairing that is not a rational integer
+raises instead of rounding.
 
-Class functions on the cyclic group C_{p^n} = <u> are tables of p^n
-cyclotomic integers, entry j being the value at u^j.  The irreducible
-characters lambda_kappa (u -> zeta^kappa) are orthonormal for the usual
-inner product; `decompose` writes a virtual character as an integer vector
-of multiplicities over them.  Exactness is never compromised: an inner
-product that fails to be a rational integer raises instead of rounding.
-
-All coefficients are arbitrary-precision Python ints.  Every value is
-immutable after construction and every operation is a pure function.
+The module also holds the prime and p-adic helpers the package shares.
 """
 
 from __future__ import annotations
@@ -30,16 +25,6 @@ class NonIntegralInnerProductError(ValueError):
     Signals that one of the pairing's arguments is not a virtual character
     of the cyclic group; the offending value is reported, never rounded.
     """
-
-
-def split_odd_prime_power(order: int) -> tuple[int, int]:
-    """Return (p, n) with order = p^n for an odd prime p, or raise ValueError."""
-    p = _smallest_factor(order) if order >= 3 else 2
-    if p != 2:
-        n = valuation(p, order)
-        if p ** n == order:
-            return p, n
-    raise ValueError(f"order {order} is not an odd prime power")
 
 
 # Miller-Rabin on the prime bases 2..41 is exact below PRIME_BOUND, the
@@ -86,152 +71,6 @@ def valuation(p: int, kappa: int) -> int:
     return v
 
 
-def _smallest_factor(x: int) -> int:
-    """Smallest divisor d >= 2 of x >= 2."""
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return d
-        d += 1
-    return x
-
-
-@dataclass(frozen=True, eq=False)
-class CyclotomicInteger:
-    """Element of Z[zeta_{p^n}] as a length-p^n coefficient vector."""
-
-    order: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        split_odd_prime_power(self.order)
-        if len(self.coeffs) != self.order:
-            raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, expected {self.order}"
-            )
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_order(other)
-        return CyclotomicInteger(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_order(other)
-        return CyclotomicInteger(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_order(other)
-        order = self.order
-        out = [0] * order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        if k >= order:
-                            k -= order
-                        out[k] += a * b
-        return CyclotomicInteger(order, tuple(out))
-
-    def conjugate(self) -> "CyclotomicInteger":
-        """Complex conjugation, zeta -> zeta^{-1}: reverse indices mod the order."""
-        order = self.order
-        out = [0] * order
-        for j, a in enumerate(self.coeffs):
-            out[-j % order] = a
-        return CyclotomicInteger(order, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in reduce_canonical(self).coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicInteger):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return reduce_canonical(self).coeffs == reduce_canonical(other).coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, reduce_canonical(self).coeffs))
-
-    def _check_order(self, other: "CyclotomicInteger") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-
-def from_int(order: int, value: int) -> CyclotomicInteger:
-    """Embed a rational integer."""
-    return CyclotomicInteger(order, (value,) + (0,) * (order - 1))
-
-
-def zeta_power(order: int, exponent: int) -> CyclotomicInteger:
-    """zeta^exponent as a unit coefficient vector, exponent taken mod the order."""
-    coeffs = [0] * order
-    coeffs[exponent % order] = 1
-    return CyclotomicInteger(order, tuple(coeffs))
-
-
-def reduce_canonical(x: CyclotomicInteger) -> CyclotomicInteger:
-    """Remainder of the coefficient vector modulo Phi_{p^n}(X), re-embedded.
-
-    The result has zero coefficients from degree (p-1)p^{n-1} up; the map is
-    idempotent and two values are equal in Z[zeta] iff their reduced vectors
-    coincide.
-    """
-    p, n = split_odd_prime_power(x.order)
-    return CyclotomicInteger(x.order, _reduce_coeffs(list(x.coeffs), x.order, p))
-
-
-def _reduce_coeffs(rem: list[int], order: int, p: int) -> tuple[int, ...]:
-    # Phi = sum of X^{t*q} for t < p, q = p^{n-1}; monic, degree d = (p-1)q,
-    # so X^k == -(X^{k-d} + X^{k-d+q} + ... + X^{k-d+(p-2)q}) for k >= d.
-    q = order // p
-    d = order - q
-    for k in range(order - 1, d - 1, -1):
-        c = rem[k]
-        if c:
-            rem[k] = 0
-            base = k - d
-            for t in range(p - 1):
-                rem[base + t * q] -= c
-    return tuple(rem)
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """Function on C_{p^n} = <u>; entry j is the value at u^j."""
-
-    order: int
-    values: tuple[CyclotomicInteger, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.order:
-            raise ValueError(
-                f"value table has length {len(self.values)}, expected {self.order}"
-            )
-        for v in self.values:
-            if v.order != self.order:
-                raise ValueError("value of mismatched order in class function")
-
-
-def lambda_character(order: int, kappa: int) -> ClassFunction:
-    """The irreducible character u -> zeta^kappa as a value table."""
-    return ClassFunction(
-        order, tuple(zeta_power(order, kappa * j) for j in range(order))
-    )
-
-
-def class_function_from_integers(order: int, values) -> ClassFunction:
-    """Build a class function from plain integer values."""
-    return ClassFunction(order, tuple(from_int(order, v) for v in values))
-
-
 @dataclass(frozen=True)
 class CyclicCharacter:
     """Integer multiplicity vector over the irreducible characters of C_{p^n}.
@@ -276,70 +115,56 @@ class CyclicCharacter:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
 
-def class_function_from_multiplicities(chi: CyclicCharacter) -> ClassFunction:
-    """Value table of sum_kappa m_kappa lambda_kappa."""
-    order = chi.order
-    values = []
-    for j in range(order):
-        coeffs = [0] * order
-        for kappa, m in enumerate(chi.mults):
-            if m:
-                coeffs[(kappa * j) % order] += m
-        values.append(CyclotomicInteger(order, tuple(coeffs)))
-    return ClassFunction(order, tuple(values))
+def decompose(p: int, n: int, values) -> CyclicCharacter:
+    """Multiplicity vector (<f, lambda_kappa>)_kappa of the integer-valued
+    class function f on C_{p^n} with f(u^j) = values[j].
 
+    Take kappa = p^v, P = p^(n-v) and eta = zeta^kappa of order P.  Folding
+    the values mod P into F_r (the sum of f(u^j) over j = r mod P) gives
+    <f, lambda_kappa> = (1/p^n) sum_r F_r eta^(-r).  The sums of eta^r over
+    the cosets s + QZ, Q = P/p, span the rational relations among the powers
+    of eta, so that sum is rational exactly when F is constant on each coset
+    s + QZ, the coset of 0 taken without r = 0; it is then F_0 - F_Q.  Each
+    level folds the previous one by p.  A pairing that is not rational, or
+    not divisible by p^n, raises NonIntegralInnerProductError; otherwise
+    every kappa of valuation v gets the value at p^v, the Galois conjugates
+    of a rational number being itself.
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> int:
-    """(1/p^n) sum_j f(u^j) conj(g(u^j)), demanded to be a rational integer.
-
-    Computed over the integers with a final exact divisibility check by p^n;
-    raises NonIntegralInnerProductError when the pairing is not integral.
+    >>> decompose(3, 2, [3, 0, 0, 3, 0, 0, 3, 0, 0]).mults
+    (1, 0, 0, 1, 0, 0, 1, 0, 0)
+    >>> decompose(3, 2, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    Traceback (most recent call last):
+    ...
+    cyclicblocks.cyclotomic.NonIntegralInnerProductError: pairing 1/9 with lambda_1 is not an integer
     """
-    if f.order != g.order:
-        raise ValueError(f"order mismatch: {f.order} vs {g.order}")
-    order = f.order
-    acc = [0] * order
-    for fv, gv in zip(f.values, g.values):
-        prod = fv * gv.conjugate()
-        for idx, c in enumerate(prod.coeffs):
-            acc[idx] += c
-    return _exact_quotient_by_order(acc, order)
-
-
-def _exact_quotient_by_order(acc: list[int], order: int) -> int:
-    p, _ = split_odd_prime_power(order)
-    reduced = _reduce_coeffs(acc, order, p)
-    if any(reduced[1:]):
-        raise NonIntegralInnerProductError(
-            f"pairing is not rational: reduced vector {reduced}"
+    order = p ** n
+    if n < 1 or not is_odd_prime(p) or len(values) != order:
+        raise ValueError(
+            f"need {p}^{n} values for an odd prime p and n >= 1, got {len(values)}"
         )
-    if reduced[0] % order != 0:
-        raise NonIntegralInnerProductError(
-            f"pairing {reduced[0]}/{order} is not an integer"
-        )
-    return reduced[0] // order
-
-
-def decompose(f: ClassFunction) -> CyclicCharacter:
-    """Multiplicity vector (<f, lambda_kappa>)_kappa of a virtual character.
-
-    Each coordinate is the inner product against lambda_kappa, evaluated by
-    index shifts (f(u^j) zeta^{-kappa j} just displaces coefficient vectors);
-    the nonzero coefficients of all values are collected once per call.
-    A non-integral coordinate raises; reconstruction via
-    `class_function_from_multiplicities` returns f exactly.
-    """
-    order = f.order
-    terms = [
-        (j, idx, c)
-        for j, v in enumerate(f.values)
-        for idx, c in enumerate(v.coeffs)
-        if c
-    ]
-    mults = []
-    for kappa in range(order):
-        acc = [0] * order
-        for j, idx, c in terms:
-            acc[(idx - kappa * j) % order] += c
-        mults.append(_exact_quotient_by_order(acc, order))
+    folded = list(values)
+    levels = []
+    for v in range(n + 1):
+        kappa = p ** v % order
+        step = len(folded) // p
+        if step:
+            chunks = [folded[t * step : (t + 1) * step] for t in range(p)]
+            if chunks[0][1:] != chunks[1][1:] or any(
+                chunk != chunks[1] for chunk in chunks[2:]
+            ):
+                raise NonIntegralInnerProductError(
+                    f"pairing with lambda_{kappa} is not rational"
+                )
+            pairing = folded[0] - folded[step]
+            folded = [sum(column) for column in zip(*chunks)]
+        else:
+            pairing = folded[0]
+        if pairing % order:
+            raise NonIntegralInnerProductError(
+                f"pairing {pairing}/{order} with lambda_{kappa} is not an integer"
+            )
+        levels.append(pairing // order)
+    mults = [levels[0]] * order
+    for v in range(1, n + 1):
+        mults[:: p ** v] = [levels[v]] * (order // p ** v)
     return CyclicCharacter(order, tuple(mults))

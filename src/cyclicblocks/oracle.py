@@ -2,10 +2,10 @@
 
 Two oracle paths exist side by side with the closed forms and share nothing
 with them beyond the multiplicity-vector container: permutation characters
-recovered by counting coset fixed points and decomposing the resulting
-class function exactly over the cyclotomic substrate, and determinant-1
-lift characters rebuilt by the projective-cover recursion using only those
-fixed-point characters and subtraction.
+recovered by counting coset fixed points and decomposing those integer
+values exactly (`cyclotomic.decompose`), and determinant-1 lift characters
+rebuilt by the projective-cover recursion using only those fixed-point
+characters and subtraction.
 
 `consistency_suite` sweeps every cross-formula identity over a parameter
 grid plus a seeded corpus of random valid tree descriptors and reports
@@ -24,7 +24,6 @@ from itertools import combinations
 from .brauer_tree import (
     BlockDescriptor,
     Edge,
-    exceptional_bundle,
     group_algebra_block,
     star_tree,
     validate,
@@ -39,12 +38,7 @@ from .characters import (
     xi_complement_nondivisible,
 )
 from .classification import ClassificationError, enumerate_trivial_source
-from .cyclotomic import (
-    CyclicCharacter,
-    class_function_from_integers,
-    decompose,
-    valuation,
-)
+from .cyclotomic import CyclicCharacter, decompose, valuation
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
@@ -63,15 +57,15 @@ from .local_reps import (
 @lru_cache(maxsize=None)
 def perm_character_by_fixed_points(p: int, n: int, i: int) -> CyclicCharacter:
     """Character of the permutation module on D/D_i recovered by brute
-    force: count the cosets each group element fixes, then decompose the
-    class function exactly."""
+    force: count the cosets each group element fixes, then decompose those
+    integer values exactly."""
     g = CyclicGroupData(p, n)
     if not 0 <= i <= n:
         raise ValueError(f"subgroup index {i} outside 0..{n}")
     order = g.order
     inside = p ** (n - i)  # u^j lies in the stabiliser iff p^{n-i} | j
     values = [inside if j % inside == 0 else 0 for j in range(order)]
-    return decompose(class_function_from_integers(order, values))
+    return decompose(p, n, values)
 
 
 def det1_char_by_recursion(params: EndoPermParams, p: int, n: int) -> CyclicCharacter:
@@ -347,7 +341,8 @@ def _check_local(p: int, n: int, caps, check) -> None:
 
 
 def _check_exceptional(p: int, n: int, e: int, check) -> None:
-    for orbit in exceptional_orbits(p, n, e).orbits:
+    structure = exceptional_orbits(p, n, e)
+    for orbit in structure.orbits:
         vals = {valuation(p, kappa) for kappa in orbit}
         check("orbit valuation constant", (p, n, e, orbit), 1, len(vals))
     g = CyclicGroupData(p, n)
@@ -364,11 +359,18 @@ def _check_exceptional(p: int, n: int, e: int, check) -> None:
                 (dim - d0) // e,
                 sum(part.exceptional),
             )
+            # the Morita correspondent read off the oracle path: its trivial
+            # coordinate is d0 and its coordinate at kappa(r) is xi's r-th
+            local = det1_char_by_recursion(restricted_cap_params(w, g, i), p, i)
+            correspondent = induce_character(g, i, local).mults
             check(
-                "xi plus complement is the bundle",
+                "xi coordinates vs oracle correspondent",
                 (p, n, e, w.indices, i),
-                exceptional_bundle(star),
-                part + comp,
+                (
+                    correspondent[0],
+                    tuple(correspondent[k] for k in structure.representatives),
+                ),
+                (d0, part.exceptional),
             )
             literal = xi_complement_nondivisible(star, i)
             reference = (

@@ -17,13 +17,7 @@ from cyclicblocks.characters import (
     xi_complement_nondivisible,
 )
 from cyclicblocks.classification import enumerate_trivial_source
-from cyclicblocks.cyclotomic import (
-    CyclicCharacter,
-    class_function_from_multiplicities,
-    decompose,
-    inner_product,
-    lambda_character,
-)
+from cyclicblocks.cyclotomic import CyclicCharacter
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -41,6 +35,12 @@ from cyclicblocks.oracle import (
     det1_char_by_recursion,
     general_params_for,
     random_corpus,
+)
+from zeta_reference import (
+    class_function_from_multiplicities,
+    decompose,
+    inner_product,
+    lambda_character,
 )
 
 W = EndoPermParams

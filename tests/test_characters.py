@@ -18,8 +18,6 @@ from cyclicblocks.characters import (
     _smallest_of_order,
     b_level_character,
     exceptional_orbits,
-    nilpotent_level_character,
-    omega_twist,
     t_and_d0,
     xi,
     xi_complement,
@@ -28,7 +26,12 @@ from cyclicblocks.characters import (
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
 from cyclicblocks.cyclotomic import valuation
-from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, cap_dim
+from cyclicblocks.local_reps import (
+    CyclicGroupData,
+    EndoPermParams,
+    cap_dim,
+    morita_correspondent_character,
+)
 from cyclicblocks.oracle import GridSpec, consistency_suite, random_block_descriptor
 
 W = EndoPermParams
@@ -385,16 +388,16 @@ def test_complement_audit():
                         assert literal == tuple(c - 1 for c in comp)
 
 
-def test_nilpotent_level_character_examples():
-    assert nilpotent_level_character(W(()), 3, 2, 1).mults == (
-        1, 0, 0, 1, 0, 0, 1, 0, 0,
-    )
-    assert nilpotent_level_character(W((1,)), 3, 2, 2).mults == (
-        0, 0, 0, 1, 0, 0, 1, 0, 0,
-    )
-    assert nilpotent_level_character(W((1,)), 3, 2, 1).mults == (
-        1, 0, 0, 1, 0, 0, 1, 0, 0,
-    )
+def test_morita_trivial_coordinate_is_d0():
+    # the local module's character has the trivial constituent exactly when
+    # t(i) is odd; its examples are in test_morita_correspondent_examples
+    for p in (3, 5, 7):
+        for n in range(1, 4):
+            g = CyclicGroupData(p, n)
+            for w in block_params(n):
+                for i in range(1, n + 1):
+                    chi = morita_correspondent_character(w, g, i)
+                    assert chi.mults[0] == t_and_d0(w, i)[1], (p, n, w, i)
 
 
 def test_b_level_character_examples():
@@ -434,23 +437,6 @@ def test_b_level_matches_enumeration_on_star():
                 for c in (b_level_character(star, i, x) for x in (1, 2))
             )
             assert enumerated == expected
-
-
-def test_omega_twist():
-    star = star_tree(2, 3, 2, W(()), -1)
-    part = xi(star, 1)
-    assert omega_twist(part, 2) == part
-    assert omega_twist(omega_twist(part, 1), 1) == part
-    zero = xi(star, 2)
-    assert omega_twist(zero, 1) == exceptional_bundle(star)
-    assert omega_twist(part, 1) == xi_complement(star, 1)
-
-
-def test_omega_twist_rejects_non_01():
-    star = star_tree(2, 3, 2, W(()), -1)
-    doubled = xi(star, 1) + xi(star, 1)
-    with pytest.raises(ValueError):
-        omega_twist(doubled, 1)
 
 
 def test_xi_needs_exceptional_vertex():

@@ -6,21 +6,25 @@ from hypothesis import strategies as st
 
 from cyclicblocks.cyclotomic import (
     PRIME_BOUND,
-    ClassFunction,
     CyclicCharacter,
-    CyclotomicInteger,
     NonIntegralInnerProductError,
+    decompose,
+    is_odd_prime,
+    valuation,
+)
+from zeta_reference import (
+    ClassFunction,
+    CyclotomicInteger,
     class_function_from_integers,
     class_function_from_multiplicities,
-    decompose,
     from_int,
     inner_product,
-    is_odd_prime,
     lambda_character,
     reduce_canonical,
     split_odd_prime_power,
     zeta_power,
 )
+from zeta_reference import decompose as dense_decompose
 
 
 def test_split_odd_prime_power():
@@ -145,31 +149,142 @@ def test_inner_product_order_mismatch():
 
 
 def test_decompose_single_irreducible():
-    chi = decompose(lambda_character(9, 5))
+    chi = dense_decompose(lambda_character(9, 5))
     assert chi == CyclicCharacter(9, (0, 0, 0, 0, 0, 1, 0, 0, 0))
 
 
 def test_decompose_regular_character():
-    regular = class_function_from_integers(9, (9,) + (0,) * 8)
-    assert decompose(regular).mults == (1,) * 9
+    regular = (9,) + (0,) * 8
+    assert decompose(3, 2, regular).mults == (1,) * 9
+    assert dense_decompose(class_function_from_integers(9, regular)).mults == (1,) * 9
 
 
 def test_decompose_fixed_point_function():
-    perm = class_function_from_integers(9, (3, 0, 0, 3, 0, 0, 3, 0, 0))
-    assert decompose(perm).mults == (1, 0, 0, 1, 0, 0, 1, 0, 0)
+    perm = (3, 0, 0, 3, 0, 0, 3, 0, 0)
+    assert decompose(3, 2, perm).mults == (1, 0, 0, 1, 0, 0, 1, 0, 0)
+    assert dense_decompose(class_function_from_integers(9, perm)) == decompose(
+        3, 2, perm
+    )
 
 
 def test_decompose_failure_propagates():
-    spike = class_function_from_integers(9, (0, 1) + (0,) * 7)
+    spike = (0, 1) + (0,) * 7
     with pytest.raises(NonIntegralInnerProductError):
-        decompose(spike)
+        decompose(3, 2, spike)
+    with pytest.raises(NonIntegralInnerProductError):
+        dense_decompose(class_function_from_integers(9, spike))
 
 
 @given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
 @settings(max_examples=60, deadline=None)
 def test_decompose_round_trip(mults):
     chi = CyclicCharacter(9, tuple(mults))
-    assert decompose(class_function_from_multiplicities(chi)) == chi
+    assert dense_decompose(class_function_from_multiplicities(chi)) == chi
+
+
+# every odd prime power up to 343, as (p, n)
+ORDERS = [
+    (p, n)
+    for p in range(3, 344)
+    if is_odd_prime(p)
+    for n in range(1, 6)
+    if p ** n <= 343
+]
+
+
+def _outcome(p, n, values):
+    """Both decompositions of one value table, "raises" standing for a
+    NonIntegralInnerProductError."""
+    results = []
+    for run in (
+        lambda: decompose(p, n, values),
+        lambda: dense_decompose(class_function_from_integers(p ** n, values)),
+    ):
+        try:
+            results.append(run().mults)
+        except NonIntegralInnerProductError:
+            results.append("raises")
+    return results
+
+
+def _ramanujan(p, k, j):
+    """Sum of zeta^(kappa j) over the kappa of order exactly p^k: phi(p^k)
+    where p^k divides j, -p^(k-1) where only p^(k-1) does, else 0."""
+    if k == 0 or j % p ** k == 0:
+        return p ** k - (p ** (k - 1) if k else 0)
+    return -(p ** (k - 1)) if j % p ** (k - 1) == 0 else 0
+
+
+def test_decompose_matches_reference_on_fixed_point_functions():
+    for p, n in ORDERS:
+        q = p ** n
+        for i in range(n + 1):
+            inside = p ** (n - i)
+            values = [inside if j % inside == 0 else 0 for j in range(q)]
+            new, dense = _outcome(p, n, values)
+            assert new == dense != "raises", (p, n, i)
+
+
+def test_decompose_matches_reference_on_level_constant_characters():
+    rng = random.Random(5)
+    for p, n in ORDERS:
+        q = p ** n
+        levels = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n + 1)]
+        values = [
+            sum(levels[v] * _ramanujan(p, n - v, j) for v in range(n + 1))
+            for j in range(q)
+        ]
+        expected = tuple(
+            levels[valuation(p, kappa) if kappa else n] for kappa in range(q)
+        )
+        assert _outcome(p, n, values) == [expected, expected], (p, n, levels)
+
+
+def test_decompose_matches_reference_on_random_functions():
+    rng = random.Random(6)
+    for p, n in ORDERS:
+        q = p ** n
+        for _ in range(2):
+            values = [rng.randint(-3, 3) for _ in range(q)]
+            new, dense = _outcome(p, n, values)
+            assert new == dense, (p, n, values)
+
+
+def test_decompose_raises_where_the_reference_does():
+    for p, n in ORDERS:
+        q = p ** n
+        top = p ** (n - 1)
+        cases = {
+            # 1/q at every kappa
+            "spike": [1] + [0] * (q - 1),
+            # zeta^(-kappa) at kappa = 1: irrational at level 0
+            "shifted regular": [0, q] + [0] * (q - 2),
+        }
+        # p zeta^(-kappa) at kappa = 1, and 0 once folded: irrational at
+        # level 0 alone, where only the first q/p values break the pattern
+        cases["level 0 alone"] = [-q if j % top == 1 % top else 0 for j in range(q)]
+        cases["level 0 alone"][1] = (p - 1) * q
+        if n > 1:
+            # 0 at level 0, 1/p at the levels above it
+            cases["subgroup indicator"] = [
+                p ** (n - 2) if j % top == 0 else 0 for j in range(q)
+            ]
+            # 0 at level 0, irrational at level 1
+            cases["coset of 1"] = [q if j % top == 1 else 0 for j in range(q)]
+        for name, values in cases.items():
+            assert _outcome(p, n, values) == ["raises", "raises"], (p, n, name)
+
+
+def test_decompose_rejects_malformed_input():
+    for p, n, values in (
+        (3, 2, [0] * 8),
+        (9, 1, [0] * 9),
+        (2, 3, [0] * 8),
+        (3, 0, [1]),
+    ):
+        with pytest.raises(ValueError, match="odd prime") as info:
+            decompose(p, n, values)
+        assert not isinstance(info.value, NonIntegralInnerProductError)
 
 
 def test_character_degree_and_virtual_flag():

@@ -2,7 +2,8 @@ import random
 import sys
 
 import cyclicblocks.characters
-from cyclicblocks.brauer_tree import validate
+import cyclicblocks.oracle
+from cyclicblocks.brauer_tree import BlockCharacter, validate
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -51,12 +52,15 @@ def test_det1_recursion_agrees_with_closed_form():
 
 
 def test_fixed_point_oracle_reaches_larger_orders():
-    for p, n in ((3, 6), (5, 4), (7, 3)):
+    # (p, n, whether the det1 recursion runs too); 3^10 = 59049 has 2^10
+    # parameter lists, so it checks the permutation characters only
+    sizes = ((3, 6, True), (5, 4, True), (7, 3, True), (7, 5, True), (3, 10, False))
+    for p, n, recursion in sizes:
         g = CyclicGroupData(p, n)
         for i in range(n + 1):
             expected = perm_module_character(g, i)
             assert perm_character_by_fixed_points(p, n, i) == expected
-        for params in general_params_for(n):
+        for params in general_params_for(n) if recursion else ():
             assert det1_char_by_recursion(params, p, n) == char_det1_endoperm(params, g)
 
 
@@ -96,6 +100,32 @@ def test_consistency_suite_passes_small_grid():
     assert report.checks_run > 0
     assert report.passed
     assert report.failures == ()
+
+
+def test_consistency_suite_passes_larger_grids():
+    # the CLI's `oracle --nmax 4` and `oracle --nmax 3 --primes 3 5 7 11 13`
+    grids = (((3, 5, 7), 4, 9971), ((3, 5, 7, 11, 13), 3, 11442))
+    for primes, n_max, checks in grids:
+        report = consistency_suite(GridSpec(primes=primes, n_max=n_max, seed=0))
+        assert report.checks_run == checks
+        assert report.failures == ()
+
+
+def test_consistency_suite_sees_one_flipped_xi_coordinate(monkeypatch):
+    def flipped(desc, i):
+        part = real(desc, i)
+        return BlockCharacter(
+            part.nonexceptional, (1 - part.exceptional[0],) + part.exceptional[1:]
+        )
+
+    real = cyclicblocks.oracle.xi
+    monkeypatch.setattr(cyclicblocks.oracle, "xi", flipped)
+    report = consistency_suite(GridSpec(primes=(3,), n_max=2, seed=5), corpus_size=0)
+    name = "xi coordinates vs oracle correspondent"
+    flagged = [f for f in report.failures if f.check == name]
+    # one failure per (n, e, block parameter, vertex index): e = 1 at n = 1,
+    # e in 1, 2 with two parameters and two indices at n = 2
+    assert len(flagged) == 1 + 2 * 2 * 2
 
 
 def test_consistency_suite_names_injected_fault():
