@@ -31,7 +31,6 @@ from .characters import (
 from .classification import (
     ClassificationError,
     PathDescriptor,
-    candidate_paths,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -74,7 +73,6 @@ __all__ = [
     "OrbitStructure",
     "PathDescriptor",
     "b_level_character",
-    "candidate_paths",
     "cap_dim",
     "cap_dim_recursive",
     "char_det1_endoperm",

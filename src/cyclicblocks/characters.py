@@ -9,7 +9,7 @@ by the ascending orbit minima kappa(1) < ... < kappa(m).
 The central objects are the shared exceptional part Xi(W, i) carried by all
 non-hook trivial source modules with vertex of order p^i, its complement
 inside the full exceptional bundle, and the per-module assembly of the full
-character from an admissible path descriptor.  A parity datum governs
+character from an admitted path descriptor.  A parity datum governs
 everything: t(i) is the number of endo-permutation indices below i minus
 one, and the leading coefficient d0 is 1 exactly when t(i) is odd, with the
 empty case t(i) = -1 counting as odd (forced by the trivial-parameter case,
@@ -434,7 +434,7 @@ def b_level_character(
 def character_of(
     desc: BlockDescriptor, i: int, path: "PathDescriptor"
 ) -> BlockCharacter:
-    """Character of the trivial source lift of the module an admissible path
+    """Character of the trivial source lift of the module an admitted path
     describes.
 
     The non-exceptional part is the sum of the spine vertex characters

@@ -24,8 +24,9 @@ tied to the parity datum of the endo-permutation parameter, and the
 multiplicity range) read a path only through its class: the sign of its
 anchoring vertex, the parity of its spine, and whether it is a hook, a
 spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
-class once per (p, n, e, W, i).  `admissible` looks a path's class up in
-it, and the enumeration looks up each anchor's class before building any
+class once per (p, n, e, W, i).  `enumerate_trivial_source` is the one
+entry point: `_anchors`, the one place that maps a path to its class, hands
+it each anchor's class key, and it looks the key up before building any
 path anchored there, so it builds only the admitted modules.  The
 classification guarantees exactly e modules per vertex, so any other count
 is surfaced as a ClassificationError carrying the partial list, never
@@ -39,9 +40,7 @@ admissibility cases; their table rejects every other class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .brauer_tree import (
     NEGATIVE,
@@ -63,7 +62,6 @@ from .local_reps import (
 # The shape under which the verdict table files the spine shapes 2, 4, 5
 # and 6, which share their conditions.
 SPINE = 2
-_SPINE_SHAPES = (2, 4, 5, 6)
 
 # A class key: (shape, sign of the anchoring vertex, spine parity).
 ClassKey = tuple[int, int, int]
@@ -130,37 +128,11 @@ class M1Enumeration:
     hooks: tuple[ConditionalHook, ...]
 
 
-def candidate_paths(desc: BlockDescriptor, i: int) -> list[PathDescriptor]:
-    """All syntactic path shapes for vertex index i, before admissibility."""
-    _require_vertex_index(desc, i)
-    return [
-        PathDescriptor(*fields) for _, paths in _anchors(desc, i) for fields in paths
-    ]
-
-
-def admissible(
-    desc: BlockDescriptor, i: int, path: PathDescriptor
-) -> Verdict | None:
-    """Case tag and multiplicity when the path passes its shape's
-    conditions, None when it does not: the verdict of the path's class in
-    `verdict_table`.  The class of shapes 3 and 7 reads the sign of the
-    exceptional vertex; every other shape reads the sign of its first spine
-    vertex and the parity of its spine length less one."""
-    if path.type_tag in (3, 7):
-        key = path.type_tag, desc.sign(desc.exceptional), 0
-    else:
-        shape = SPINE if path.type_tag in _SPINE_SHAPES else path.type_tag
-        spine = path.spine_vertices
-        key = shape, desc.sign(spine[0]), (len(spine) - 1) % 2
-    return verdict_table(desc.p, desc.n, desc.e, desc.w, i).get(key)
-
-
-@lru_cache(maxsize=None)
 def verdict_table(
     p: int, n: int, e: int, w: EndoPermParams, i: int
-) -> Mapping[ClassKey, Verdict | None]:
+) -> dict[ClassKey, Verdict | None]:
     """The admissibility verdict of every class of paths at vertex index i,
-    read-only and shared by every descriptor with these invariants.
+    a fresh dict on each call.
 
     Keys are (shape, anchor sign, spine parity): shape SPINE stands for the
     spine shapes 2, 4, 5 and 6 at both parities; shapes 1 (hooks), 3 and 7
@@ -205,7 +177,7 @@ def verdict_table(
         table[1, sign, 0] = (None, None) if e > 1 else None
         table[3, sign, 0] = _within(at_exceptional, 2, m - 1)
         table[7, sign, 0] = _within(at_exceptional, 1, m - 1)
-    return MappingProxyType(table)
+    return table
 
 
 def _within(verdict: Verdict | None, low: int, high: int) -> Verdict | None:
@@ -218,9 +190,10 @@ def enumerate_trivial_source(
     desc: BlockDescriptor, i: int
 ) -> list[PathDescriptor]:
     """The e trivial source modules with vertex of order p^i, as completed
-    path descriptors; raises ClassificationError when the admissible set
-    does not have size e."""
-    _require_vertex_index(desc, i)
+    path descriptors; raises ClassificationError when the admitted set
+    does not have size e, ValueError at m = 1 or i outside 1..n."""
+    if desc.m == 1:
+        raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
     table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
     found = []
     for key, paths in _anchors(desc, i):
@@ -232,13 +205,6 @@ def enumerate_trivial_source(
     if len(found) != desc.e:
         raise ClassificationError(desc, i, found)
     return found
-
-
-def _require_vertex_index(desc: BlockDescriptor, i: int) -> None:
-    if desc.m == 1:
-        raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
-    if not 1 <= i <= desc.n:
-        raise ValueError(f"vertex index {i} outside 1..{desc.n}")
 
 
 # The fields of a PathDescriptor up to its multiplicity and case.

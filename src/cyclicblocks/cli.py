@@ -78,7 +78,8 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     cyclic order map or W that is not an object, a vertex, edge, cyclic
     order or index collection that is not a list, a sign other than '+' or
     '-', an edge without exactly two ends, a cyclic order at an unknown
-    vertex or a missing required key raises ValueError naming the field."""
+    vertex, a missing required key or W indices that are negative or not
+    strictly increasing raises ValueError naming the field."""
     obj = _object(obj, "descriptor")
     tree = _object(_key(obj, "tree"), "tree")
     signs = {}
@@ -119,6 +120,10 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     p, n, e = (_integer(_key(obj, key), key) for key in ("p", "n", "e"))
     w = _object(_key(obj, "W"), "W")
     indices = _list(_key(w, "indices", "W"), "W.indices")
+    try:
+        w = EndoPermParams(tuple(_integer(a, "W.indices") for a in indices))
+    except ValueError as err:
+        raise ValueError(f"W.indices: {err}") from err
     return BlockDescriptor(
         p=p,
         n=n,
@@ -128,7 +133,7 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
         edges=tuple(edges),
         cyclic_order=cyclic_order,
         exceptional=exceptional,
-        w=EndoPermParams(tuple(_integer(a, "W.indices") for a in indices)),
+        w=w,
     )
 
 

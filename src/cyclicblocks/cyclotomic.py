@@ -76,8 +76,8 @@ class CyclicCharacter:
     """Integer multiplicity vector over the irreducible characters of C_{p^n}.
 
     Entry kappa is the multiplicity of lambda_kappa.  A character of an
-    actual lattice has all entries >= 0 (`is_genuine`); Grothendieck-ring
-    intermediates may legitimately go negative.
+    actual lattice has all entries >= 0; Grothendieck-ring intermediates
+    may legitimately go negative.
     """
 
     order: int
@@ -93,10 +93,6 @@ class CyclicCharacter:
     def degree(self) -> int:
         """Value at the identity: the sum of all multiplicities."""
         return sum(self.mults)
-
-    @property
-    def is_genuine(self) -> bool:
-        return all(m >= 0 for m in self.mults)
 
     def __add__(self, other: "CyclicCharacter") -> "CyclicCharacter":
         self._check_order(other)

@@ -83,11 +83,6 @@ class EndoPermParams:
             raise ValueError(f"indices {idx} are not strictly increasing")
 
     @property
-    def s(self) -> int:
-        """Last index position; -1 for the trivial module."""
-        return len(self.indices) - 1
-
-    @property
     def is_trivial(self) -> bool:
         return not self.indices
 
@@ -179,9 +174,7 @@ def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> Cyclic
     sub_order = g.subgroup_order(i)
     if chi.order != sub_order:
         raise ValueError(f"character has order {chi.order}, expected {sub_order}")
-    return CyclicCharacter(
-        g.order, tuple(chi.mults[kappa % sub_order] for kappa in range(g.order))
-    )
+    return CyclicCharacter(g.order, chi.mults * (g.order // sub_order))
 
 
 def morita_correspondent_character(

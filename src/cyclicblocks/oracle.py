@@ -220,10 +220,9 @@ def random_corpus(
     n_max: int,
     seed: int,
     count: int,
-    e_max: int = 12,
 ) -> list[BlockDescriptor]:
-    """Seeded corpus of random valid descriptors with m > 1; combinations
-    violating e | p-1 or m > 1 are rejected and resampled."""
+    """Seeded corpus of random valid descriptors with m > 1 and e <= 12;
+    combinations violating e | p-1 or m > 1 are rejected and resampled."""
     rng = random.Random(seed)
     out: list[BlockDescriptor] = []
     while len(out) < count:
@@ -232,7 +231,7 @@ def random_corpus(
         options = [
             d
             for d in _divisors(p - 1)
-            if d <= e_max and (p ** n - 1) // d > 1
+            if d <= 12 and (p ** n - 1) // d > 1
         ]
         if not options:
             continue

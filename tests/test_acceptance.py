@@ -158,7 +158,7 @@ def test_criterion_05_self_block_closure():
 
 
 def _corpus():
-    return random_corpus(CORPUS_PRIMES, 3, seed=CORPUS_SEED, count=CORPUS_SIZE, e_max=12)
+    return random_corpus(CORPUS_PRIMES, 3, seed=CORPUS_SEED, count=CORPUS_SIZE)
 
 
 def test_criterion_06_enumeration_cardinality():

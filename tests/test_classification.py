@@ -15,8 +15,7 @@ from cyclicblocks.characters import character_of
 from cyclicblocks.classification import (
     ClassificationError,
     PathDescriptor,
-    admissible,
-    candidate_paths,
+    _anchors,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -48,16 +47,27 @@ def path_block(signs=(1, -1, 1), w=(1,)):
     )
 
 
-def by_type(paths):
+def candidates(desc, i):
+    # every candidate path at vertex index i with the verdict of its
+    # anchor's class, as a list so that a repeated path still shows
+    table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
+    return [
+        (PathDescriptor(*fields), table.get(key))
+        for key, paths in _anchors(desc, i)
+        for fields in paths
+    ]
+
+
+def by_type(pairs):
     out = {}
-    for p in paths:
-        out.setdefault(p.type_tag, []).append(p)
+    for path, verdict in pairs:
+        out.setdefault(path.type_tag, []).append((path, verdict))
     return out
 
 
 def test_candidate_shapes_on_star():
     star = star_tree(2, 3, 2, W(()), -1)
-    shapes = by_type(candidate_paths(star, 1))
+    shapes = by_type(candidates(star, 1))
     assert len(shapes.get(2, [])) == 2  # one per leaf
     assert len(shapes.get(7, [])) == 2  # ordered consecutive pairs at centre
     for tag in (1, 3, 4, 5, 6):
@@ -66,7 +76,7 @@ def test_candidate_shapes_on_star():
 
 def test_candidate_shapes_on_self_block():
     kd = group_algebra_block(3, 2)
-    shapes = by_type(candidate_paths(kd, 1))
+    shapes = by_type(candidates(kd, 1))
     assert len(shapes.get(2, [])) == 1
     assert len(shapes.get(3, [])) == 1
     assert set(shapes) == {2, 3}
@@ -74,39 +84,39 @@ def test_candidate_shapes_on_self_block():
 
 def test_hook_candidates_only_at_full_vertex_with_trivial_parameter():
     star = star_tree(2, 3, 2, W(()), -1)
-    assert 1 not in by_type(candidate_paths(star, 1))
-    assert len(by_type(candidate_paths(star, 2))[1]) == 2
+    assert 1 not in by_type(candidates(star, 1))
+    assert len(by_type(candidates(star, 2))[1]) == 2
     shifted = star_tree(2, 3, 2, W((1,)), -1)
-    assert 1 not in by_type(candidate_paths(shifted, 2))
+    assert 1 not in by_type(candidates(shifted, 2))
 
 
 def test_candidates_on_path_tree_shapes():
     desc = path_block()
-    shapes = by_type(candidate_paths(desc, 1))
+    shapes = by_type(candidates(desc, 1))
     assert len(shapes[2]) == 1  # leaf A
     assert len(shapes[3]) == 1  # exceptional vertex is a leaf
-    assert len(shapes[4]) == 1 and shapes[4][0].extra_edges == ("E1",)
-    assert len(shapes[5]) == 1 and shapes[5][0].extra_edges == ("E1",)
+    assert len(shapes[4]) == 1 and shapes[4][0][0].extra_edges == ("E1",)
+    assert len(shapes[5]) == 1 and shapes[5][0][0].extra_edges == ("E1",)
     assert 6 not in shapes  # needs degree >= 3
     assert 7 not in shapes  # exceptional vertex is a leaf
 
 
 def test_admissible_star_examples():
     star = star_tree(2, 3, 2, W(()), -1)
-    two = by_type(candidate_paths(star, 1))[2][0]
-    assert admissible(star, 1, two) == ("ii", 2)
+    _, two = by_type(candidates(star, 1))[2][0]
+    assert two == ("ii", 2)
 
     flipped = star_tree(2, 3, 2, W(()), 1)
-    seven = by_type(candidate_paths(flipped, 1))[7][0]
-    assert admissible(flipped, 1, seven) == ("i", 3)
+    _, seven = by_type(candidates(flipped, 1))[7][0]
+    assert seven == ("i", 3)
 
 
 def test_admissible_type7_needs_matching_divisibility():
     star = star_tree(2, 3, 2, W(()), -1)
-    sevens = by_type(candidate_paths(star, 1)).get(7, [])
+    sevens = by_type(candidates(star, 1)).get(7, [])
     assert len(sevens) == 2
-    for cand in sevens:
-        assert admissible(star, 1, cand) is None
+    for _, verdict in sevens:
+        assert verdict is None
 
 
 def test_enumerate_star_and_self_block():
@@ -216,15 +226,17 @@ def test_m1_enumeration():
     assert all(h.character.exceptional == () for h in result.hooks)
     with pytest.raises(ValueError):
         m1_enumerate(group_algebra_block(3, 1))
-    with pytest.raises(ValueError):
-        candidate_paths(m1, 1)
+    with pytest.raises(
+        ValueError, match="m = 1 blocks are enumerated by m1_enumerate"
+    ):
+        enumerate_trivial_source(m1, 1)
 
 
 def test_vertex_index_bounds():
     star = star_tree(2, 3, 2, W(()), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vertex index 0 outside 1\.\.2"):
         enumerate_trivial_source(star, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vertex index 3 outside 1\.\.2"):
         enumerate_trivial_source(star, 3)
 
 
@@ -447,24 +459,18 @@ def test_enumeration_matches_generate_and_filter():
     assert errors > 0
 
 
-def test_admissible_reads_the_table_like_the_reference():
+def test_anchor_classes_read_the_table_like_the_reference():
     seen = set()
     for desc in _reference_corpus():
         for i in range(1, desc.n + 1):
-            candidates = candidate_paths(desc, i)
-            assert candidates == _reference_candidates(desc, i)
-            for cand in candidates:
-                verdict = admissible(desc, i, cand)
-                assert verdict == _reference_admissible(desc, i, cand)
-                seen.add((desc.e == 1, cand.type_tag, verdict is None))
+            pairs = candidates(desc, i)
+            assert [path for path, _ in pairs] == _reference_candidates(desc, i)
+            for path, verdict in pairs:
+                assert verdict == _reference_admissible(desc, i, path)
+                seen.add((desc.e == 1, path.type_tag, verdict is None))
     # every shape met both verdicts somewhere in the corpus, except hooks,
     # which are always admitted
     for shape in (2, 3, 4, 5, 6, 7):
         assert {(False, shape, True), (False, shape, False)} <= seen
     assert {(False, 1, False), (True, 2, False), (True, 3, True)} <= seen
 
-
-def test_verdict_table_is_read_only():
-    table = verdict_table(7, 2, 6, W((1,)), 1)
-    with pytest.raises(TypeError):
-        table[2, 1, 0] = None

@@ -1,8 +1,11 @@
+import copy
 import io
 import itertools
 import json
+import re
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +19,7 @@ from cyclicblocks.brauer_tree import (
     BlockDescriptor,
     Edge,
     exceptional_bundle,
+    group_algebra_block,
     star_tree,
 )
 from cyclicblocks.characters import character_of, exceptional_orbits
@@ -112,13 +116,16 @@ def _set(*keys_and_value):
         (_set("tree", "vertices", 0, "sign", 1), "tree.vertices[0].sign"),
         (_set("tree", "edges", 0, "E1"), "tree.edges[0] must be an object"),
         (_set("tree", []), "tree must be an object"),
+        (_set("W", "indices", [-1]), "W.indices: negative subgroup index"),
+        (_set("W", "indices", [1, 1]), "W.indices: indices (1, 1) are not"),
     ],
     ids=[
         "one-end", "exceptional-list", "p-bool", "p-float", "index-bool",
         "unknown-cyclic-order-key", "edge-id-list", "cyclic-order-list",
         "vertices-object", "edges-string", "cyclic-order-string",
         "indices-int", "vertex-string", "cyclic-order-pairs", "W-list",
-        "sign-int", "edge-string", "tree-list",
+        "sign-int", "edge-string", "tree-list", "index-negative",
+        "indices-repeated",
     ],
 )
 def test_malformed_descriptor_exits_2_naming_the_field(
@@ -207,6 +214,78 @@ def test_string_cyclic_order_is_refused_not_spelled_out(tmp_path, capsys):
     assert main(["validate", write_obj(tmp_path, obj, "listed.json")]) == 0
 
 
+# Valid descriptors that the fuzz test below mutates, one per tree shape.
+_FUZZ_BASES = tuple(
+    descriptor_to_obj(desc)
+    for desc in (
+        star_tree(2, 3, 2, W((1,)), -1),
+        star_tree(3, 7, 2, W((1,)), 1),
+        group_algebra_block(3, 2),
+    )
+)
+# Replacement values: ints stay in -1..5, so that p^n <= 7^5.
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.just(1.5),
+    st.integers(-1, 5),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+
+
+@st.composite
+def _mutated_descriptors(draw):
+    """A copy of a valid descriptor with up to three mutations, each of
+    which sets a value, deletes a key or list entry, or repeats a list
+    entry.  Where to mutate is drawn uniformly at each level, walking down
+    from the top, so that p, n, e, tree and W are each hit as often."""
+    rng = draw(st.randoms(use_true_random=False))
+    obj = copy.deepcopy(rng.choice(_FUZZ_BASES))
+    for _ in range(rng.randint(0, 3)):
+        parent, value = None, obj
+        while isinstance(value, (dict, list)) and value and (
+            parent is None or rng.random() < 2 / 3
+        ):
+            parent = value
+            keys = list(value) if isinstance(value, dict) else range(len(value))
+            last = rng.choice(keys)
+            value = parent[last]
+        if parent is None:
+            break
+        kind = rng.choice(("set", "delete", "repeat"))
+        if kind == "delete":
+            del parent[last]
+        elif kind == "repeat" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(value))
+        else:
+            parent[last] = draw(_FUZZ_VALUES)
+    return obj
+
+
+_FIELD_MESSAGE = re.compile(r"^cannot read descriptor: (descriptor|tree|W|p|n|e)\b")
+
+
+@settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=2))
+@given(_mutated_descriptors())
+def test_mutated_descriptors_exit_0_1_or_2_naming_the_field(
+    tmp_path_factory, obj
+):
+    path = write_obj(tmp_path_factory.mktemp("fuzz"), obj)
+    for command in ("validate", "enumerate"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([command, path])
+            except SystemExit as exit_:
+                code = exit_.code
+        message = err.getvalue()
+        assert code in (0, 1, 2), (command, obj, message)
+        if code == 2:
+            assert _FIELD_MESSAGE.match(message), (command, obj, message)
+
+
 def test_validate_lax_warns_on_signs(tmp_path, capsys):
     star = star_tree(2, 3, 2, W(()), -1)
     obj = descriptor_to_obj(star)
@@ -233,8 +312,6 @@ def test_enumerate_single_vertex(star_file, capsys):
 
 
 def test_enumerate_all_vertices_self_block(tmp_path, capsys):
-    from cyclicblocks.brauer_tree import group_algebra_block
-
     path = write_obj(tmp_path, descriptor_to_obj(group_algebra_block(3, 2)))
     assert main(["enumerate", path]) == 0
     payload = json.loads(capsys.readouterr().out)

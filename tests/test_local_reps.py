@@ -51,7 +51,6 @@ def test_params_normal_form_is_enforced():
     with pytest.raises(ValueError):
         W((-1,))
     assert W(()).is_trivial
-    assert W(()).s == -1
     assert not W((0, 2)).is_block_form
     assert W((1, 3)).is_block_form
 
