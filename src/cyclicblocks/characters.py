@@ -394,13 +394,17 @@ def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]
     """
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    p = desc.p
-    below = restricted_cap_params(desc.w, CyclicGroupData(p, desc.n), i).indices
-    signed = [((-1) ** j, p ** a) for j, a in enumerate(below + (i,))]
-    return tuple(
-        sum(sign for sign, power in signed if rep % power != 0)
-        for rep in exceptional_orbits(p, desc.n, desc.e).representatives
+    n = desc.n
+    below = restricted_cap_params(desc.w, CyclicGroupData(desc.p, n), i).indices
+    # p^a fails to divide a representative exactly when its valuation lies
+    # below a, so the signed sum is taken once per valuation level; its
+    # values can be -1, so each level reads a tuple entry
+    per_level = tuple(
+        sum((-1) ** j for j, a in enumerate(below + (i,)) if v < a)
+        for v in range(n)
     )
+    levels = exceptional_orbits(desc.p, n, desc.e).levels
+    return tuple(map(per_level.__getitem__, levels))
 
 
 def b_level_character(

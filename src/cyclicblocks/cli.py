@@ -460,7 +460,76 @@ def _oracle_argument_problem(args: argparse.Namespace) -> str | None:
     return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _validate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file")
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="also demand opposite signs across every edge",
+    )
+    parser.set_defaults(func=cmd_validate)
+
+
+def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--vertex", type=int, help="single vertex index")
+    group.add_argument(
+        "--all", action="store_true", help="all vertex indices (default)"
+    )
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.set_defaults(func=cmd_enumerate)
+
+
+def _local_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "operation", choices=("cap-dim", "det1-char", "morita-char")
+    )
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument(
+        "--w",
+        default="",
+        help="comma-separated increasing subgroup indices; empty for trivial",
+    )
+    parser.add_argument("--vertex", type=int)
+    parser.set_defaults(func=cmd_local)
+
+
+def _oracle_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--primes", type=int, nargs="+", default=[3, 5, 7])
+    parser.add_argument("--nmax", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--corpus-size", type=int, default=30)
+    parser.add_argument(
+        "--inject-fault", action="store_true", help=argparse.SUPPRESS
+    )
+    parser.set_defaults(func=cmd_oracle)
+
+
+# Each command's help text and the function that adds its arguments.
+COMMANDS = {
+    "validate": ("check a descriptor file", _validate_arguments),
+    "enumerate": (
+        "list trivial source modules and their characters",
+        _enumerate_arguments,
+    ),
+    "local": (
+        "closed-form data of the local block (no tree needed)",
+        _local_arguments,
+    ),
+    "oracle": ("run the brute-force consistency suite", _oracle_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the whole command tree, or, given a command, that
+    command's parser alone: the one the tree hands its arguments to, with
+    the same prog, arguments and messages."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"cyclicblocks {command}")
+        COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="cyclicblocks",
         description=(
@@ -469,60 +538,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_val = sub.add_parser("validate", help="check a descriptor file")
-    p_val.add_argument("file")
-    p_val.add_argument(
-        "--strict",
-        action="store_true",
-        help="also demand opposite signs across every edge",
-    )
-    p_val.set_defaults(func=cmd_validate)
-
-    p_enum = sub.add_parser(
-        "enumerate", help="list trivial source modules and their characters"
-    )
-    p_enum.add_argument("file")
-    group = p_enum.add_mutually_exclusive_group()
-    group.add_argument("--vertex", type=int, help="single vertex index")
-    group.add_argument(
-        "--all", action="store_true", help="all vertex indices (default)"
-    )
-    p_enum.add_argument("--format", choices=("json", "csv"), default="json")
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_local = sub.add_parser(
-        "local", help="closed-form data of the local block (no tree needed)"
-    )
-    p_local.add_argument(
-        "operation", choices=("cap-dim", "det1-char", "morita-char")
-    )
-    p_local.add_argument("--p", type=int, required=True)
-    p_local.add_argument("--n", type=int, required=True)
-    p_local.add_argument(
-        "--w",
-        default="",
-        help="comma-separated increasing subgroup indices; empty for trivial",
-    )
-    p_local.add_argument("--vertex", type=int)
-    p_local.set_defaults(func=cmd_local)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="run the brute-force consistency suite"
-    )
-    p_oracle.add_argument("--primes", type=int, nargs="+", default=[3, 5, 7])
-    p_oracle.add_argument("--nmax", type=int, default=3)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--corpus-size", type=int, default=30)
-    p_oracle.add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
-    )
-    p_oracle.set_defaults(func=cmd_oracle)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call that names a command is parsed by that command's parser alone;
+    # the whole tree is built only when no command is named or arguments
+    # are left over, so that top-level help and every usage error read as
+    # the tree writes them
+    args, extra = None, ()
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:

@@ -276,9 +276,7 @@ def consistency_suite(
             try:
                 _check_local(p, n, caps, check)
                 _check_self_block(p, n, check)
-                for e in _divisors(p - 1):
-                    if (p ** n - 1) // e > 1:
-                        _check_exceptional(p, n, e, check)
+                _check_exceptional(p, n, check)
             except CharacterConsistencyError as err:
                 invariant_broken((p, n), err)
 
@@ -339,51 +337,53 @@ def _check_local(p: int, n: int, caps, check) -> None:
         )
 
 
-def _check_exceptional(p: int, n: int, e: int, check) -> None:
-    structure = exceptional_orbits(p, n, e)
-    for orbit in structure.orbits:
-        vals = {valuation(p, kappa) for kappa in orbit}
-        check("orbit valuation constant", (p, n, e, orbit), 1, len(vals))
+def _check_exceptional(p: int, n: int, check) -> None:
+    """The exceptional checks at every e of the (p, n) grid point with
+    m > 1.  The oracle-path correspondent depends on (W, i) alone, so each
+    one is built once and checked against every e; only one correspondent
+    and one star block are held at a time."""
+    es = [e for e in _divisors(p - 1) if (p ** n - 1) // e > 1]
+    for e in es:
+        for orbit in exceptional_orbits(p, n, e).orbits:
+            vals = {valuation(p, kappa) for kappa in orbit}
+            check("orbit valuation constant", (p, n, e, orbit), 1, len(vals))
     g = CyclicGroupData(p, n)
     for w in block_params_for(n):
-        star = star_tree(e, p, n, w, -1)
         for i in range(1, n + 1):
             t, d0 = t_and_d0(w, i)
-            part = xi(star, i)
-            comp = xi_complement(star, i)
             dim = cap_dim(w, g, i) * p ** (n - i)
-            check(
-                "xi count law",
-                (p, n, e, w.indices, i),
-                (dim - d0) // e,
-                sum(part.exceptional),
-            )
             # the Morita correspondent read off the oracle path: its trivial
             # coordinate is d0 and its coordinate at kappa(r) is xi's r-th
             local = det1_char_by_recursion(restricted_cap_params(w, g, i), p, i)
             correspondent = induce_character(g, i, local).mults
-            check(
-                "xi coordinates vs oracle correspondent",
-                (p, n, e, w.indices, i),
-                (
-                    correspondent[0],
-                    tuple(correspondent[k] for k in structure.representatives),
-                ),
-                (d0, part.exceptional),
-            )
-            literal = xi_complement_nondivisible(star, i)
-            reference = (
-                comp.exceptional
-                if t % 2 != 0
-                else tuple(c - 1 for c in comp.exceptional)
-            )
-            check(
-                "complement audit",
-                (p, n, e, w.indices, i),
-                reference,
-                literal,
-            )
-            _check_star_agreement(star, i, check)
+            for e in es:
+                star = star_tree(e, p, n, w, -1)
+                part = xi(star, i)
+                comp = xi_complement(star, i)
+                check(
+                    "xi count law",
+                    (p, n, e, w.indices, i),
+                    (dim - d0) // e,
+                    sum(part.exceptional),
+                )
+                reps = exceptional_orbits(p, n, e).representatives
+                check(
+                    "xi coordinates vs oracle correspondent",
+                    (p, n, e, w.indices, i),
+                    (correspondent[0], tuple(map(correspondent.__getitem__, reps))),
+                    (d0, part.exceptional),
+                )
+                check(
+                    "complement audit",
+                    (p, n, e, w.indices, i),
+                    (
+                        comp.exceptional
+                        if t % 2 != 0
+                        else tuple(c - 1 for c in comp.exceptional)
+                    ),
+                    xi_complement_nondivisible(star, i),
+                )
+                _check_star_agreement(star, i, check)
 
 
 def _check_descriptor(desc: BlockDescriptor, check) -> None:

@@ -31,6 +31,7 @@ from cyclicblocks.local_reps import (
     EndoPermParams,
     cap_dim,
     morita_correspondent_character,
+    restricted_cap_params,
 )
 from cyclicblocks.oracle import GridSpec, consistency_suite, random_block_descriptor
 
@@ -386,6 +387,35 @@ def test_complement_audit():
                         assert literal == comp
                     else:
                         assert literal == tuple(c - 1 for c in comp)
+
+
+def _nondivisible_by_representative(star, i):
+    """xi_complement_nondivisible as its definition reads: at each orbit
+    representative, the signed sum of the indicators [p^a does not divide
+    it] over the parameter indices below i, closed by i."""
+    p = star.p
+    below = restricted_cap_params(star.w, CyclicGroupData(p, star.n), i).indices
+    signed = [((-1) ** j, p ** a) for j, a in enumerate(below + (i,))]
+    return tuple(
+        sum(sign for sign, power in signed if rep % power != 0)
+        for rep in exceptional_orbits(p, star.n, star.e).representatives
+    )
+
+
+@pytest.mark.parametrize(
+    "p, n_max", [(3, 4), (5, 4), (7, 4), (11, 3), (13, 3)]
+)
+def test_nondivisible_complement_matches_its_per_representative_form(p, n_max):
+    for n in range(1, n_max + 1):
+        for e in range(1, p):
+            if (p - 1) % e or (p ** n - 1) // e <= 1:
+                continue
+            for w in block_params(n):
+                star = star_tree(e, p, n, w, -1)
+                for i in range(1, n + 1):
+                    assert xi_complement_nondivisible(
+                        star, i
+                    ) == _nondivisible_by_representative(star, i), (p, n, e, w, i)
 
 
 def test_morita_trivial_coordinate_is_d0():

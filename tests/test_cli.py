@@ -264,6 +264,17 @@ def _mutated_descriptors(draw):
     return obj
 
 
+def _outcome(call, argv):
+    """Exit code, stdout and stderr of call(argv), a SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
 _FIELD_MESSAGE = re.compile(r"^cannot read descriptor: (descriptor|tree|W|p|n|e)\b")
 
 
@@ -274,13 +285,7 @@ def test_mutated_descriptors_exit_0_1_or_2_naming_the_field(
 ):
     path = write_obj(tmp_path_factory.mktemp("fuzz"), obj)
     for command in ("validate", "enumerate"):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main([command, path])
-            except SystemExit as exit_:
-                code = exit_.code
-        message = err.getvalue()
+        code, _, message = _outcome(main, [command, path])
         assert code in (0, 1, 2), (command, obj, message)
         if code == 2:
             assert _FIELD_MESSAGE.match(message), (command, obj, message)
@@ -695,3 +700,157 @@ def test_oracle_rejects_bad_arguments(capsys, argv, argument):
     assert len(captured.err.splitlines()) == 1
     assert argument in captured.err
     assert "Traceback" not in captured.err
+
+
+def _through_the_tree(argv):
+    args = cyclicblocks.cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# Help, usage errors, abbreviations and "--" for every command; FILE stands
+# for a valid descriptor file.
+_PARSE_CASES = {
+    "no-args": [],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "unknown-command": ["frobnicate"],
+    "help-before-command": ["-h", "enumerate"],
+    "dashes-before-command": ["--", "enumerate", "FILE"],
+    "validate-help": ["validate", "-h"],
+    "validate-no-file": ["validate"],
+    "validate-missing-file": ["validate", "missing.json"],
+    "validate-unknown-flag": ["validate", "FILE", "--foo"],
+    "validate-abbreviation": ["validate", "FILE", "--str"],
+    "validate-dashes": ["validate", "--", "FILE"],
+    "enumerate-help": ["enumerate", "--help"],
+    "enumerate-missing-file": ["enumerate", "missing.json"],
+    "enumerate-unknown-flag": ["enumerate", "FILE", "--foo"],
+    "enumerate-extra-positional": ["enumerate", "FILE", "extra"],
+    "enumerate-vertex-not-int": ["enumerate", "FILE", "--vertex", "x"],
+    "enumerate-vertex-and-all": ["enumerate", "FILE", "--vertex", "1", "--all"],
+    "enumerate-bad-format": ["enumerate", "FILE", "--format", "xml"],
+    "enumerate-abbreviation": ["enumerate", "FILE", "--vert", "1"],
+    "enumerate-dashes": ["enumerate", "--", "FILE"],
+    "enumerate-trailing-dashes": ["enumerate", "FILE", "--"],
+    "local-help": ["local", "-h"],
+    "local-no-args": ["local"],
+    "local-bad-operation": ["local", "bogus", "--p", "3", "--n", "2"],
+    "local-n-not-int": ["local", "cap-dim", "--p", "3", "--n", "x"],
+    "local-bad-w": ["local", "cap-dim", "--p", "3", "--n", "2", "--w", "2,1", "--vertex", "1"],
+    "local-abbreviation": ["local", "cap-dim", "--p", "3", "--n", "2", "--vert", "1"],
+    "local-extra-positional": ["local", "det1-char", "--p", "3", "--n", "2", "extra"],
+    "local-dashes": ["local", "det1-char", "--p", "3", "--n", "2", "--"],
+    "oracle-help": ["oracle", "-h"],
+    "oracle-nmax-no-value": ["oracle", "--nmax"],
+    "oracle-primes-no-value": ["oracle", "--primes"],
+    "oracle-nmax-zero": ["oracle", "--nmax", "0"],
+    "oracle-unknown-flag": ["oracle", "--primes", "3", "--nmax", "1", "--bogus"],
+    "oracle-abbreviation": ["oracle", "--prim", "3", "--nm", "1", "--corpus", "1"],
+    "oracle-dashes": ["oracle", "--primes", "3", "--", "--nmax", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES.values(), ids=_PARSE_CASES.keys())
+def test_main_parses_as_the_command_tree_does(star_file, argv):
+    argv = [star_file if arg == "FILE" else arg for arg in argv]
+    assert _outcome(main, argv) == _outcome(_through_the_tree, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "FILE", "--strict"],
+        ["enumerate", "FILE", "--vertex", "1", "--format", "csv"],
+        ["local", "morita-char", "--p", "3", "--n", "2", "--vertex", "1"],
+        ["oracle", "--primes", "3", "--nmax", "1", "--corpus-size", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_well_formed_call_builds_only_its_commands_parser(
+    monkeypatch, star_file, argv
+):
+    built = []
+    build = cyclicblocks.cli.build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cyclicblocks.cli, "build_parser", counted)
+    argv = [star_file if arg == "FILE" else arg for arg in argv]
+    code, _, err = _outcome(main, argv)
+    assert (code, err) == (0, "")
+    assert built == [argv[0]]
+
+
+# Valid calls of every command that the fuzz test below mutates; FILE stands
+# for a valid descriptor file.
+_ARGV_BASES = (
+    ("validate", "FILE", "--strict"),
+    ("enumerate", "FILE", "--vertex", "1", "--format", "csv"),
+    ("local", "morita-char", "--p", "3", "--n", "2", "--w", "1", "--vertex", "2"),
+    ("oracle", "--primes", "3", "--nmax", "1", "--seed", "2", "--corpus-size", "1"),
+)
+# What an insertion adds: a token (a flag of any command, an unknown flag,
+# "--", an empty string, a negative, non-integer or small value) or a flag
+# with its value, so that some calls stay well formed and reach the
+# command.  A value that lands after --nmax, --n or --corpus-size is at most
+# 2, 3 and 3, and the only primes are small, so that no example starts a
+# large grid.
+_ARGV_TOKENS = st.sampled_from(
+    [
+        *cyclicblocks.cli.COMMANDS,
+        "FILE", "-h", "--strict", "--vertex", "--all", "--format", "json",
+        "csv", "cap-dim", "det1-char", "morita-char", "--p", "--n", "--w",
+        "--primes", "--nmax", "--seed", "--corpus-size", "--inject-fault",
+        "--foo", "-x", "--vert", "--", "", "-1", "0", "1", "2", "x", "1.5",
+        "1,", "2,1", ",",
+    ]
+).map(lambda token: (token,)) | st.sampled_from(
+    [
+        ("--primes", "3", "5"), ("--primes", "-3"), ("--primes", "1"),
+        ("--p", "7"), ("--p", "1"), ("--p", "-3"), ("--n", "3"), ("--n", "0"),
+        ("--n", "-1"), ("--w", "1,"), ("--w", "2,1"), ("--w", "-1"),
+        ("--w", "5"), ("--vertex", "0"), ("--vertex", "-1"), ("--vertex", "3"),
+        ("--nmax", "2"), ("--nmax", "0"), ("--corpus-size", "3"),
+        ("--corpus-size", "-1"), ("--seed", "-1"), ("--format", "json"),
+    ]
+)
+
+
+@st.composite
+def _mutated_argv(draw):
+    """A valid call with one to three mutations, each of which drops,
+    repeats, swaps or inserts tokens."""
+    rng = draw(st.randoms(use_true_random=False))
+    argv = list(rng.choice(_ARGV_BASES))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("drop", "repeat", "swap", "insert"))
+        if kind == "insert" or not argv:
+            k = rng.randint(0, len(argv))
+            argv[k:k] = draw(_ARGV_TOKENS)
+            continue
+        k = rng.randrange(len(argv))
+        if kind == "drop":
+            del argv[k]
+        elif kind == "repeat":
+            argv.insert(k, argv[k])
+        else:
+            j = rng.randrange(len(argv))
+            argv[j], argv[k] = argv[k], argv[j]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W((1,)), -1))
+    return write_obj(tmp_path_factory.mktemp("argv"), obj)
+
+
+@settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=2))
+@given(_mutated_argv())
+def test_mutated_argv_exit_0_1_or_2_without_traceback(fuzz_file, argv):
+    argv = [fuzz_file if arg == "FILE" else arg for arg in argv]
+    code, _, err = _outcome(main, argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, argv
