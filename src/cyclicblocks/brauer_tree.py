@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Mapping
 
 from .cyclotomic import is_odd_prime
@@ -74,10 +75,17 @@ class BlockDescriptor:
         if self.exceptional is None:
             raise ValueError("descriptor has no exceptional vertex (m = 1)")
         out: dict[str, tuple[str, str]] = {}
+        ends = {edge.id: edge.ends for edge in self.edges}
         reached = [self.exceptional]
         for v in reached:
             for eid in self.cyclic_order[v]:
-                w = self.other_end(eid, v)
+                a, b = ends.get(eid, (None, None))
+                if v == a:
+                    w = b
+                elif v == b:
+                    w = a
+                else:  # an unknown edge, or one that misses v: raises
+                    w = self.other_end(eid, v)
                 if w != self.exceptional and w not in out:
                     out[w] = (eid, v)
                     reached.append(w)
@@ -101,6 +109,15 @@ class BlockDescriptor:
         """Position of each non-exceptional vertex in the non-exceptional
         part of a character."""
         return {v: k for k, v in enumerate(self.nonexceptional_vertices)}
+
+    @cached_property
+    def nonexceptional_parts(self) -> dict[str | tuple[str, ...], tuple[int, ...]]:
+        """Non-exceptional parts of characters, filled as they are first
+        built: a vertex character's keyed by its vertex, a module's by its
+        spine (`characters.character_of`).  A part depends on its key only,
+        so every module anchored at one vertex, at every vertex index, holds
+        one tuple, and so does every hook at one vertex."""
+        return {}
 
     @cached_property
     def _exceptional_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -152,8 +169,8 @@ class BlockCharacter:
     def __add__(self, other: "BlockCharacter") -> "BlockCharacter":
         self._check_shape(other)
         return BlockCharacter(
-            tuple(a + b for a, b in zip(self.nonexceptional, other.nonexceptional)),
-            tuple(a + b for a, b in zip(self.exceptional, other.exceptional)),
+            tuple(map(add, self.nonexceptional, other.nonexceptional)),
+            tuple(map(add, self.exceptional, other.exceptional)),
         )
 
     @property
@@ -177,15 +194,23 @@ def exceptional_bundle(desc: BlockDescriptor) -> BlockCharacter:
 
 
 def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
-    """Indicator of a non-exceptional vertex, or the full exceptional bundle."""
-    if vertex == desc.exceptional:
-        return exceptional_bundle(desc)
-    position = desc.nonexceptional_positions.get(vertex)
-    if position is None:
-        raise KeyError(f"no vertex {vertex!r}")
-    plain = [0] * len(desc.nonexceptional_vertices)
-    plain[position] = 1
-    return BlockCharacter(tuple(plain), desc._exceptional_parts[0])
+    """Indicator of a non-exceptional vertex, or the full exceptional bundle;
+    the non-exceptional part is built once per vertex and descriptor."""
+    exceptional = vertex == desc.exceptional
+    parts = desc.nonexceptional_parts
+    plain = parts.get(vertex)
+    if plain is None:
+        if exceptional:
+            plain = exceptional_bundle(desc).nonexceptional
+        else:
+            position = desc.nonexceptional_positions.get(vertex)
+            if position is None:
+                raise KeyError(f"no vertex {vertex!r}")
+            counts = [0] * len(desc.nonexceptional_vertices)
+            counts[position] = 1
+            plain = tuple(counts)
+        parts[vertex] = plain
+    return BlockCharacter(plain, desc._exceptional_parts[exceptional])
 
 
 def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
@@ -242,7 +267,8 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
         if order is None:
             out.append(f"no cyclic order at vertex {v}")
             continue
-        if len(order) != len(set(order)) or set(order) != incident[v]:
+        distinct = set(order)
+        if len(order) != len(distinct) or distinct != incident[v]:
             out.append(f"cyclic order at {v} is not a permutation of its edges")
 
     for v in desc.vertices:
@@ -283,14 +309,14 @@ def _is_connected(neighbours: dict[str, list[str]]) -> bool:
     connected."""
     if not neighbours:
         return False
-    seen = set()
-    stack = [next(iter(neighbours))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(w for w in neighbours[v] if w not in seen)
+    first = next(iter(neighbours))
+    seen = {first}
+    reached = [first]
+    for v in reached:
+        for w in neighbours[v]:
+            if w not in seen:
+                seen.add(w)
+                reached.append(w)
     return len(seen) == len(neighbours)
 
 

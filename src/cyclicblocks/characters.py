@@ -83,25 +83,33 @@ class OrbitStructure:
 def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
     """Orbit structure for the order-e inertial action, e | p-1.
 
-    With fold(z) = min(z, p^n - z), an index x <= half = (p^n - 1)/2 is
-    an orbit minimum for even e exactly when fold(h*x mod p^n) > x for
-    every h among a^1 ... a^(e/2 - 1), since a^(e/2) = -1; for odd e,
-    with half = p^n - 1, exactly when h*x mod p^n > x for every h among
-    a^1 ... a^(e-1).  There are no ties: the order-e subgroup H embeds in
-    (Z/p)*, so h*x = +-x mod p^n forces h = +-1.
+    Write half = (p^n - 1)/2 for even e, whose subgroup H holds
+    -1 = a^(e/2), so that every orbit minimum lies up to half, and
+    half = p^n - 1 for odd e.  At e <= 2 every orbit is {x, p^n - x} or
+    {x}, and the representatives are 1 ... half with no search.
 
-    At e <= 2 no h is left and the representatives are 1 ... half.  When
-    e > 2 and 16*e*e < p^n, the x that fail the test for one h are the
-    first coordinates of the points of a lattice of determinant p^n in a
-    triangle; they lie on about sqrt(p^n) lines, each marked by one
-    C-level strided write (`_mark_lattice_points`), so the interpreted
-    work is O(e*sqrt(p^n)) and only the byte work O(p^n).  Otherwise (n
-    small, e near p) there are more lines than indices to visit, and one
-    pass over the indices up to `half` marks each orbit from its least
-    unmarked element, O(p^n) steps.  The gate reads (e, p^n) only: the
-    line count grows with e*sqrt(p^n) and the pass with p^n.  An orbit
-    shorter than e (a generator of the wrong order) shows as
-    a^(e/2) != -1 or as more than (p^n - 1)/e representatives.
+    When e > 2 and 16*e*e < p^n, an index x <= half is an orbit minimum
+    exactly when fold(h*x mod p^n) > x, fold(z) = min(z, p^n - z), for
+    every h among a^1 ... a^(e/2 - 1) (even e), or h*x mod p^n > x for
+    every h among a^1 ... a^(e-1) (odd e).  There are no ties: H embeds in
+    (Z/p)*, so h*x = +-x mod p^n forces h = +-1.  The x that fail the test
+    for one h are the first coordinates of the points of a lattice of
+    determinant p^n in a triangle; they lie on about sqrt(p^n) lines, each
+    marked by one C-level strided write (`_mark_lattice_points`), so the
+    interpreted work is O(e*sqrt(p^n)) and only the byte work O(p^n).
+
+    Otherwise (n small, e near p) the orbits are told apart by a key
+    (`_minima_by_key`): x = p^v*u with u a unit lies in the orbit fixed by
+    (v, u^e mod p^(n-v)), because the e-th-power map on (Z/p^k)* has
+    kernel exactly the order-e subgroup.  The indices are scanned upwards,
+    keeping the first of each new key, until all (p^n - 1)/e keys are
+    seen: about m*ln(m) steps for m = (p^n - 1)/e orbits, O(e*log(e)) at
+    n = 2 and e = p - 1.  The gate reads (e, p^n) only.
+
+    A generator of the wrong order shows as a^e != 1, as a^(e/2) != -1,
+    on the key scan as a^(e/r) = 1 for a prime r | e (checked before the
+    scan, which never reads a), and on the lattice as more than
+    (p^n - 1)/e representatives; the last two name an orbit shorter than e.
 
     >>> exceptional_orbits(7, 1, 3).representatives == (1, 3)
     True
@@ -111,39 +119,36 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
         raise ValueError(f"e = {e} does not divide p-1 = {p - 1}")
     q = p ** n
     # level[kappa] will be the valuation v < n of kappa; allocated before
-    # the generator's powers, so that a q too large to index is refused at
-    # once
+    # the generator is sought, so that a q too large to index is refused
+    # at once
     level = bytearray(q)
     a = _smallest_of_order(p, n, e)
-    powers = _powers(a, e, q)
+    if pow(a, e, q) != 1:
+        raise CharacterConsistencyError(f"{a}^{e} is not 1 mod {q}")
     if e % 2 == 0:
-        if powers[e // 2] != q - 1:
+        if pow(a, e // 2, q) != q - 1:
             raise CharacterConsistencyError(f"{a}^{e // 2} is not -1 mod {q}")
-        half, others = q // 2, powers[1 : e // 2]
+        half = q // 2
     else:
-        half, others = q - 1, powers[1:]
+        half = q - 1
     for v in range(1, n):
         step = p ** v
         level[step::step] = bytes((v,)) * (q // step - 1)
     if e > 2 and 16 * e * e < q:
         # the indices that are not orbit minima are marked in the level
         # table itself, with the one byte no level takes
-        for h in others:
+        powers = _powers(a, e, q)
+        for h in powers[1 : e // 2] if e % 2 == 0 else powers[1:]:
             _mark_lattice_points(level, h, q, e % 2 == 0)
         table = bytes(level[1 : half + 1])
         reps = tuple(compress(range(1, half + 1), table.translate(_UNMARKED)))
         levels = table.translate(None, _MARK)
-    elif others:
-        seen = bytearray(q)
-        reps = []
-        append, find = reps.append, seen.find
-        start = 1
-        while 0 < start <= half:
-            for h in others:
-                kappa = start * h % q
-                seen[kappa if kappa <= half else q - kappa] = 1
-            append(start)
-            start = find(0, start + 1)
+    elif e > 2:
+        if any(pow(a, e // r, q) == 1 for r in _prime_factors(e)):
+            raise CharacterConsistencyError(
+                f"{a} has order below {e} mod {q}: an orbit is shorter than {e}"
+            )
+        reps = _minima_by_key(level, p, n, e, half)
         levels = bytes(map(level.__getitem__, reps))
     else:
         reps = range(1, half + 1)
@@ -154,6 +159,32 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
             f"an orbit is shorter than {e}"
         )
     return OrbitStructure(p, n, e, a, tuple(reps), levels)
+
+
+def _minima_by_key(
+    level: bytearray, p: int, n: int, e: int, half: int
+) -> list[int]:
+    """The orbit minima up to half in ascending order, read off the level
+    table: the first x of each key p^v * (u^e mod p^(n-v)), x = p^v*u, u a
+    unit.  A key has the valuation v of its x, so keys of different levels
+    differ too.  The scan stops at the (p^n - 1)/e-th key."""
+    q = p ** n
+    m = (q - 1) // e
+    keys: set[int] = set()
+    reps: list[int] = []
+    for x in range(1, half + 1):
+        v = level[x]
+        if v:
+            step = p ** v
+            key = step * pow(x // step, e, q // step)
+        else:
+            key = pow(x, e, q)
+        if key not in keys:
+            keys.add(key)
+            reps.append(x)
+            if len(reps) == m:
+                break
+    return reps
 
 
 # the byte that marks an index in the level table, and the translation
@@ -270,6 +301,16 @@ def _smallest_factor(x: int) -> int:
     return x
 
 
+def _prime_factors(x: int) -> set[int]:
+    """The primes dividing x >= 1."""
+    primes = set()
+    while x > 1:
+        r = _smallest_factor(x)
+        primes.add(r)
+        x //= r
+    return primes
+
+
 def _smallest_of_order(p: int, n: int, e: int) -> int:
     """Smallest positive integer of multiplicative order exactly e mod p^n.
 
@@ -279,12 +320,7 @@ def _smallest_of_order(p: int, n: int, e: int) -> int:
     """
     if (p - 1) % e != 0:
         raise ValueError(f"no element of order {e} mod {p}^{n}")
-    primes = set()
-    rest = e
-    while rest > 1:
-        r = _smallest_factor(rest)
-        primes.add(r)
-        rest //= r
+    primes = _prime_factors(e)
     for g in range(1, p):
         h = pow(g, (p - 1) // e, p)
         if all(pow(h, e // r, p) != 1 for r in primes):
@@ -447,7 +483,9 @@ def character_of(
     complement for i and iv.  Hooks afford the single character of their
     positive endpoint, the whole bundle when that endpoint is exceptional.
     One-edge blocks (e = 1) have a single module per vertex whose character
-    is governed by the sign of the plain vertex and d0 alone.
+    is governed by the sign of the plain vertex and d0 alone.  A spine's
+    non-exceptional part is built once per descriptor and kept in
+    `desc.nonexceptional_parts`, so the modules of one anchor share it.
     """
     if path.case_tag is None and path.type_tag != 1:
         raise ValueError("path has not been through admissibility")
@@ -465,21 +503,26 @@ def character_of(
         raise CharacterConsistencyError(f"unknown case tag {path.case_tag!r}")
     else:
         spine = path.spine_vertices if path.type_tag in (2, 4, 5, 6) else ()
-        positions = desc.nonexceptional_positions
-        counts = [0] * len(positions)
-        # one count per spine vertex, so that a repeated vertex shows as a 2
-        for v in spine:
-            try:
-                counts[positions[v]] += 1
-            except KeyError:
-                raise KeyError(f"no non-exceptional vertex {v!r}") from None
-        plain = tuple(counts)
-        # the counts are 0/1 exactly when no spine vertex repeats; the
-        # exceptional part is one of two tuples already checked to be 0/1
-        if len(set(spine)) != len(spine):
-            raise CharacterConsistencyError(
-                f"assembled character is not 0/1-valued: {plain}"
-            )
+        parts = desc.nonexceptional_parts
+        plain = parts.get(spine)
+        if plain is None:
+            positions = desc.nonexceptional_positions
+            counts = [0] * len(positions)
+            # one count per spine vertex, so that a repeated vertex shows
+            # as a 2
+            for v in spine:
+                try:
+                    counts[positions[v]] += 1
+                except KeyError:
+                    raise KeyError(f"no non-exceptional vertex {v!r}") from None
+            # the counts are 0/1 exactly when no spine vertex repeats; the
+            # exceptional part is one of two tuples already checked to be
+            # 0/1.  Only a checked part is kept.
+            if len(set(spine)) != len(spine):
+                raise CharacterConsistencyError(
+                    f"assembled character is not 0/1-valued: {tuple(counts)}"
+                )
+            plain = parts[spine] = tuple(counts)
         complement = path.case_tag in ("i", "iv")
     part, complement_part = _exceptional_pair(desc, i)
     return BlockCharacter(plain, complement_part if complement else part)

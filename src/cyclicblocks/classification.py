@@ -40,7 +40,7 @@ admissibility cases; their table rejects every other class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .brauer_tree import (
     NEGATIVE,
@@ -84,8 +84,7 @@ class ClassificationError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class PathDescriptor:
+class PathDescriptor(NamedTuple):
     """Typed path on the tree; multiplicity and case are those of its
     class's verdict.
 
@@ -94,7 +93,9 @@ class PathDescriptor:
     endpoint affording the character, which may be the exceptional vertex
     itself.  `spine_edges` ends with the edge into the exceptional vertex.
     `extra_edges` carries the off-spine attachments of shapes 4-6 and the
-    ordered edge pair of shape 7.
+    ordered edge pair of shape 7.  A named tuple: immutable and hashable,
+    and built at tuple cost, once per module; `_replace` gives a copy with
+    some fields changed.
     """
 
     type_tag: int

@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import compress
+from functools import partial
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .brauer_tree import (
@@ -79,41 +80,66 @@ def descriptor_from_obj(obj: dict) -> BlockDescriptor:
     order or index collection that is not a list, a sign other than '+' or
     '-', an edge without exactly two ends, a cyclic order at an unknown
     vertex, a missing required key or W indices that are negative or not
-    strictly increasing raises ValueError naming the field."""
+    strictly increasing raises ValueError naming the field.
+
+    Vertices, edges and cyclic orders are read in one walk, each field's
+    checks inline and in a fixed order; a field's name is spelled out only
+    in the error that names it."""
     obj = _object(obj, "descriptor")
     tree = _object(_key(obj, "tree"), "tree")
     signs = {}
     vertices = []
     listed = _list(_key(tree, "vertices", "tree"), "tree.vertices")
     for k, entry in enumerate(listed):
-        field = f"tree.vertices[{k}]"
-        entry = _object(entry, field)
-        vertex = _id(_key(entry, "id", field), f"{field}.id")
-        vertices.append(vertex)
-        sign = _key(entry, "sign", field)
+        if not isinstance(entry, dict):
+            raise ValueError(f"tree.vertices[{k}] must be an object, got {entry!r}")
+        if "id" not in entry:
+            raise ValueError(f"tree.vertices[{k}].id is missing")
+        vertex = entry["id"]
+        if not isinstance(vertex, str):
+            raise ValueError(f"tree.vertices[{k}].id must be a string, got {vertex!r}")
+        if "sign" not in entry:
+            raise ValueError(f"tree.vertices[{k}].sign is missing")
+        sign = entry["sign"]
         if sign not in ("+", "-"):
-            raise ValueError(f"{field}.sign must be '+' or '-', got {sign!r}")
+            raise ValueError(
+                f"tree.vertices[{k}].sign must be '+' or '-', got {sign!r}"
+            )
+        vertices.append(vertex)
         signs[vertex] = 1 if sign == "+" else -1
     edges = []
     listed = _list(_key(tree, "edges", "tree"), "tree.edges")
     for k, entry in enumerate(listed):
-        field = f"tree.edges[{k}]"
-        ends = _key(_object(entry, field), "ends", field)
+        if not isinstance(entry, dict):
+            raise ValueError(f"tree.edges[{k}] must be an object, got {entry!r}")
+        if "ends" not in entry:
+            raise ValueError(f"tree.edges[{k}].ends is missing")
+        ends = entry["ends"]
         if not isinstance(ends, list) or len(ends) != 2:
-            raise ValueError(f"{field}.ends must list two vertices, got {ends!r}")
-        edges.append(
-            Edge(
-                _id(_key(entry, "id", field), f"{field}.id"),
-                tuple(_id(end, f"{field}.ends") for end in ends),
+            raise ValueError(
+                f"tree.edges[{k}].ends must list two vertices, got {ends!r}"
             )
-        )
+        if "id" not in entry:
+            raise ValueError(f"tree.edges[{k}].id is missing")
+        eid = entry["id"]
+        if not isinstance(eid, str):
+            raise ValueError(f"tree.edges[{k}].id must be a string, got {eid!r}")
+        a, b = ends
+        if not isinstance(a, str) or not isinstance(b, str):
+            bad = b if isinstance(a, str) else a
+            raise ValueError(f"tree.edges[{k}].ends must be a string, got {bad!r}")
+        edges.append(Edge(eid, (a, b)))
     cyclic_order = {}
     orders = _key(tree, "cyclic_order", "tree")
     for v, order in _object(orders, "tree.cyclic_order").items():
-        field = f"tree.cyclic_order.{v}"
         if v not in signs:
-            raise ValueError(f"{field} names no vertex")
-        cyclic_order[v] = tuple(_id(eid, field) for eid in _list(order, field))
+            raise ValueError(f"tree.cyclic_order.{v} names no vertex")
+        if not isinstance(order, list):
+            raise ValueError(f"tree.cyclic_order.{v} must be a list, got {order!r}")
+        if not all(map(isinstance, order, repeat(str))):
+            bad = next(eid for eid in order if not isinstance(eid, str))
+            raise ValueError(f"tree.cyclic_order.{v} must be a string, got {bad!r}")
+        cyclic_order[v] = tuple(order)
     exceptional = tree.get("exceptional")
     if exceptional is not None:
         exceptional = _id(exceptional, "tree.exceptional")
@@ -275,9 +301,11 @@ def _enumerate_text(
     its modules with their characters and its error, if any: the text of
     json.dumps(payload, indent=2) plus a newline, or the flattened CSV view.
 
-    The modules of a call carry few distinct exceptional parts (xi and its
-    complement per vertex index, the bundle), each one shared tuple, so the
-    text of each is rendered once per call; the output is joined once from
+    The modules of a call share most of their tuples: the exceptional parts
+    (xi and its complement per vertex index, the bundle), the spine lists
+    and the non-exceptional part of each anchor, and the four directions.
+    So each tuple's text is rendered once per call and kept under that
+    tuple, in one table per kind of list.  The output is joined once from
     its pieces, so that no long list is copied again.
     """
     as_json = fmt == "json"
@@ -288,16 +316,17 @@ def _enumerate_text(
         names = desc.nonexceptional_vertices
         listed = ";".join
     rep_text = tuple(map(str, reps))
-    # keyed by identity, which costs no hash of a length-m tuple; each value
-    # holds its tuple, so no key is reused for another one within the call
+    plain = _Rendered(partial(compress, names), listed)
+    # exceptional parts are long, so they are keyed by identity, which
+    # costs no hash; each entry holds its tuple, so no key is reused for
+    # another one within the call
     rendered: dict[int, tuple[tuple[int, ...], str]] = {}
 
-    def character(char: BlockCharacter) -> tuple[str, str]:
-        coords = char.exceptional
+    def exceptional(coords: tuple[int, ...]) -> str:
         hit = rendered.get(id(coords))
         if hit is None:
             hit = rendered[id(coords)] = (coords, listed(compress(rep_text, coords)))
-        return listed(compress(names, char.nonexceptional)), hit[1]
+        return hit[1]
 
     if not as_json:
         out = ["vertex,type,case,multiplicity,nonexceptional,exceptional\n"]
@@ -305,29 +334,37 @@ def _enumerate_text(
             for path, char in modules:
                 case = "" if path.case_tag is None else path.case_tag
                 mult = "" if path.multiplicity is None else path.multiplicity
-                plain, exc = character(char)
-                out += (f"{i},{path.type_tag},{case},{mult},{plain},", exc, "\n")
+                out += (
+                    f"{i},{path.type_tag},{case},{mult},",
+                    plain[char.nonexceptional],
+                    ",",
+                    exceptional(char.exceptional),
+                    "\n",
+                )
         return "".join(out)
+    ids = _Rendered(partial(map, _quote), listed)
+    direction = _Rendered(partial(map, str), listed)
     out = [_HEAD_JSON % (desc.p, desc.n, desc.e, desc.m)]
     entry_sep = "\n    "
     for i, modules, error in results:
         out.append(entry_sep + _ENTRY_JSON % i)
         module_sep = "\n        "
         for path, char in modules:
-            plain, exc = character(char)
             case = "null" if path.case_tag is None else _quote(path.case_tag)
             mult = "null" if path.multiplicity is None else path.multiplicity
             text = _MODULE_JSON % (
                 path.type_tag,
                 case,
                 mult,
-                listed(map(_quote, path.spine_vertices)),
-                listed(map(_quote, path.spine_edges)),
-                listed(map(_quote, path.extra_edges)),
-                listed(map(str, path.direction)),
-                plain,
+                ids[path.spine_vertices],
+                ids[path.spine_edges],
+                ids[path.extra_edges],
+                direction[path.direction],
+                plain[char.nonexceptional],
             )
-            out += (module_sep, text, exc, _MODULE_JSON_END)
+            out += (
+                module_sep, text, exceptional(char.exceptional), _MODULE_JSON_END
+            )
             module_sep = ",\n        "
         out.append("\n      ]" if modules else "]")
         if error is not None:
@@ -336,6 +373,21 @@ def _enumerate_text(
         entry_sep = ",\n    "
     out.append("\n  ]\n}\n" if results else "]\n}\n")
     return "".join(out)
+
+
+class _Rendered(dict):
+    """The text listed(encode(items)) of each short tuple, rendered on first
+    lookup and kept under the tuple itself; it depends on the tuple's value
+    alone."""
+
+    def __init__(self, encode, listed) -> None:
+        super().__init__()
+        self.encode = encode
+        self.listed = listed
+
+    def __missing__(self, items: tuple) -> str:
+        text = self[items] = self.listed(self.encode(items))
+        return text
 
 
 def _json_list(items) -> str:

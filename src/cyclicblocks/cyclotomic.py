@@ -17,6 +17,7 @@ The module also holds the prime and p-adic helpers the package shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 
 class NonIntegralInnerProductError(ValueError):
@@ -96,15 +97,11 @@ class CyclicCharacter:
 
     def __add__(self, other: "CyclicCharacter") -> "CyclicCharacter":
         self._check_order(other)
-        return CyclicCharacter(
-            self.order, tuple(a + b for a, b in zip(self.mults, other.mults))
-        )
+        return CyclicCharacter(self.order, tuple(map(add, self.mults, other.mults)))
 
     def __sub__(self, other: "CyclicCharacter") -> "CyclicCharacter":
         self._check_order(other)
-        return CyclicCharacter(
-            self.order, tuple(a - b for a, b in zip(self.mults, other.mults))
-        )
+        return CyclicCharacter(self.order, tuple(map(sub, self.mults, other.mults)))
 
     def _check_order(self, other: "CyclicCharacter") -> None:
         if self.order != other.order:

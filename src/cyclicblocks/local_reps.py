@@ -110,9 +110,9 @@ def perm_module_character(g: CyclicGroupData, i: int) -> CyclicCharacter:
     """Character of the permutation module on D/D_i: multiplicity 1 at every
     lambda_kappa with p^i | kappa."""
     step = g.subgroup_order(i)
-    return CyclicCharacter(
-        g.order, tuple(1 if kappa % step == 0 else 0 for kappa in range(g.order))
-    )
+    mults = bytearray(g.order)
+    mults[::step] = b"\x01" * (g.order // step)
+    return CyclicCharacter(g.order, tuple(mults))
 
 
 def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:

@@ -2,7 +2,6 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
@@ -33,7 +32,12 @@ from cyclicblocks.local_reps import (
     morita_correspondent_character,
     restricted_cap_params,
 )
-from cyclicblocks.oracle import GridSpec, consistency_suite, random_block_descriptor
+from cyclicblocks.oracle import (
+    GridSpec,
+    consistency_suite,
+    random_block_descriptor,
+    random_corpus,
+)
 
 W = EndoPermParams
 
@@ -207,7 +211,9 @@ def test_folded_orbits_match_the_marking_pass():
         if p ** n <= 2 * 10**5
         for e in (3, 5, 15)
     ]
-    # the fold pass just below the gate, the lattice just above it
+    # the key scan at n = 2 and large e, where it replaces an O(e^2) pass
+    grid += [(61, 2, 60), (67, 2, 66), (71, 2, 70), (101, 2, 100)]
+    # the key scan just below the gate, the lattice just above it
     named = {
         (13, 3, 12): False,
         (11, 3, 10): False,
@@ -301,6 +307,35 @@ def test_orbit_length_check_fires_on_a_generator_of_the_wrong_order(
     # mod 2401 the count check fires after the lattice has marked; the a^e
     # and -1 checks fire before any marking
     assert bool(marked_by) == (n == 4 and "shorter" in message)
+
+
+@pytest.mark.parametrize(
+    "p, e, power",
+    [
+        # a^3 has order 22 mod 67^2 and a^11 order 6: both still give
+        # (a^k)^33 = -1, and only the exact-order check tells them apart
+        pytest.param(67, 66, 3, id="order-22-mod-67^2"),
+        pytest.param(67, 66, 11, id="order-6-mod-67^2"),
+        # odd e: a^3 has order 5 mod 31^2
+        pytest.param(31, 15, 3, id="order-5-mod-31^2"),
+    ],
+)
+def test_exact_order_check_fires_before_the_key_scan(monkeypatch, p, e, power):
+    q = p * p
+    assert not 16 * e * e < q  # the key-scan branch
+    wrong = pow(_smallest_of_order(p, 2, e), power, q)
+    monkeypatch.setattr(
+        cyclicblocks.characters, "_smallest_of_order", lambda p, n, e: wrong
+    )
+    scanned = []
+    monkeypatch.setattr(
+        cyclicblocks.characters,
+        "_minima_by_key",
+        lambda *args: scanned.append(args),
+    )
+    with pytest.raises(CharacterConsistencyError, match=f"shorter than {e}$"):
+        exceptional_orbits.__wrapped__(p, 2, e)
+    assert scanned == []
 
 
 def test_exceptional_orbits_rejects_non_divisor():
@@ -497,19 +532,27 @@ def test_exceptional_parts_reject_vertex_index_outside_range(i):
 
 def test_character_of_rejects_a_repeated_spine_vertex():
     # the exceptional part comes checked from xi; the spine part is checked
-    # on its own
+    # on its own, also once the anchor's valid part has been kept
     star = star_tree(2, 3, 2, W(()), -1)
     path = enumerate_trivial_source(star, 1)[0]
-    doubled = replace(path, spine_vertices=("v1", "v1"))
-    with pytest.raises(CharacterConsistencyError, match=r"not 0/1-valued: \(2, 0\)"):
-        character_of(star, 1, doubled)
+    assert path.spine_vertices == ("v1",)
+    kept = character_of(star, 1, path).nonexceptional
+    assert star.nonexceptional_parts[("v1",)] is kept
+    doubled = path._replace(spine_vertices=("v1", "v1"))
+    for _ in range(2):
+        with pytest.raises(
+            CharacterConsistencyError, match=r"not 0/1-valued: \(2, 0\)"
+        ):
+            character_of(star, 1, doubled)
+    assert ("v1", "v1") not in star.nonexceptional_parts
+    assert character_of(star, 1, path).nonexceptional is kept
 
 
 def test_characters_name_an_unknown_vertex():
     star = star_tree(2, 3, 2, W(()), -1)
     path = enumerate_trivial_source(star, 1)[0]
     for spine, unknown in ((("x",), "x"), (("v1", "exc"), "exc")):
-        unnamed = replace(path, spine_vertices=spine)
+        unnamed = path._replace(spine_vertices=spine)
         with pytest.raises(KeyError, match=f"no non-exceptional vertex '{unknown}'"):
             character_of(star, 1, unnamed)
     with pytest.raises(KeyError, match="no vertex 'x'"):
@@ -530,6 +573,33 @@ def test_nonexceptional_part_counts_the_spine():
                 counts = Counter(path.spine_vertices)
                 char = character_of(desc, i, path)
                 assert char.nonexceptional == tuple(counts[v] for v in plain)
+
+
+def test_modules_of_one_anchor_share_their_nonexceptional_part():
+    # every spine-shape module anchored at one vertex holds one
+    # non-exceptional tuple at every vertex index, and so does every hook
+    # at one vertex; the parts of different keys are different tuples.  At
+    # e = 1 the one module's part follows d0, so it is left out.
+    corpus = random_corpus(primes=(3, 5, 7, 11, 13), n_max=3, seed=11, count=40)
+    corpus.append(random_block_descriptor(random.Random(4), 67, 2, 66))
+    seen = set()
+    for desc in (desc for desc in corpus if desc.e > 1):
+        held = {}
+        for i in range(1, desc.n + 1):
+            for path in enumerate_trivial_source(desc, i):
+                if path.type_tag in (3, 7):
+                    continue
+                part = character_of(desc, i, path).nonexceptional
+                kind = "hook" if path.type_tag == 1 else "anchor"
+                held.setdefault((kind, path.spine_vertices[0]), []).append(part)
+                seen.add((path.type_tag, i))
+        for parts in held.values():
+            assert all(part is parts[0] for part in parts)
+        firsts = [parts[0] for parts in held.values()]
+        assert len({id(part) for part in firsts}) == len(firsts)
+    # hooks, and shapes 4, 5 and 6 at every vertex index up to n_max
+    assert {(1, 1), (1, 2), (1, 3)} <= seen
+    assert {(shape, i) for shape in (4, 5, 6) for i in (1, 2, 3)} <= seen
 
 
 def test_equal_exceptional_parts_are_one_tuple():

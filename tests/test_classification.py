@@ -329,7 +329,7 @@ def test_exhaustive_small_trees_have_e_modules():
 
 # The enumeration as it stood before the verdict table, kept as the
 # reference: every candidate is built, judged on its own and completed with
-# `replace`.
+# `_replace`.
 
 
 def _reference_candidates(desc, i):
@@ -419,7 +419,7 @@ def _reference_enumeration(desc, i):
         verdict = _reference_admissible(desc, i, cand)
         if verdict is not None:
             case, mu = verdict
-            found.append(replace(cand, case_tag=case, multiplicity=mu))
+            found.append(cand._replace(case_tag=case, multiplicity=mu))
     return found
 
 

@@ -520,21 +520,25 @@ _INTS = st.integers() | st.integers(min_value=10**20)
 def _enumerate_results(draw):
     """A descriptor stand-in, representatives and per vertex index results
     as `cmd_enumerate` hands them to the writer: modules of the real schema
-    with arbitrary ids and numbers, exceptional parts drawn from a small
-    pool of shared tuples so that the writer's cache is hit."""
+    with arbitrary ids and numbers, exceptional parts and spines drawn from
+    small pools of shared tuples so that the writer's tables are hit."""
     names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
     coords = st.lists(st.sampled_from((0, 1)), min_size=len(reps), max_size=len(reps))
     pool = draw(st.lists(coords.map(tuple), min_size=1, max_size=3))
     ids = st.lists(_IDS, max_size=3).map(tuple)
+    # spine tuples from a small pool of shared objects, so that modules with
+    # one spine object and different edges or directions meet in one call
+    spines = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=3)))
+    directions = st.sampled_from(((0, 0), (1, -1))) | st.tuples(_INTS, _INTS)
 
     def module():
         path = PathDescriptor(
             type_tag=draw(_INTS),
-            spine_vertices=draw(ids),
-            spine_edges=draw(ids),
+            spine_vertices=draw(spines),
+            spine_edges=draw(spines | ids),
             extra_edges=draw(ids),
-            direction=(draw(_INTS), draw(_INTS)),
+            direction=draw(directions),
             multiplicity=draw(st.none() | _INTS),
             case_tag=draw(st.none() | _IDS),
         )
@@ -597,6 +601,25 @@ def _payload(desc, results, reps):
 @given(_enumerate_results())
 def test_enumerate_writer_matches_json_dumps(drawn):
     desc, results, reps = drawn
+    expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
+    assert _enumerate_text(desc, results, reps, "json") == expected
+
+
+def test_enumerate_writer_renders_each_field_of_a_shared_spine():
+    # one spine object, and the one empty tuple, carried by paths whose
+    # edges and directions differ: each list is rendered from its own tuple
+    desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=("v1", "v2"))
+    spine = ("v1",)
+    paths = [
+        PathDescriptor(3, (), ("E1",), (), (-1, 1), 2, "ii"),
+        PathDescriptor(7, (), (), ("E1", "E2"), (0, 0), 1, "i"),
+        PathDescriptor(2, spine, ("E1",), (), (1, -1), 2, "ii"),
+        PathDescriptor(4, spine, ("E1", "E3"), ("E2",), (1, 1), 2, "iv"),
+        PathDescriptor(5, spine, spine, ("E3",), (0, 0), 2, "iv"),
+    ]
+    chars = [BlockCharacter((1, 0), (1, 0)), BlockCharacter((0, 0), (0, 1))]
+    results = [(1, [(path, chars[k % 2]) for k, path in enumerate(paths)], None)]
+    reps = (5, 6)
     expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
     assert _enumerate_text(desc, results, reps, "json") == expected
 

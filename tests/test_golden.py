@@ -34,6 +34,11 @@ def fixtures() -> dict[str, BlockDescriptor]:
         )
     }
     out["random-41-2-40"] = random_block_descriptor(random.Random(14), 41, 2, 40)
+    # large e, where the orbit minima come from the e-th-power key scan:
+    # trivial W with a non-leaf exceptional vertex (hooks at index n), and
+    # W = (1,) with an exceptional leaf (shape 3)
+    out["random-67-2-66"] = random_block_descriptor(random.Random(4), 67, 2, 66)
+    out["random-101-2-100"] = random_block_descriptor(random.Random(13), 101, 2, 100)
     out["star-neg"] = star_tree(4, 5, 2, EndoPermParams((1,)), -1)
     out["star-pos"] = star_tree(4, 5, 2, EndoPermParams((1,)), 1)
     out["group-algebra-3-2"] = group_algebra_block(3, 2)
@@ -145,6 +150,16 @@ GOLDEN = {
         0,
         "3c7ec82a9c3920064bacc739b5c158f7abe92d6379755ba8c37968bd56b78115",
         "0a65d4afb9d10932058ebc655d318d6a4e8de987a9a64cd0510f96f5959fcc75",
+    ),
+    "random-67-2-66": (
+        0,
+        "9743e6874633cbf041faae5e886969e7c9de4fd98871bc7c77b083f5b5ec3bb6",
+        "c7baee69b781b69b17bcbdfcff2f6cbd61e79c858aec9c1e5beb17bee0500f3f",
+    ),
+    "random-101-2-100": (
+        0,
+        "1580940178d7f0b93a50935b67ef4fbca43dbba344ef2de88f5a38a1f424e3e3",
+        "053c0fb89b6df9654f5d854282e92f1c93f63e581f9711d3ceb8fd4118ef0e35",
     ),
     "star-neg": (
         0,
