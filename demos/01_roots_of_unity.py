@@ -4,7 +4,8 @@ The irreducible characters of C_{p^n} = <u> send u to the p^n-th roots of
 unity zeta^kappa.  A class function with integer values, such as a count of
 fixed points, pairs with lambda_kappa to a number that depends on kappa only
 through its p-adic valuation, so `decompose` finds n + 1 level values with
-integer arithmetic and spreads them over all kappa.  Run this file to see it.
+integer arithmetic and returns just those; `.mults` spreads them over all
+kappa.  Run this file to see it.
 """
 
 from cyclicblocks.cyclotomic import NonIntegralInnerProductError, decompose
@@ -13,8 +14,10 @@ from cyclicblocks.cyclotomic import NonIntegralInnerProductError, decompose
 # subgroup is a genuine character: value 3 whenever the element lies in the
 # subgroup, 0 otherwise
 fixed_points = (3, 0, 0, 3, 0, 0, 3, 0, 0)
-print("fixed-point function decomposes as:", decompose(3, 2, fixed_points).mults)
+chi = decompose(3, 2, fixed_points)
+print("fixed-point function decomposes as:", chi.mults)
 print("   (multiplicity 1 exactly at the characters trivial on the subgroup)")
+print("   level values (valuation 0, 1, then lambda_0):", chi.levels)
 
 # the regular character holds every irreducible character once
 print("regular character of C_9:", decompose(3, 2, (9,) + (0,) * 8).mults)

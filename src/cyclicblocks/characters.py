@@ -450,9 +450,9 @@ def b_level_character(
     in a star block with exceptional centre (the local block one level up
     from the nilpotent one).
 
-    The non-exceptional part is d0 times the x-th leaf character; the
-    exceptional part is xi.  Requires the genuine orientation: negative
-    centre, positive leaves.
+    The non-exceptional part is d0 at the x-th leaf, in the leaf order of
+    the descriptor; the exceptional part is xi's.  Requires the genuine
+    orientation: negative centre, positive leaves.
     """
     if (
         star_desc.exceptional is None
@@ -466,9 +466,10 @@ def b_level_character(
     if not 1 <= x <= star_desc.e:
         raise ValueError(f"leaf index {x} outside 1..{star_desc.e}")
     _, d0 = t_and_d0(star_desc.w, i)
-    leaf = star_desc.nonexceptional_vertices[x - 1]
-    part = xi(star_desc, i)
-    return vertex_character(star_desc, leaf) + part if d0 else part
+    plain = [0] * star_desc.e
+    plain[x - 1] = d0
+    part, _ = _exceptional_pair(star_desc, i)
+    return BlockCharacter(tuple(plain), part)
 
 
 def character_of(

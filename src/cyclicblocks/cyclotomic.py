@@ -1,15 +1,18 @@
 """Characters of the cyclic group C_{p^n} and their exact decomposition.
 
 The irreducible characters of C_{p^n} = <u> are lambda_kappa: u -> zeta^kappa
-for kappa mod p^n and a fixed primitive p^n-th root of unity zeta.  A
-character is stored as its integer multiplicity vector over them
-(`CyclicCharacter`).  `decompose` recovers that vector from the values of an
-integer-valued class function, such as a count of fixed points.  The pairing
-of such a function with lambda_kappa is fixed by the Galois group of
-Q(zeta), so it depends on kappa only through v_p(kappa): the n + 1 level
-values are found with integer arithmetic alone, in O(p^n) in all.
-Exactness is never compromised: a pairing that is not a rational integer
-raises instead of rounding.
+for kappa mod p^n and a fixed primitive p^n-th root of unity zeta.  Every
+character the package builds is constant on the valuation levels of kappa,
+so a character is stored as its n + 1 level values (`CyclicCharacter`):
+entry v < n is the multiplicity of each lambda_kappa with v_p(kappa) = v,
+entry n that of lambda_0.  Sums, differences and the degree cost O(n); the
+dense multiplicity vector over all p^n characters is a view, built only
+when asked for.  `decompose` finds the level values of an integer-valued
+class function, such as a count of fixed points: its pairing with
+lambda_kappa is fixed by the Galois group of Q(zeta), so it depends on kappa
+only through v_p(kappa), and integer arithmetic alone finds it, in O(p^n)
+in all.  Exactness is never compromised: a pairing that is not a rational
+integer raises instead of rounding.
 
 The module also holds the prime and p-adic helpers the package shares.
 """
@@ -74,43 +77,71 @@ def valuation(p: int, kappa: int) -> int:
 
 @dataclass(frozen=True)
 class CyclicCharacter:
-    """Integer multiplicity vector over the irreducible characters of C_{p^n}.
+    """Virtual character of C_{p^n} that is constant on valuation levels.
 
-    Entry kappa is the multiplicity of lambda_kappa.  A character of an
-    actual lattice has all entries >= 0; Grothendieck-ring intermediates
-    may legitimately go negative.
+    `levels[v]` is the multiplicity of every lambda_kappa with v_p(kappa) = v
+    for v < n, and `levels[n]` that of lambda_0.  A character of an actual
+    lattice has all entries >= 0; Grothendieck-ring intermediates may
+    legitimately go negative.
     """
 
-    order: int
-    mults: tuple[int, ...]
+    p: int
+    n: int
+    levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.mults) != self.order:
+        if len(self.levels) != self.n + 1:
             raise ValueError(
-                f"multiplicity vector has length {len(self.mults)}, expected {self.order}"
+                f"level vector has length {len(self.levels)}, expected {self.n + 1}"
             )
 
     @property
+    def order(self) -> int:
+        return self.p ** self.n
+
+    @property
+    def mults(self) -> tuple[int, ...]:
+        """The dense multiplicity vector: entry kappa is the multiplicity of
+        lambda_kappa.  Its length is p^n; made only for output and for
+        reads at single indices."""
+        p, levels = self.p, self.levels
+        order = self.order
+        mults = [levels[0]] * order
+        for v in range(1, self.n + 1):
+            mults[:: p ** v] = [levels[v]] * (order // p ** v)
+        return tuple(mults)
+
+    @property
     def degree(self) -> int:
-        """Value at the identity: the sum of all multiplicities."""
-        return sum(self.mults)
+        """Value at the identity: level v < n holds p^(n-v-1)(p-1) characters,
+        level n the one character lambda_0."""
+        p, n, levels = self.p, self.n, self.levels
+        return levels[n] + sum(
+            c * p ** (n - v - 1) * (p - 1) for v, c in enumerate(levels[:n])
+        )
 
     def __add__(self, other: "CyclicCharacter") -> "CyclicCharacter":
-        self._check_order(other)
-        return CyclicCharacter(self.order, tuple(map(add, self.mults, other.mults)))
+        self._check_group(other)
+        return CyclicCharacter(
+            self.p, self.n, tuple(map(add, self.levels, other.levels))
+        )
 
     def __sub__(self, other: "CyclicCharacter") -> "CyclicCharacter":
-        self._check_order(other)
-        return CyclicCharacter(self.order, tuple(map(sub, self.mults, other.mults)))
+        self._check_group(other)
+        return CyclicCharacter(
+            self.p, self.n, tuple(map(sub, self.levels, other.levels))
+        )
 
-    def _check_order(self, other: "CyclicCharacter") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+    def _check_group(self, other: "CyclicCharacter") -> None:
+        if (self.p, self.n) != (other.p, other.n):
+            raise ValueError(
+                f"order mismatch: {self.p}^{self.n} vs {other.p}^{other.n}"
+            )
 
 
 def decompose(p: int, n: int, values) -> CyclicCharacter:
-    """Multiplicity vector (<f, lambda_kappa>)_kappa of the integer-valued
-    class function f on C_{p^n} with f(u^j) = values[j].
+    """Multiplicities (<f, lambda_kappa>)_kappa of the integer-valued class
+    function f on C_{p^n} with f(u^j) = values[j], as level values.
 
     Take kappa = p^v, P = p^(n-v) and eta = zeta^kappa of order P.  Folding
     the values mod P into F_r (the sum of f(u^j) over j = r mod P) gives
@@ -120,10 +151,13 @@ def decompose(p: int, n: int, values) -> CyclicCharacter:
     s + QZ, the coset of 0 taken without r = 0; it is then F_0 - F_Q.  Each
     level folds the previous one by p.  A pairing that is not rational, or
     not divisible by p^n, raises NonIntegralInnerProductError; otherwise
-    every kappa of valuation v gets the value at p^v, the Galois conjugates
-    of a rational number being itself.
+    every kappa of valuation v has the value at p^v, the Galois conjugates
+    of a rational number being itself, and that value is level v.
 
-    >>> decompose(3, 2, [3, 0, 0, 3, 0, 0, 3, 0, 0]).mults
+    >>> chi = decompose(3, 2, [3, 0, 0, 3, 0, 0, 3, 0, 0])
+    >>> chi
+    CyclicCharacter(p=3, n=2, levels=(0, 1, 1))
+    >>> chi.mults
     (1, 0, 0, 1, 0, 0, 1, 0, 0)
     >>> decompose(3, 2, [1, 0, 0, 0, 0, 0, 0, 0, 0])
     Traceback (most recent call last):
@@ -157,7 +191,4 @@ def decompose(p: int, n: int, values) -> CyclicCharacter:
                 f"pairing {pairing}/{order} with lambda_{kappa} is not an integer"
             )
         levels.append(pairing // order)
-    mults = [levels[0]] * order
-    for v in range(1, n + 1):
-        mults[:: p ** v] = [levels[v]] * (order // p ** v)
-    return CyclicCharacter(order, tuple(mults))
+    return CyclicCharacter(p, n, tuple(levels))

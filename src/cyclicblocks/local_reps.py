@@ -8,9 +8,11 @@ caps of its restrictions, the ordinary character of its determinant-1 lift,
 and the character of the image of the corresponding local trivial source
 module under the Morita equivalence with the nilpotent block.
 
-Characters live in `CyclicCharacter` vectors indexed by lambda_0 ..
-lambda_{p^i - 1}; characters over a subgroup are full-length vectors of the
-subgroup order, never sparse maps, so induction is plain index arithmetic.
+Every character here is constant on the valuation levels of kappa, so each
+lives in a `CyclicCharacter` of n + 1 level values, and each closed form
+costs O(n): a permutation character is a 0/1 step in the levels, an
+alternating sum of them is one pass over n + 1 entries, and induction from
+D_i pads the levels of the subgroup character with its value at lambda_0.
 All functions are pure and all values immutable.
 """
 
@@ -108,11 +110,10 @@ def heller_relative(g: CyclicGroupData, i: int, r: int) -> IndecomposableModule:
 
 def perm_module_character(g: CyclicGroupData, i: int) -> CyclicCharacter:
     """Character of the permutation module on D/D_i: multiplicity 1 at every
-    lambda_kappa with p^i | kappa."""
-    step = g.subgroup_order(i)
-    mults = bytearray(g.order)
-    mults[::step] = b"\x01" * (g.order // step)
-    return CyclicCharacter(g.order, tuple(mults))
+    lambda_kappa with p^i | kappa, that is on the levels i..n."""
+    if not 0 <= i <= g.n:
+        raise ValueError(f"subgroup index {i} outside 0..{g.n}")
+    return CyclicCharacter(g.p, g.n, (0,) * i + (1,) * (g.n - i + 1))
 
 
 def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
@@ -160,7 +161,7 @@ def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicChar
     module with the given indices (general form, index 0 allowed).
 
     Alternating sum of permutation characters, closed by the trivial
-    character (the one on D/D_n); the assembled vector is 0/1-valued with
+    character (the one on D/D_n); the assembled levels are 0/1-valued with
     degree equal to the module's dimension.
     """
     return _alternating_perm_sum(
@@ -170,11 +171,13 @@ def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicChar
 
 def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> CyclicCharacter:
     """Induction from D_i to D: lambda_nu goes to the sum of all lambda_kappa
-    with kappa = nu mod p^i, extended linearly."""
+    with kappa = nu mod p^i, extended linearly.  A kappa of valuation v < i
+    has a nu of valuation v, and every kappa of valuation >= i has nu = 0,
+    so the levels of chi are padded with its value at lambda_0."""
     sub_order = g.subgroup_order(i)
-    if chi.order != sub_order:
+    if (chi.p, chi.n) != (g.p, i):
         raise ValueError(f"character has order {chi.order}, expected {sub_order}")
-    return CyclicCharacter(g.order, chi.mults * (g.order // sub_order))
+    return CyclicCharacter(g.p, g.n, chi.levels + chi.levels[-1:] * (g.n - i))
 
 
 def morita_correspondent_character(
@@ -197,17 +200,17 @@ def morita_correspondent_character(
 
 
 def _alternating_perm_sum(
-    g: CyclicGroupData, levels: tuple[int, ...], degree: int
+    g: CyclicGroupData, indices: tuple[int, ...], degree: int
 ) -> CyclicCharacter:
     """The alternating sum of the permutation characters on D/D_a over the
-    levels a, which must come out 0/1-valued of the given degree."""
-    total = CyclicCharacter(g.order, (0,) * g.order)
-    for j, a in enumerate(levels):
+    subgroup indices a, which must come out 0/1-valued of the given degree."""
+    total = CyclicCharacter(g.p, g.n, (0,) * (g.n + 1))
+    for j, a in enumerate(indices):
         term = perm_module_character(g, a)
         total = total + term if j % 2 == 0 else total - term
-    if any(m not in (0, 1) for m in total.mults) or total.degree != degree:
+    if any(m not in (0, 1) for m in total.levels) or total.degree != degree:
         raise CharacterConsistencyError(
-            f"alternating sum over levels {levels} is not 0/1 of degree {degree}"
+            f"alternating sum over indices {indices} is not 0/1 of degree {degree}"
         )
     return total
 

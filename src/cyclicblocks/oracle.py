@@ -1,16 +1,16 @@
 """Independent brute-force verification of the closed-form character calculus.
 
 Two oracle paths exist side by side with the closed forms and share nothing
-with them beyond the multiplicity-vector container: permutation characters
-recovered by counting coset fixed points and decomposing those integer
-values exactly (`cyclotomic.decompose`), and determinant-1 lift characters
-rebuilt by the projective-cover recursion using only those fixed-point
-characters and subtraction.
+with them beyond the level-value container: permutation characters
+recovered by counting coset fixed points at all p^n elements and
+decomposing those integer values exactly (`cyclotomic.decompose`), and
+determinant-1 lift characters rebuilt by the projective-cover recursion
+using only those fixed-point characters and subtraction.
 
 `consistency_suite` sweeps every cross-formula identity over a parameter
 grid plus a seeded corpus of random valid tree descriptors and reports
-failures as data.  Oracle equality is exact integer-vector equality, never
-tolerance-based.
+failures as data.  Oracle equality is exact equality of level tuples or
+integer vectors, never tolerance-based.
 """
 
 from __future__ import annotations
@@ -445,14 +445,11 @@ def _check_self_block(p: int, n: int, check) -> None:
         modules = enumerate_trivial_source(desc, i)
         check("self-block module count", (p, n, i), 1, len(modules))
         char = character_of(desc, i, modules[0])
-        relabelled = CyclicCharacter(
-            g.order, (char.nonexceptional[0],) + char.exceptional
-        )
         check(
             "self-block closure",
             (p, n, i),
-            perm_module_character(g, i),
-            relabelled,
+            perm_module_character(g, i).mults,
+            (char.nonexceptional[0],) + char.exceptional,
         )
 
 

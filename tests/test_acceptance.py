@@ -17,7 +17,6 @@ from cyclicblocks.characters import (
     xi_complement_nondivisible,
 )
 from cyclicblocks.classification import enumerate_trivial_source
-from cyclicblocks.cyclotomic import CyclicCharacter
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -147,10 +146,8 @@ def test_criterion_05_self_block_closure():
                     modules = enumerate_trivial_source(desc, i)
                     assert len(modules) == 1
                     char = character_of(desc, i, modules[0])
-                    relabelled = CyclicCharacter(
-                        g.order, (char.nonexceptional[0],) + char.exceptional
-                    )
-                    assert relabelled == perm_module_character(g, i)
+                    relabelled = (char.nonexceptional[0],) + char.exceptional
+                    assert relabelled == perm_module_character(g, i).mults
 
     run_criterion(
         5, "one-edge block characters = permutation characters relabelled", None, body
@@ -267,7 +264,7 @@ def test_criterion_10_cyclotomic_substrate():
             mults = [0] * order
             for _ in range(rng.randint(0, 8)):
                 mults[rng.randrange(order)] = rng.randint(-4, 4)
-            chi = CyclicCharacter(order, tuple(mults))
+            chi = tuple(mults)
             assert decompose(class_function_from_multiplicities(chi)) == chi
 
     run_criterion(

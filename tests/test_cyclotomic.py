@@ -12,6 +12,11 @@ from cyclicblocks.cyclotomic import (
     is_odd_prime,
     valuation,
 )
+from cyclicblocks.local_reps import (
+    CyclicGroupData,
+    induce_character,
+    perm_module_character,
+)
 from zeta_reference import (
     ClassFunction,
     CyclotomicInteger,
@@ -149,22 +154,26 @@ def test_inner_product_order_mismatch():
 
 
 def test_decompose_single_irreducible():
+    # lambda_5 is not constant on valuation levels: only the dense
+    # reference holds it
     chi = dense_decompose(lambda_character(9, 5))
-    assert chi == CyclicCharacter(9, (0, 0, 0, 0, 0, 1, 0, 0, 0))
+    assert chi == (0, 0, 0, 0, 0, 1, 0, 0, 0)
 
 
 def test_decompose_regular_character():
     regular = (9,) + (0,) * 8
+    assert decompose(3, 2, regular) == CyclicCharacter(3, 2, (1, 1, 1))
     assert decompose(3, 2, regular).mults == (1,) * 9
-    assert dense_decompose(class_function_from_integers(9, regular)).mults == (1,) * 9
+    assert dense_decompose(class_function_from_integers(9, regular)) == (1,) * 9
 
 
 def test_decompose_fixed_point_function():
     perm = (3, 0, 0, 3, 0, 0, 3, 0, 0)
+    assert decompose(3, 2, perm).levels == (0, 1, 1)
     assert decompose(3, 2, perm).mults == (1, 0, 0, 1, 0, 0, 1, 0, 0)
     assert dense_decompose(class_function_from_integers(9, perm)) == decompose(
         3, 2, perm
-    )
+    ).mults
 
 
 def test_decompose_failure_propagates():
@@ -178,7 +187,7 @@ def test_decompose_failure_propagates():
 @given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
 @settings(max_examples=60, deadline=None)
 def test_decompose_round_trip(mults):
-    chi = CyclicCharacter(9, tuple(mults))
+    chi = tuple(mults)
     assert dense_decompose(class_function_from_multiplicities(chi)) == chi
 
 
@@ -192,16 +201,25 @@ ORDERS = [
 ]
 
 
+def _dense(p, n, levels):
+    """The dense multiplicity vector of a level-constant character, spread
+    one kappa at a time: lambda_kappa takes the value of the level
+    v_p(kappa), lambda_0 that of level n."""
+    return tuple(
+        levels[valuation(p, kappa) if kappa else n] for kappa in range(p ** n)
+    )
+
+
 def _outcome(p, n, values):
-    """Both decompositions of one value table, "raises" standing for a
-    NonIntegralInnerProductError."""
+    """Both decompositions of one value table as dense vectors, "raises"
+    standing for a NonIntegralInnerProductError."""
     results = []
     for run in (
-        lambda: decompose(p, n, values),
+        lambda: decompose(p, n, values).mults,
         lambda: dense_decompose(class_function_from_integers(p ** n, values)),
     ):
         try:
-            results.append(run().mults)
+            results.append(run())
         except NonIntegralInnerProductError:
             results.append("raises")
     return results
@@ -234,10 +252,9 @@ def test_decompose_matches_reference_on_level_constant_characters():
             sum(levels[v] * _ramanujan(p, n - v, j) for v in range(n + 1))
             for j in range(q)
         ]
-        expected = tuple(
-            levels[valuation(p, kappa) if kappa else n] for kappa in range(q)
-        )
+        expected = _dense(p, n, levels)
         assert _outcome(p, n, values) == [expected, expected], (p, n, levels)
+        assert decompose(p, n, values).levels == tuple(levels), (p, n, levels)
 
 
 def test_decompose_matches_reference_on_random_functions():
@@ -287,15 +304,51 @@ def test_decompose_rejects_malformed_input():
         assert not isinstance(info.value, NonIntegralInnerProductError)
 
 
+def _level_tuples(size):
+    return st.tuples(*[st.integers(-5, 5)] * size)
+
+
+@given(st.sampled_from(ORDERS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_level_form_matches_the_dense_formulas(order, data):
+    p, n = order
+    g = CyclicGroupData(p, n)
+    a = CyclicCharacter(p, n, data.draw(_level_tuples(n + 1)))
+    b = CyclicCharacter(p, n, data.draw(_level_tuples(n + 1)))
+    dense_a, dense_b = _dense(p, n, a.levels), _dense(p, n, b.levels)
+    assert a.mults == dense_a
+    for chi, dense in (
+        (a + b, tuple(x + y for x, y in zip(dense_a, dense_b))),
+        (a - b, tuple(x - y for x, y in zip(dense_a, dense_b))),
+    ):
+        assert chi.mults == dense
+        assert chi.degree == sum(dense)
+    i = data.draw(st.integers(1, n))
+    sub = CyclicCharacter(p, i, data.draw(_level_tuples(i + 1)))
+    assert induce_character(g, i, sub).mults == sub.mults * p ** (n - i)
+    j = data.draw(st.integers(0, n))
+    assert perm_module_character(g, j).mults == tuple(
+        int(kappa % p ** j == 0) for kappa in range(p ** n)
+    )
+
+
 def test_character_degree_and_virtual_flag():
-    chi = CyclicCharacter(9, (1, -1, 0, 2, 0, 0, 0, 0, 0))
-    assert chi.degree == 2
-    assert (chi + chi).mults[3] == 4
+    # a virtual character: 1 on the six kappa of valuation 0, -1 on 3 and 6,
+    # 2 on lambda_0
+    chi = CyclicCharacter(3, 2, (1, -1, 2))
+    assert chi.order == 9
+    assert chi.mults == (2, 1, 1, -1, 1, 1, -1, 1, 1)
+    assert chi.degree == 6
+    assert (chi + chi).mults[3] == -2
+    assert (chi + chi).levels == (2, -2, 4)
     assert (chi - chi).mults == (0,) * 9
+    with pytest.raises(ValueError, match="order mismatch"):
+        chi + CyclicCharacter(3, 1, (0, 1))
 
 
 def test_class_function_validates_lengths():
     with pytest.raises(ValueError):
         ClassFunction(9, (from_int(9, 1),) * 8)
-    with pytest.raises(ValueError):
-        CyclicCharacter(9, (0,) * 8)
+    for bad in ((0,) * 2, (0,) * 9):
+        with pytest.raises(ValueError):
+            CyclicCharacter(3, 2, bad)

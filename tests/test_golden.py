@@ -4,7 +4,9 @@ Each fixture descriptor is written to a file and enumerated through
 `cli.main`, in JSON and in CSV; the sha256 of stdout and the exit code must
 match the values recorded below.  A change to the corpus generator, to the
 enumeration, to the characters or to the output format shows up here.  The
-oracle runs pin its report, failure order included, on three grids.
+oracle runs pin its report, failure order included, on four grids, and the
+`local` runs pin the dense character vectors of every parameter list on a
+grid of small groups.
 """
 
 import hashlib
@@ -23,7 +25,12 @@ from cyclicblocks.brauer_tree import (
 )
 from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.local_reps import EndoPermParams
-from cyclicblocks.oracle import random_block_descriptor, random_corpus
+from cyclicblocks.oracle import (
+    block_params_for,
+    general_params_for,
+    random_block_descriptor,
+    random_corpus,
+)
 
 
 def fixtures() -> dict[str, BlockDescriptor]:
@@ -230,9 +237,108 @@ ORACLE_GOLDEN = {
         0,
         "3fd5734376f4c844ce68d0c670387d114da9590fa04b3f7dda6777acfb07baee",
     ),
+    ("oracle", "--nmax", "4"): (
+        0,
+        "db82f2e606039e9540d65618abb1f7b68ac20fc309595d091eedb9aaefc8aaf0",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(ORACLE_GOLDEN), ids=" ".join)
 def test_oracle_output_is_byte_identical(argv):
     assert _run(list(argv)) == ORACLE_GOLDEN[argv]
+
+
+LOCAL_GRID = [(3, n) for n in range(1, 5)] + [(5, n) for n in range(1, 4)] + [
+    (7, n) for n in range(1, 3)
+]
+
+
+def _local_argvs(op: str, p: int, n: int) -> list[list[str]]:
+    """`local det1-char` for every W inside 0..n-1, or `local morita-char`
+    for every block-form W and vertex index."""
+    base = ["local", op, "--p", str(p), "--n", str(n), "--w"]
+    if op == "det1-char":
+        return [base + [",".join(map(str, w.indices))] for w in general_params_for(n)]
+    return [
+        base + [",".join(map(str, w.indices)), "--vertex", str(i)]
+        for w in block_params_for(n)
+        for i in range(1, n + 1)
+    ]
+
+
+# (operation, p, n) -> sha256 of the transcript of all its runs, in the
+# order of `_local_argvs`: each run adds its exit code, a newline and its
+# stdout
+LOCAL_GOLDEN = {
+    ("det1-char", 3, 1): (
+        "23b0ca4b216ea3db02ec750fbc27d11eb8cdbad003a7843db8a6c8b4275309bd"
+    ),
+    ("det1-char", 3, 2): (
+        "cb09c805e6d438997a9894483a28181fda95ce07fb641a01e0170afa2c888f63"
+    ),
+    ("det1-char", 3, 3): (
+        "aa0bcf5d0d590f63ce50dd8b839d6331c97cdc178987bd846a01a045608e80b9"
+    ),
+    ("det1-char", 3, 4): (
+        "e206705c74d006e53c4ab7252a4c3f3c7d802126983ac5cae56993263d376569"
+    ),
+    ("det1-char", 5, 1): (
+        "451b28b8459792baec84ddb60fab2d5cc381372c50830418ecbe8bd982e917cd"
+    ),
+    ("det1-char", 5, 2): (
+        "8a35eb9b3ae2d0d1dc417d4a9cddc00ce8f3ee84c6acbb53a849a2e22427d61e"
+    ),
+    ("det1-char", 5, 3): (
+        "88d3ee5de7ec2c0d72d6764413f46a8de21936b676c2f9d9c549005a8ca04a2c"
+    ),
+    ("det1-char", 7, 1): (
+        "a93191641ffe706878d093d37994875d692eeeed9bfb7882e41cf0e0419eb523"
+    ),
+    ("det1-char", 7, 2): (
+        "1cd6133c2fbbeaafc26063aa12217b94b622e9c628d0c631b1db6ea1475eb7f8"
+    ),
+    ("morita-char", 3, 1): (
+        "9116570b70e64b455bd9c737e6e4c84eba0297f0e0da941164d159edc7b7d981"
+    ),
+    ("morita-char", 3, 2): (
+        "15b8ac0998e9fbac674497d17649c71a5d2bb334428beff8c236dbd55757ec94"
+    ),
+    ("morita-char", 3, 3): (
+        "7c99edc802a2bd81c6771ef2c5b5177d2a44b42e1ed8bf0637e2cb5b05d8ec8f"
+    ),
+    ("morita-char", 3, 4): (
+        "17ecc3167dc3b45e5994b36aa8c528f59e6f0da355f115ae1b1be8aa3c8da782"
+    ),
+    ("morita-char", 5, 1): (
+        "1d7d35f328f8df4044af74ce128af47c8fb56d6530edec20c674b48d58caa492"
+    ),
+    ("morita-char", 5, 2): (
+        "5e9c4cc5053ae536099d7075334dd3dd69a748d8528629fc414eaeadd6b4e70e"
+    ),
+    ("morita-char", 5, 3): (
+        "ad953fef4461909a013517494091f9ae8eff9dbb4dcfa7937699827497b74498"
+    ),
+    ("morita-char", 7, 1): (
+        "30ddfa815b264f5982e0b9c33e18be3742233cc029016a0af2394aac64a76530"
+    ),
+    ("morita-char", 7, 2): (
+        "89b94fd4c8b2aaa18a0ecaa9ebf6fee40b3de4d90b399fe720eef83491862c67"
+    ),
+}
+
+
+def test_local_output_is_byte_identical():
+    seen = {}
+    for op in ("det1-char", "morita-char"):
+        for p, n in LOCAL_GRID:
+            transcript = []
+            for argv in _local_argvs(op, p, n):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = main(argv)
+                transcript.append(f"{code}\n{out.getvalue()}")
+            seen[(op, p, n)] = hashlib.sha256(
+                "".join(transcript).encode("utf-8")
+            ).hexdigest()
+    assert seen == LOCAL_GOLDEN

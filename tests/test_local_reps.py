@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given
@@ -141,27 +142,40 @@ def test_char_det1_zero_one_and_degree_law():
 def test_induce_character_examples():
     triv = induce_character(G32, 1, perm_module_character(CyclicGroupData(3, 1), 1))
     assert triv.mults == (1, 0, 0, 1, 0, 0, 1, 0, 0)
-    lam1 = CyclicCharacter(3, (0, 1, 0))
-    assert induce_character(G32, 1, lam1).mults == (0, 1, 0, 0, 1, 0, 0, 1, 0)
+    # lambda_1 + lambda_2 - 2 lambda_0 on D_1: -2 at kappa = 0 mod 3
+    virtual = CyclicCharacter(3, 1, (1, -2))
+    induced = induce_character(G32, 1, virtual)
+    assert induced.levels == (1, -2, -2)
+    assert induced.mults == (-2, 1, 1, -2, 1, 1, -2, 1, 1)
     full = perm_module_character(G32, 1)
     assert induce_character(G32, 2, full) == full
 
 
-def test_induced_irreducible_matches_induced_class_function():
-    # oracle: build the induced character as a class function by its values
-    # (zero off the subgroup, |D:D_i| * subgroup value on it) and decompose
-    p, n, i, nu = 3, 2, 1, 1
+def _induced_by_values(p, n, i, sub_mults):
+    """Oracle: the character induced from D_i as a class function by its
+    values (zero off the subgroup, |D:D_i| * subgroup value on it),
+    decomposed by the dense reference."""
     order, step = p ** n, p ** (n - i)
     values = []
     for j in range(order):
+        coeffs = [0] * order
         if j % step == 0:
-            coeffs = [0] * order
-            coeffs[(nu * j) % order] = step
-            values.append(CyclotomicInteger(order, tuple(coeffs)))
-        else:
-            values.append(CyclotomicInteger(order, (0,) * order))
-    induced = dense_decompose(ClassFunction(order, tuple(values)))
-    assert induced.mults == (0, 1, 0, 0, 1, 0, 0, 1, 0)
+            for nu, m in enumerate(sub_mults):
+                coeffs[(nu * j) % order] += step * m
+        values.append(CyclotomicInteger(order, tuple(coeffs)))
+    return dense_decompose(ClassFunction(order, tuple(values)))
+
+
+def test_induced_irreducible_matches_induced_class_function():
+    # lambda_1 is not constant on valuation levels: only the dense
+    # reference holds it
+    assert _induced_by_values(3, 2, 1, (0, 1, 0)) == (0, 1, 0, 0, 1, 0, 0, 1, 0)
+    for p, n in ((3, 2), (3, 3), (5, 2)):
+        g = CyclicGroupData(p, n)
+        for i in range(1, n + 1):
+            chi = CyclicCharacter(p, i, tuple(range(-1, i)))
+            expected = _induced_by_values(p, n, i, chi.mults)
+            assert induce_character(g, i, chi).mults == expected, (p, n, i)
 
 
 def test_morita_correspondent_examples():
@@ -203,6 +217,30 @@ def test_u_module_dimension_examples():
     assert u_module_dimension(W((1, 2)), G33, 3) == 7
 
 
+def test_closed_forms_at_a_group_too_large_to_spread():
+    # 3^40 does not fit in an index, so no dense vector of that length can
+    # be made; every closed form works on the 41 level values alone
+    g = CyclicGroupData(3, 40)
+    start = time.process_time()
+    for w in (W(()), W((0, 3, 39)), W((1, 2, 20, 39))):
+        chi = char_det1_endoperm(w, g)
+        assert set(chi.levels) <= {0, 1}
+        assert chi.degree == cap_dim(w, g, 40)
+    for w in (W(()), W((1,)), W((1, 2, 20, 39)), W(tuple(range(1, 40)))):
+        for i in (1, 2, 20, 39, 40):
+            direct = morita_correspondent_character(w, g, i)
+            assert set(direct.levels) <= {0, 1}
+            assert direct.degree == u_module_dimension(w, g, i)
+            sub = CyclicGroupData(3, i)
+            assert direct == induce_character(
+                g, i, char_det1_endoperm(restricted_cap_params(w, g, i), sub)
+            )
+    assert time.process_time() - start < 0.5
+    # the dense view is refused up front, as the `local` command relies on
+    with pytest.raises(OverflowError):
+        direct.mults
+
+
 def test_perm_fixed_point_oracle_example():
     perm = (3, 0, 0, 3, 0, 0, 3, 0, 0)
     assert decompose(3, 2, perm) == perm_module_character(G32, 1)
@@ -236,7 +274,7 @@ def test_closed_form_checks_survive_optimised_mode():
         from cyclicblocks.cyclotomic import CyclicCharacter, decompose
 
         def corrupted(g, i):
-            return CyclicCharacter(g.order, (2,) + (0,) * (g.order - 1))
+            return CyclicCharacter(g.p, g.n, (2,) + (0,) * g.n)
 
         local.perm_module_character = corrupted
         g, w = local.CyclicGroupData(3, 2), local.EndoPermParams(())

@@ -10,7 +10,10 @@ C_{p^n} = <u> are tables of p^n cyclotomic integers, entry j being the value
 at u^j, and `decompose` pairs one with every lambda_kappa: u -> zeta^kappa
 by index shifts, O(p^n) work per kappa.  The library decomposes only
 integer-valued functions, level by level; this module pairs any value
-table directly, with no use of Galois invariance.
+table directly, with no use of Galois invariance.  Its multiplicity vectors
+are plain dense tuples, entry kappa that of lambda_kappa, so it holds the
+characters that are not constant on valuation levels too, which the
+library's `CyclicCharacter` cannot.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from cyclicblocks.cyclotomic import (
-    CyclicCharacter,
-    NonIntegralInnerProductError,
-    valuation,
-)
+from cyclicblocks.cyclotomic import NonIntegralInnerProductError, valuation
 
 
 def split_odd_prime_power(order: int) -> tuple[int, int]:
@@ -154,13 +153,13 @@ def class_function_from_integers(order: int, values) -> ClassFunction:
     return ClassFunction(order, tuple(from_int(order, v) for v in values))
 
 
-def class_function_from_multiplicities(chi: CyclicCharacter) -> ClassFunction:
-    """Value table of sum_kappa m_kappa lambda_kappa."""
-    order = chi.order
+def class_function_from_multiplicities(mults: tuple[int, ...]) -> ClassFunction:
+    """Value table of sum_kappa m_kappa lambda_kappa, m_kappa = mults[kappa]."""
+    order = len(mults)
     values = []
     for j in range(order):
         coeffs = [0] * order
-        for kappa, m in enumerate(chi.mults):
+        for kappa, m in enumerate(mults):
             if m:
                 coeffs[(kappa * j) % order] += m
         values.append(CyclotomicInteger(order, tuple(coeffs)))
@@ -193,7 +192,7 @@ def _exact_quotient_by_order(acc: list[int], order: int) -> int:
     return reduced[0] // order
 
 
-def decompose(f: ClassFunction) -> CyclicCharacter:
+def decompose(f: ClassFunction) -> tuple[int, ...]:
     """Multiplicity vector (<f, lambda_kappa>)_kappa of a virtual character,
     one inner product per kappa; a non-integral coordinate raises."""
     order = f.order
@@ -209,4 +208,4 @@ def decompose(f: ClassFunction) -> CyclicCharacter:
         for j, idx, c in terms:
             acc[(idx - kappa * j) % order] += c
         mults.append(_exact_quotient_by_order(acc, order))
-    return CyclicCharacter(order, tuple(mults))
+    return tuple(mults)
