@@ -9,18 +9,20 @@ by the ascending orbit minima kappa(1) < ... < kappa(m).
 The central objects are the shared exceptional part Xi(W, i) carried by all
 non-hook trivial source modules with vertex of order p^i, its complement
 inside the full exceptional bundle, and the per-module assembly of the full
-character from an admitted path descriptor.  A parity datum governs
-everything: t(i) is the number of endo-permutation indices below i minus
-one, and the leading coefficient d0 is 1 exactly when t(i) is odd, with the
-empty case t(i) = -1 counting as odd (forced by the trivial-parameter case,
-whose local character contains the trivial constituent).
+character from an admitted path descriptor.  Xi's value at kappa is the
+Morita correspondent's (`local_reps.morita_correspondent_character`) at the
+valuation level of kappa.  A parity datum governs everything: t(i) is the
+number of endo-permutation indices below i minus one, and the leading
+coefficient d0 is 1 exactly when t(i) is odd, with the empty case t(i) = -1
+counting as odd (forced by the trivial-parameter case, whose local character
+contains the trivial constituent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import mod, mul
 from typing import TYPE_CHECKING
@@ -34,8 +36,8 @@ from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
     EndoPermParams,
+    morita_correspondent_character,
     restricted_cap_params,
-    u_module_dimension,
 )
 
 
@@ -343,12 +345,9 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """The exceptional part shared by all non-hook trivial source modules
     with vertex of order p^i.
 
-    Coordinate at the representative kappa(r): the alternating sum of the
-    divisibility indicators [p^{i_j} | kappa(r)] over the parameter indices
-    below i, closed by [p^i | kappa(r)].  Nested divisibility telescopes the
-    sum into {0, 1}, and the number of ones is (cap_dim * p^{n-i} - d0)/e.
-    The result depends only on (p, n, e, W, i) and is computed once per
-    vertex index.
+    Coordinate at kappa(r): the multiplicity of lambda_kappa(r) in the Morita
+    correspondent of the local trivial source module with vertex D_i.  It
+    depends only on (p, n, e, W, i) and is computed once per vertex index.
     """
     part, _ = _exceptional_pair(desc, i)
     return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
@@ -374,37 +373,13 @@ def _exceptional_pair(
 def _exceptional_coordinates(
     p: int, n: int, e: int, w: EndoPermParams, i: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exceptional coordinates of xi and of its complement.
-
-    The indicator sum depends on a representative only through its p-adic
-    valuation, so it is taken once per valuation level 0..n-1; the 0/1
-    check and the count law run on those n values, level v weighted by its
-    p^(n-v-1)(p-1)/e orbits.  Each coordinate tuple is then spread from
-    its level values by `_spread_levels`.
-    """
-    # the orbits come first, so that a p^n too large to index is refused
-    # before any per-level work
-    exceptional_orbits(p, n, e)
-    g = CyclicGroupData(p, n)
-    # the cut at index a adds its sign to every level from a up
-    steps = [0] * (n + 1)
-    for j, a in enumerate(restricted_cap_params(w, g, i).indices + (i,)):
-        steps[a] += (-1) ** j
-    per_level = list(accumulate(steps[:n]))
-    if not set(per_level) <= {0, 1}:
-        raise CharacterConsistencyError(
-            f"exceptional level values outside 0/1: {per_level}"
-        )
-    _, d0 = t_and_d0(w, i)
-    dim = u_module_dimension(w, g, i)
-    count = sum(
-        c * (p ** (n - v - 1) * (p - 1) // e) for v, c in enumerate(per_level)
-    )
-    if (dim - d0) % e != 0 or count != (dim - d0) // e:
-        raise CharacterConsistencyError(f"count {count} != ({dim} - {d0})/{e}")
+    """Exceptional coordinates of xi and of its complement, spread from
+    xi's level values: the Morita correspondent's below n, checked 0/1 and
+    of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law."""
+    levels = morita_correspondent_character(w, CyclicGroupData(p, n), i).levels[:n]
     return (
-        _spread_levels(p, n, e, bytes(per_level)),
-        _spread_levels(p, n, e, bytes(1 - c for c in per_level)),
+        _spread_levels(p, n, e, bytes(levels)),
+        _spread_levels(p, n, e, bytes(1 - c for c in levels)),
     )
 
 

@@ -4,11 +4,11 @@ import sys
 from collections import Counter
 from itertools import combinations
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 
 import cyclicblocks.characters
+import cyclicblocks.local_reps
 from cyclicblocks.brauer_tree import exceptional_bundle, star_tree, vertex_character
 from cyclicblocks.characters import (
     CharacterConsistencyError,
@@ -24,17 +24,19 @@ from cyclicblocks.characters import (
 )
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
-from cyclicblocks.cyclotomic import valuation
+from cyclicblocks.cyclotomic import CyclicCharacter, valuation
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
+    induce_character,
     morita_correspondent_character,
     restricted_cap_params,
 )
 from cyclicblocks.oracle import (
     GridSpec,
     consistency_suite,
+    det1_char_by_recursion,
     random_block_descriptor,
     random_corpus,
 )
@@ -358,7 +360,7 @@ def test_orbit_valuation_is_constant():
                         kappa //= p
                         v += 1
                     vals.add(v)
-                assert len(vals) == 1
+                assert len(vals) == 1, (p, n, e, orbit)
 
 
 def test_t_and_d0_examples():
@@ -403,6 +405,30 @@ def test_xi_count_law_on_grid():
                         part = xi(star, i)
                         assert sum(part.exceptional) == (dim - d0) // e
                         assert part.is_zero_one
+
+
+@pytest.mark.parametrize(
+    "p, n, e", [(3, 9, 2), (13, 4, 12), (37, 3, 12), (67, 2, 66), (101, 2, 100)]
+)
+def test_xi_matches_oracle_correspondent_at_benchmark_sizes(p, n, e):
+    # sizes the oracle grids never reach: the spread with no search (e = 2),
+    # on lattice lines (13, 4, 12) and (37, 3, 12), and by key scan (n = 2);
+    # the correspondent comes from the fixed-point recursion, not the closed
+    # form that xi reads
+    g = CyclicGroupData(p, n)
+    reps = exceptional_orbits(p, n, e).representatives
+    params = {(), (1,), (n - 1,), tuple(range(1, n)), tuple(range(2, n, 2))}
+    for w in map(W, sorted(params)):
+        star = star_tree(e, p, n, w, -1)
+        for i in range(1, n + 1):
+            local = det1_char_by_recursion(restricted_cap_params(w, g, i), p, i)
+            mults = induce_character(g, i, local).mults
+            expected = tuple(map(mults.__getitem__, reps))
+            assert mults[0] == t_and_d0(w, i)[1], (p, n, e, w, i)
+            assert xi(star, i).exceptional == expected, (p, n, e, w, i)
+            assert xi_complement(star, i).exceptional == tuple(
+                1 - c for c in expected
+            ), (p, n, e, w, i)
 
 
 def test_complement_audit():
@@ -629,21 +655,21 @@ def _clear_package_caches():
 
 
 def test_level_check_fires_on_a_level_outside_0_1(monkeypatch):
-    # the cut indices (2, 1, 3) give level 1 the value -1: the only cut at
-    # most 1 is the 1, at an odd position
+    # a permutation character with multiplicity 2 at the trivial character
+    # gives the Morita correspondent, whose levels below n are xi's, the
+    # value 2 at level 0: the cut indices (1, 2, 3) sum it as 2 - 2 + 2
     star = star_tree(2, 3, 3, W((1, 2)), -1)
     path = next(p for p in enumerate_trivial_source(star, 3) if p.type_tag != 1)
-    real = cyclicblocks.characters.restricted_cap_params
     _clear_package_caches()
     monkeypatch.setattr(
-        cyclicblocks.characters,
-        "restricted_cap_params",
-        lambda w, g, i: SimpleNamespace(indices=real(w, g, i).indices[::-1]),
+        cyclicblocks.local_reps,
+        "perm_module_character",
+        lambda g, i: CyclicCharacter(g.p, g.n, (2,) + (0,) * g.n),
     )
     try:
-        with pytest.raises(CharacterConsistencyError, match="outside 0/1"):
+        with pytest.raises(CharacterConsistencyError, match="not 0/1"):
             xi(star, 3)
-        with pytest.raises(CharacterConsistencyError, match="outside 0/1"):
+        with pytest.raises(CharacterConsistencyError, match="not 0/1"):
             character_of(star, 3, path)
         report = consistency_suite(
             GridSpec(primes=(3,), n_max=3, seed=5), corpus_size=0
@@ -652,5 +678,7 @@ def test_level_check_fires_on_a_level_outside_0_1(monkeypatch):
         monkeypatch.undo()
         _clear_package_caches()
     broken = [f for f in report.failures if f.check == "closed-form invariant"]
-    assert [f.params for f in broken] == [repr((3, 3))]
-    assert "CharacterConsistencyError: exceptional level values" in broken[0].actual
+    # the determinant-1 closed form of the first (W, i) breaks first, at
+    # every grid point
+    assert [f.params for f in broken] == [repr((3, n)) for n in (1, 2, 3)]
+    assert all("is not 0/1 of degree" in f.actual for f in broken)

@@ -267,10 +267,12 @@ def test_params_out_of_group_bounds():
 
 def test_closed_form_checks_survive_optimised_mode():
     # python -O strips assert statements; the 0/1 and degree checks of the
-    # closed forms must still fire on a corrupted permutation character
+    # closed forms must still fire on a corrupted permutation character, and
+    # so must xi's, which are the Morita correspondent's
     script = textwrap.dedent(
         """
         from cyclicblocks import characters, local_reps as local
+        from cyclicblocks.brauer_tree import star_tree
         from cyclicblocks.cyclotomic import CyclicCharacter, decompose
 
         def corrupted(g, i):
@@ -278,10 +280,12 @@ def test_closed_form_checks_survive_optimised_mode():
 
         local.perm_module_character = corrupted
         g, w = local.CyclicGroupData(3, 2), local.EndoPermParams(())
+        star = star_tree(2, 3, 2, w, -1)
         print(__debug__)
         for closed_form in (
             lambda: local.char_det1_endoperm(w, g),
             lambda: local.morita_correspondent_character(w, g, 1),
+            lambda: characters.xi(star, 1),
         ):
             try:
                 closed_form()
@@ -301,4 +305,4 @@ def test_closed_form_checks_survive_optimised_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised", "raised"]
+    assert proc.stdout.split() == ["False", "raised", "raised", "raised"]

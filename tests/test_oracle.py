@@ -1,7 +1,7 @@
 import random
 import sys
 
-import cyclicblocks.characters
+import cyclicblocks.local_reps
 import cyclicblocks.oracle
 from cyclicblocks.brauer_tree import BlockCharacter, validate
 from cyclicblocks.local_reps import (
@@ -146,10 +146,10 @@ def _clear_package_caches():
 
 
 def test_consistency_suite_reports_broken_invariant(monkeypatch):
-    real = cyclicblocks.characters.u_module_dimension
+    real = cyclicblocks.local_reps.u_module_dimension
     _clear_package_caches()
     monkeypatch.setattr(
-        cyclicblocks.characters,
+        cyclicblocks.local_reps,
         "u_module_dimension",
         lambda w, g, i: real(w, g, i) + 1,
     )
@@ -161,10 +161,11 @@ def test_consistency_suite_reports_broken_invariant(monkeypatch):
         monkeypatch.undo()
         _clear_package_caches()
     broken = [f for f in report.failures if f.check == "closed-form invariant"]
-    # one failure per grid point and per corpus descriptor, each a count-law break
+    # one failure per grid point and per corpus descriptor, each a break of
+    # the Morita correspondent's degree, which is xi's count law
     assert [f.params for f in broken[:2]] == [repr((3, 1)), repr((3, 2))]
     assert len(broken) == 2 + 3
-    assert all("CharacterConsistencyError: count" in f.actual for f in broken)
+    assert all("is not 0/1 of degree" in f.actual for f in broken)
 
 
 def test_consistency_suite_empty_grid():
