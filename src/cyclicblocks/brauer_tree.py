@@ -75,11 +75,11 @@ class BlockDescriptor:
         if self.exceptional is None:
             raise ValueError("descriptor has no exceptional vertex (m = 1)")
         out: dict[str, tuple[str, str]] = {}
-        ends = {edge.id: edge.ends for edge in self.edges}
+        edges = self._edges_by_id
         reached = [self.exceptional]
         for v in reached:
             for eid in self.cyclic_order[v]:
-                a, b = ends.get(eid, (None, None))
+                a, b = edges[eid].ends if eid in edges else (None, None)
                 if v == a:
                     w = b
                 elif v == b:
@@ -120,11 +120,13 @@ class BlockDescriptor:
         return {}
 
     @cached_property
-    def _exceptional_parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The all-zero and the all-one exceptional part, one tuple each per
-        descriptor; both are empty when m = 1."""
-        m = self.m if self.exceptional is not None else 0
-        return (0,) * m, (1,) * m
+    def exceptional_parts(self) -> dict[bytes | int, tuple]:
+        """Exceptional parts of characters, filled as they are first built:
+        each keyed by its values on the valuation levels 0 ... n - 1, one
+        byte each, and xi's pair (xi, its complement) also by its vertex
+        index (`characters`).  Equal parts of one descriptor are one tuple,
+        held as long as the descriptor is."""
+        return {}
 
     def edge_by_id(self, edge_id: str) -> Edge:
         try:
@@ -188,29 +190,29 @@ def exceptional_bundle(desc: BlockDescriptor) -> BlockCharacter:
     """The sum of all exceptional characters (all-ones exceptional part)."""
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional vertex (m = 1)")
-    return BlockCharacter(
-        (0,) * len(desc.nonexceptional_vertices), desc._exceptional_parts[1]
-    )
+    return vertex_character(desc, desc.exceptional)
 
 
 def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
     """Indicator of a non-exceptional vertex, or the full exceptional bundle;
-    the non-exceptional part is built once per vertex and descriptor."""
-    exceptional = vertex == desc.exceptional
+    both parts are built once per vertex and descriptor."""
+    exceptional = int(vertex == desc.exceptional)
     parts = desc.nonexceptional_parts
     plain = parts.get(vertex)
     if plain is None:
-        if exceptional:
-            plain = exceptional_bundle(desc).nonexceptional
-        else:
+        counts = [0] * len(desc.nonexceptional_vertices)
+        if not exceptional:
             position = desc.nonexceptional_positions.get(vertex)
             if position is None:
                 raise KeyError(f"no vertex {vertex!r}")
-            counts = [0] * len(desc.nonexceptional_vertices)
             counts[position] = 1
-            plain = tuple(counts)
-        parts[vertex] = plain
-    return BlockCharacter(plain, desc._exceptional_parts[exceptional])
+        plain = parts[vertex] = tuple(counts)
+    key = bytes((exceptional,)) * desc.n
+    part = desc.exceptional_parts.get(key)
+    if part is None:
+        m = desc.m if desc.exceptional is not None else 0
+        part = desc.exceptional_parts[key] = (exceptional,) * m
+    return BlockCharacter(plain, part)
 
 
 def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:

@@ -346,8 +346,8 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     with vertex of order p^i.
 
     Coordinate at kappa(r): the multiplicity of lambda_kappa(r) in the Morita
-    correspondent of the local trivial source module with vertex D_i.  It
-    depends only on (p, n, e, W, i) and is computed once per vertex index.
+    correspondent of the local trivial source module with vertex D_i, built
+    once per vertex index and descriptor; it depends on (p, n, e, W, i) only.
     """
     part, _ = _exceptional_pair(desc, i)
     return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
@@ -364,35 +364,33 @@ def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
 def _exceptional_pair(
     desc: BlockDescriptor, i: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if desc.exceptional is None:
-        raise ValueError("descriptor has no exceptional characters (m = 1)")
-    return _exceptional_coordinates(desc.p, desc.n, desc.e, desc.w, i)
-
-
-@lru_cache(maxsize=None)
-def _exceptional_coordinates(
-    p: int, n: int, e: int, w: EndoPermParams, i: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exceptional coordinates of xi and of its complement, spread from
     xi's level values: the Morita correspondent's below n, checked 0/1 and
-    of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law."""
-    levels = morita_correspondent_character(w, CyclicGroupData(p, n), i).levels[:n]
-    return (
-        _spread_levels(p, n, e, bytes(levels)),
-        _spread_levels(p, n, e, bytes(1 - c for c in levels)),
-    )
+    of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law.
 
-
-@lru_cache(maxsize=None)
-def _spread_levels(p: int, n: int, e: int, per_level: bytes) -> tuple[int, ...]:
-    """The exceptional coordinates whose value at each representative is
-    the value of its valuation level: one byte translation of the
-    representatives' levels.  Every level holds an orbit, so equal parts
-    have equal level values; cached by those, equal parts at different
-    vertex indices are one tuple, which the enumerate writer renders once."""
-    levels = exceptional_orbits(p, n, e).levels
-    # a translation table has 256 entries; only the first n are levels
-    return tuple(levels.translate(per_level + bytes(256 - n)))
+    The pair is kept in `desc.exceptional_parts` under i, and each part
+    under its level values.  Every level holds an orbit, so equal parts
+    have equal level values: equal parts at different vertex indices are
+    one tuple, which the enumerate writer renders once."""
+    if desc.exceptional is None:
+        raise ValueError("descriptor has no exceptional characters (m = 1)")
+    parts = desc.exceptional_parts
+    pair = parts.get(i)
+    if pair is None:
+        g = CyclicGroupData(desc.p, desc.n)
+        levels = morita_correspondent_character(desc.w, g, i).levels[: g.n]
+        built = []
+        for per_level in (bytes(levels), bytes(1 - c for c in levels)):
+            part = parts.get(per_level)
+            if part is None:
+                # one byte translation of the representatives' levels; a
+                # table has 256 entries, and only the first n are levels
+                table = per_level + bytes(256 - g.n)
+                orbit_levels = exceptional_orbits(g.p, g.n, desc.e).levels
+                part = parts[per_level] = tuple(orbit_levels.translate(table))
+            built.append(part)
+        pair = parts[i] = tuple(built)
+    return pair
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:

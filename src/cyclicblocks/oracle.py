@@ -341,7 +341,7 @@ def _check_exceptional(p: int, n: int, check) -> None:
     """The exceptional checks at every e of the (p, n) grid point with
     m > 1.  The oracle-path correspondent depends on (W, i) alone, so each
     one is built once and checked against every e; only one correspondent
-    and one star block are held at a time."""
+    and one star block, with its exceptional parts, are held at a time."""
     es = [e for e in _divisors(p - 1) if (p ** n - 1) // e > 1]
     for e in es:
         for orbit in exceptional_orbits(p, n, e).orbits:

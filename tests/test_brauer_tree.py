@@ -355,3 +355,16 @@ def test_vertex_characters_by_position_match_the_indicator():
             char = vertex_character(desc, vertex)
             assert char.nonexceptional == tuple(1 if v == vertex else 0 for v in plain)
             assert char.exceptional == zeros
+
+
+def test_toward_exceptional_names_a_bad_edge_in_the_cyclic_order():
+    # the walk reads the descriptor's one edge index; an edge id it does
+    # not hold, or an edge that misses the vertex it is listed at, raises
+    # as other_end does
+    order = {"A": ("E1",), "B": ("E1", "E2")}
+    unknown = replace(path_tree(), cyclic_order={**order, "exc": ("E9",)})
+    with pytest.raises(KeyError, match="no edge 'E9'"):
+        unknown.toward_exceptional
+    missing = replace(path_tree(), cyclic_order={**order, "exc": ("E1",)})
+    with pytest.raises(ValueError, match="edge 'E1' is not incident to 'exc'"):
+        missing.toward_exceptional

@@ -1,6 +1,8 @@
+import gc
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import gcd
@@ -645,6 +647,44 @@ def test_equal_exceptional_parts_are_one_tuple():
         repeated += len(set(parts)) < 18
     assert repeated > 0
 
+
+
+def test_exceptional_parts_live_on_their_descriptor():
+    # two descriptors built from one seed hold equal parts but no tuple in
+    # common, so a part goes when its descriptor goes; within one descriptor
+    # equal parts, the bundle and the zero part among them, stay one tuple
+    first, second = (
+        random_block_descriptor(random.Random(3), 3, 6, 2) for _ in range(2)
+    )
+    assert first == second and first is not second
+    held = []
+    for desc in (first, second):
+        parts = [exceptional_bundle(desc).exceptional]
+        parts += [vertex_character(desc, v).exceptional for v in desc.vertices]
+        for i in range(1, desc.n + 1):
+            parts += [xi(desc, i).exceptional, xi_complement(desc, i).exceptional]
+            for path in enumerate_trivial_source(desc, i):
+                parts.append(character_of(desc, i, path).exceptional)
+        assert len({id(part) for part in parts}) == len(set(parts)) < len(parts)
+        held.append(parts)
+    assert held[0] == held[1]
+    assert not {id(part) for part in held[0]} & {id(part) for part in held[1]}
+
+
+def test_consistency_suite_leaves_no_exceptional_parts_behind():
+    # once the suite's descriptors are gone, and with them their exceptional
+    # parts, the only data left is what the one cache of (p, n, e) holds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert consistency_suite(GridSpec((3, 5, 7), 4, 0)).passed
+        exceptional_orbits.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.25 * 2**20
 
 def _clear_package_caches():
     for name, module in list(sys.modules.items()):
