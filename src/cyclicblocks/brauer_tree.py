@@ -121,11 +121,13 @@ class BlockDescriptor:
 
     @cached_property
     def exceptional_parts(self) -> dict[bytes | int, tuple]:
-        """Exceptional parts of characters, filled as they are first built:
+        """Exceptional parts of characters, filled as they are first read:
         each keyed by its values on the valuation levels 0 ... n - 1, one
-        byte each, and xi's pair (xi, its complement) also by its vertex
-        index (`characters`).  Equal parts of one descriptor are one tuple,
-        held as long as the descriptor is."""
+        byte each.  Under each vertex index i it also holds the level
+        values of xi and of its complement, n bytes each (`characters`);
+        either is spread to its m coordinates only when a character reads
+        it.  Equal parts of one descriptor are one tuple, held as long as
+        the descriptor is."""
         return {}
 
     def edge_by_id(self, edge_id: str) -> Edge:

@@ -143,7 +143,10 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
         for h in powers[1 : e // 2] if e % 2 == 0 else powers[1:]:
             _mark_lattice_points(level, h, q, e % 2 == 0)
         table = bytes(level[1 : half + 1])
-        reps = tuple(compress(range(1, half + 1), table.translate(_UNMARKED)))
+        unmarked = table.translate(_UNMARKED)
+        # the compress stops at the last orbit minimum, about 0.6 * half
+        # into the table at e = 12
+        reps = tuple(compress(range(1, unmarked.rfind(1) + 2), unmarked))
         levels = table.translate(None, _MARK)
     elif e > 2:
         if any(pow(a, e // r, q) == 1 for r in _prime_factors(e)):
@@ -349,7 +352,7 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     correspondent of the local trivial source module with vertex D_i, built
     once per vertex index and descriptor; it depends on (p, n, e, W, i) only.
     """
-    part, _ = _exceptional_pair(desc, i)
+    part = _exceptional_part(desc, i, False)
     return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
 
 
@@ -357,40 +360,48 @@ def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """Complement of xi inside the full exceptional bundle (coordinatewise
     1 - xi); the other value the exceptional part of a trivial source
     character can take."""
-    _, complement = _exceptional_pair(desc, i)
-    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), complement)
+    part = _exceptional_part(desc, i, True)
+    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
 
 
-def _exceptional_pair(
-    desc: BlockDescriptor, i: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exceptional coordinates of xi and of its complement, spread from
-    xi's level values: the Morita correspondent's below n, checked 0/1 and
-    of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law.
-
-    The pair is kept in `desc.exceptional_parts` under i, and each part
-    under its level values.  Every level holds an orbit, so equal parts
-    have equal level values: equal parts at different vertex indices are
-    one tuple, which the enumerate writer renders once."""
+def _exceptional_pair(desc: BlockDescriptor, i: int) -> tuple[bytes, bytes]:
+    """Level values of xi and of its complement on the valuation levels
+    0 ... n - 1, one byte each: xi's are the Morita correspondent's below
+    n, checked 0/1 and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi),
+    the count law.  The pair is kept in `desc.exceptional_parts` under i;
+    neither part is spread to its m coordinates here."""
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    parts = desc.exceptional_parts
-    pair = parts.get(i)
+    pair = desc.exceptional_parts.get(i)
     if pair is None:
         g = CyclicGroupData(desc.p, desc.n)
         levels = morita_correspondent_character(desc.w, g, i).levels[: g.n]
-        built = []
-        for per_level in (bytes(levels), bytes(1 - c for c in levels)):
-            part = parts.get(per_level)
-            if part is None:
-                # one byte translation of the representatives' levels; a
-                # table has 256 entries, and only the first n are levels
-                table = per_level + bytes(256 - g.n)
-                orbit_levels = exceptional_orbits(g.p, g.n, desc.e).levels
-                part = parts[per_level] = tuple(orbit_levels.translate(table))
-            built.append(part)
-        pair = parts[i] = tuple(built)
+        pair = desc.exceptional_parts[i] = (
+            bytes(levels),
+            bytes(1 - c for c in levels),
+        )
     return pair
+
+
+def _exceptional_part(
+    desc: BlockDescriptor, i: int, complement: bool
+) -> tuple[int, ...]:
+    """Exceptional coordinates of xi, or of its complement, spread from
+    their level values the first time either is read and kept in
+    `desc.exceptional_parts` under those values.  Every level holds an
+    orbit, so equal parts have equal level values: equal parts at different
+    vertex indices are one tuple, which the enumerate writer renders once,
+    and a part that no caller reads is never spread."""
+    parts = desc.exceptional_parts
+    per_level = _exceptional_pair(desc, i)[complement]
+    part = parts.get(per_level)
+    if part is None:
+        # one byte translation of the representatives' levels; a table has
+        # 256 entries, and only the first n are levels
+        table = per_level + bytes(256 - desc.n)
+        orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
+        part = parts[per_level] = tuple(orbit_levels.translate(table))
+    return part
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:
@@ -441,7 +452,7 @@ def b_level_character(
     _, d0 = t_and_d0(star_desc.w, i)
     plain = [0] * star_desc.e
     plain[x - 1] = d0
-    part, _ = _exceptional_pair(star_desc, i)
+    part = _exceptional_part(star_desc, i, False)
     return BlockCharacter(tuple(plain), part)
 
 
@@ -498,5 +509,4 @@ def character_of(
                 )
             plain = parts[spine] = tuple(counts)
         complement = path.case_tag in ("i", "iv")
-    part, complement_part = _exceptional_pair(desc, i)
-    return BlockCharacter(plain, complement_part if complement else part)
+    return BlockCharacter(plain, _exceptional_part(desc, i, complement))

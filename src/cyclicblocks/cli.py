@@ -250,7 +250,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     )
     status = EXIT_OK
     if desc.m == 1:
-        text = _m1_text(desc, m1_enumerate(desc), args.format)
+        sys.stdout.write(_m1_text(desc, m1_enumerate(desc), args.format))
     else:
         indices = (
             range(1, desc.n + 1) if args.vertex is None else (args.vertex,)
@@ -265,8 +265,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 status = EXIT_SEMANTIC
             characters = [(path, character_of(desc, i, path)) for path in modules]
             results.append((i, characters, error))
-        text = _enumerate_text(desc, results, reps, args.format)
-    sys.stdout.write(text)
+        # every character is built before the first write, so a failure
+        # leaves stdout empty
+        sys.stdout.writelines(_enumerate_text(desc, results, reps, args.format))
     return status
 
 
@@ -296,17 +297,19 @@ def _enumerate_text(
     results: list[tuple[int, list[tuple[PathDescriptor, BlockCharacter]], str | None]],
     reps: tuple[int, ...],
     fmt: str,
-) -> str:
+) -> list[str]:
     """What `enumerate` prints for an m > 1 block, given per vertex index
-    its modules with their characters and its error, if any: the text of
-    json.dumps(payload, indent=2) plus a newline, or the flattened CSV view.
+    its modules with their characters and its error, if any: the pieces
+    whose concatenation is the text of json.dumps(payload, indent=2) plus a
+    newline, or the flattened CSV view.
 
     The modules of a call share most of their tuples: the exceptional parts
-    (xi and its complement per vertex index, the bundle), the spine lists
+    (xi or its complement per vertex index, the bundle), the spine lists
     and the non-exceptional part of each anchor, and the four directions.
     So each tuple's text is rendered once per call and kept under that
-    tuple, in one table per kind of list.  The output is joined once from
-    its pieces, so that no long list is copied again.
+    tuple, in one table per kind of list.  The pieces are never joined:
+    a long list's text is one piece, listed once per module that prints
+    it, and the caller writes the pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
@@ -341,7 +344,7 @@ def _enumerate_text(
                     exceptional(char.exceptional),
                     "\n",
                 )
-        return "".join(out)
+        return out
     ids = _Rendered(partial(map, _quote), listed)
     direction = _Rendered(partial(map, str), listed)
     out = [_HEAD_JSON % (desc.p, desc.n, desc.e, desc.m)]
@@ -372,7 +375,7 @@ def _enumerate_text(
         out.append("\n    }")
         entry_sep = ",\n    "
     out.append("\n  ]\n}\n" if results else "]\n}\n")
-    return "".join(out)
+    return out
 
 
 class _Rendered(dict):

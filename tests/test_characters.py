@@ -671,6 +671,28 @@ def test_exceptional_parts_live_on_their_descriptor():
     assert not {id(part) for part in held[0]} & {id(part) for part in held[1]}
 
 
+def test_exceptional_parts_are_spread_only_when_read():
+    # after a full enumeration the descriptor keeps each vertex index's
+    # level values of xi and of its complement, and spreads to m coordinates
+    # exactly the parts that some module carries: one of the two per index
+    for seed in range(3):
+        desc = random_block_descriptor(random.Random(seed), 5, 6, 4)
+        carried = {}
+        for i in range(1, desc.n + 1):
+            for path in enumerate_trivial_source(desc, i):
+                part = character_of(desc, i, path).exceptional
+                carried[id(part)] = part
+        parts = desc.exceptional_parts
+        pairs = [parts[i] for i in range(1, desc.n + 1)]
+        assert all(len(levels) == desc.n for pair in pairs for levels in pair)
+        spread = {
+            id(part): part for key, part in parts.items() if isinstance(key, bytes)
+        }
+        assert spread.keys() == carried.keys()
+        assert all(len(part) == desc.m for part in spread.values())
+        assert len(spread) < len({levels for pair in pairs for levels in pair})
+
+
 def test_consistency_suite_leaves_no_exceptional_parts_behind():
     # once the suite's descriptors are gone, and with them their exceptional
     # parts, the only data left is what the one cache of (p, n, e) holds

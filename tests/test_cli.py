@@ -1,17 +1,22 @@
 import copy
+import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import fixtures
+from test_golden import GOLDEN, fixtures
 
 import cyclicblocks.cli
 from cyclicblocks.brauer_tree import (
@@ -602,7 +607,7 @@ def _payload(desc, results, reps):
 def test_enumerate_writer_matches_json_dumps(drawn):
     desc, results, reps = drawn
     expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
-    assert _enumerate_text(desc, results, reps, "json") == expected
+    assert "".join(_enumerate_text(desc, results, reps, "json")) == expected
 
 
 def test_enumerate_writer_renders_each_field_of_a_shared_spine():
@@ -621,7 +626,7 @@ def test_enumerate_writer_renders_each_field_of_a_shared_spine():
     results = [(1, [(path, chars[k % 2]) for k, path in enumerate(paths)], None)]
     reps = (5, 6)
     expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
-    assert _enumerate_text(desc, results, reps, "json") == expected
+    assert "".join(_enumerate_text(desc, results, reps, "json")) == expected
 
 
 def test_enumerate_writer_cache_lasts_one_call():
@@ -629,10 +634,10 @@ def test_enumerate_writer_cache_lasts_one_call():
     path = PathDescriptor(2, (), ("E1",), (), (1, -1), 2, "ii")
     results = [(1, [(path, BlockCharacter((), (1, 0)))], None)]
     for reps in ((5, 6), (7, 8)):
-        as_json = json.loads(_enumerate_text(desc, results, reps, "json"))
+        as_json = json.loads("".join(_enumerate_text(desc, results, reps, "json")))
         module = as_json["results"][0]["modules"][0]
         assert module["character"]["exceptional"] == [reps[0]]
-        as_csv = _enumerate_text(desc, results, reps, "csv")
+        as_csv = "".join(_enumerate_text(desc, results, reps, "csv"))
         assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n")
 
 
@@ -659,6 +664,67 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     reps = exceptional_orbits(5, 2, 4).representatives
     _enumerate_text(star, [(2, modules, None)], reps, "json")
     assert sum(chosen is bundle for chosen in selectors) == 1
+
+
+class _RecordingStream(io.StringIO):
+    """A text stream that keeps the length of every write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_enumerate_streams_its_output(tmp_path, monkeypatch):
+    # the pieces go to stdout as they are: no write holds the whole output,
+    # and together they are the golden text
+    desc = fixtures()["random-3-9-2"]
+    path = write_obj(tmp_path, descriptor_to_obj(desc))
+    for argv, digest in (
+        (["enumerate", path], GOLDEN["random-3-9-2"][1]),
+        (["enumerate", path, "--format", "csv"], GOLDEN["random-3-9-2"][2]),
+    ):
+        stream = _RecordingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        text = stream.getvalue()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        assert len(stream.writes) > 1
+        assert max(stream.writes) < len(text)
+
+
+def test_enumerate_failing_at_the_last_vertex_index_prints_nothing(tmp_path):
+    # a character that fails at the last vertex index fails the process
+    # before its first write: exit code 1, stdout empty
+    desc = fixtures()["random-3-9-2"]
+    path = write_obj(tmp_path, descriptor_to_obj(desc))
+    script = f"""
+import sys
+import cyclicblocks.cli as cli
+from cyclicblocks.local_reps import CharacterConsistencyError
+
+real = cli.character_of
+
+def failing(desc, i, path):
+    if i == desc.n:
+        raise CharacterConsistencyError("injected at the last vertex index")
+    return real(desc, i, path)
+
+cli.character_of = failing
+sys.exit(cli.main(["enumerate", {path!r}]))
+"""
+    src = Path(cyclicblocks.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert b"injected at the last vertex index" in done.stderr
 
 
 def _round_trip_descriptors():

@@ -46,6 +46,10 @@ def fixtures() -> dict[str, BlockDescriptor]:
     # W = (1,) with an exceptional leaf (shape 3)
     out["random-67-2-66"] = random_block_descriptor(random.Random(4), 67, 2, 66)
     out["random-101-2-100"] = random_block_descriptor(random.Random(13), 101, 2, 100)
+    # e = 12 with 16*e*e < p^n, where the orbit minima come from the
+    # lattice lines, and the deepest n of the benchmark's sizes
+    out["random-13-4-12"] = random_block_descriptor(random.Random(0), 13, 4, 12)
+    out["random-3-9-2"] = random_block_descriptor(random.Random(0), 3, 9, 2)
     out["star-neg"] = star_tree(4, 5, 2, EndoPermParams((1,)), -1)
     out["star-pos"] = star_tree(4, 5, 2, EndoPermParams((1,)), 1)
     out["group-algebra-3-2"] = group_algebra_block(3, 2)
@@ -167,6 +171,16 @@ GOLDEN = {
         0,
         "1580940178d7f0b93a50935b67ef4fbca43dbba344ef2de88f5a38a1f424e3e3",
         "053c0fb89b6df9654f5d854282e92f1c93f63e581f9711d3ceb8fd4118ef0e35",
+    ),
+    "random-13-4-12": (
+        0,
+        "0a5597a0e29ace08e6d9e1727256f5def7602b90b8e2618245ce6868631365f5",
+        "a05bfc6d173a2f219a264559cd2a1218bfe7f688a8838387c82c6c3410f84064",
+    ),
+    "random-3-9-2": (
+        0,
+        "a9ec88b5a3a7d46a4cb2aa19b7140c23368fb26b287886af2e024559d91e0894",
+        "9c6c774eb9061e453ffc26b5433e73cde669eef23186b410e79a1edea06b6098",
     ),
     "star-neg": (
         0,
