@@ -9,12 +9,11 @@ from cyclicblocks.brauer_tree import (
     BlockDescriptor,
     Edge,
     group_algebra_block,
-    hook_characters,
-    pim_character,
     star_tree,
     successor,
     validate,
 )
+from cyclicblocks.characters import hook_characters, pim_character
 from cyclicblocks.local_reps import EndoPermParams
 
 # a star: e = 2 leaves around a negative exceptional centre, p = 3, n = 2

@@ -9,21 +9,21 @@ for every closed form it uses.
 """
 
 from .brauer_tree import (
-    BlockCharacter,
     BlockDescriptor,
     Edge,
     group_algebra_block,
-    hook_characters,
-    pim_character,
     star_tree,
     successor,
     validate,
 )
 from .characters import (
+    BlockCharacter,
     OrbitStructure,
     b_level_character,
     character_of,
     exceptional_orbits,
+    hook_characters,
+    pim_character,
     t_and_d0,
     xi,
     xi_complement,

@@ -15,18 +15,12 @@ carry opposite signs in every block arising in nature (each projective
 character is the sum of the two endpoint characters and vanishes on
 p-singular elements); `validate` enforces that only in strict mode since
 the descriptor format itself does not require it.
-
-Characters of the block are integer vectors split into a non-exceptional
-part (indexed by the non-exceptional vertices in descriptor order) and an
-exceptional part (indexed by the orbit representatives kappa(1) < ... <
-kappa(m) of the exceptional index set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Mapping
 
 from .cyclotomic import is_odd_prime
@@ -120,14 +114,10 @@ class BlockDescriptor:
         return {}
 
     @cached_property
-    def exceptional_parts(self) -> dict[bytes | int, tuple]:
-        """Exceptional parts of characters, filled as they are first read:
-        each keyed by its values on the valuation levels 0 ... n - 1, one
-        byte each.  Under each vertex index i it also holds the level
-        values of xi and of its complement, n bytes each (`characters`);
-        either is spread to its m coordinates only when a character reads
-        it.  Equal parts of one descriptor are one tuple, held as long as
-        the descriptor is."""
+    def xi_levels(self) -> dict[int, tuple[bytes, bytes]]:
+        """The values of xi and of its complement on the valuation levels
+        0 ... n - 1, one byte each, filled per vertex index as they are
+        first read (`characters`)."""
         return {}
 
     def edge_by_id(self, edge_id: str) -> Edge:
@@ -156,65 +146,6 @@ class BlockDescriptor:
 
     def sign(self, vertex: str) -> int:
         return self.signs[vertex]
-
-
-@dataclass(frozen=True)
-class BlockCharacter:
-    """Integer multiplicity vector over the ordinary characters of the block.
-
-    `nonexceptional` follows the descriptor's non-exceptional vertex order;
-    `exceptional` follows the ascending orbit representatives (empty when
-    m = 1).  Characters of trivial source lifts are 0/1-valued throughout.
-    """
-
-    nonexceptional: tuple[int, ...]
-    exceptional: tuple[int, ...]
-
-    def __add__(self, other: "BlockCharacter") -> "BlockCharacter":
-        self._check_shape(other)
-        return BlockCharacter(
-            tuple(map(add, self.nonexceptional, other.nonexceptional)),
-            tuple(map(add, self.exceptional, other.exceptional)),
-        )
-
-    @property
-    def is_zero_one(self) -> bool:
-        return all(c in (0, 1) for c in self.nonexceptional + self.exceptional)
-
-    def _check_shape(self, other: "BlockCharacter") -> None:
-        if len(self.nonexceptional) != len(other.nonexceptional) or len(
-            self.exceptional
-        ) != len(other.exceptional):
-            raise ValueError("block character shapes differ")
-
-
-def exceptional_bundle(desc: BlockDescriptor) -> BlockCharacter:
-    """The sum of all exceptional characters (all-ones exceptional part)."""
-    if desc.exceptional is None:
-        raise ValueError("descriptor has no exceptional vertex (m = 1)")
-    return vertex_character(desc, desc.exceptional)
-
-
-def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
-    """Indicator of a non-exceptional vertex, or the full exceptional bundle;
-    both parts are built once per vertex and descriptor."""
-    exceptional = int(vertex == desc.exceptional)
-    parts = desc.nonexceptional_parts
-    plain = parts.get(vertex)
-    if plain is None:
-        counts = [0] * len(desc.nonexceptional_vertices)
-        if not exceptional:
-            position = desc.nonexceptional_positions.get(vertex)
-            if position is None:
-                raise KeyError(f"no vertex {vertex!r}")
-            counts[position] = 1
-        plain = parts[vertex] = tuple(counts)
-    key = bytes((exceptional,)) * desc.n
-    part = desc.exceptional_parts.get(key)
-    if part is None:
-        m = desc.m if desc.exceptional is not None else 0
-        part = desc.exceptional_parts[key] = (exceptional,) * m
-    return BlockCharacter(plain, part)
 
 
 def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
@@ -339,22 +270,6 @@ def _planar_step(desc: BlockDescriptor, vertex: str, edge_id: str, step: int) ->
     if edge_id not in order:
         raise ValueError(f"edge {edge_id!r} is not incident to {vertex!r}")
     return order[(order.index(edge_id) + step) % len(order)]
-
-
-def pim_character(desc: BlockDescriptor, edge_id: str) -> BlockCharacter:
-    """Character of the projective cover of the simple at this edge: the sum
-    of both endpoint characters, the exceptional endpoint contributing the
-    whole bundle."""
-    a, b = hook_characters(desc, edge_id)
-    return a + b
-
-
-def hook_characters(
-    desc: BlockDescriptor, edge_id: str
-) -> tuple[BlockCharacter, BlockCharacter]:
-    """The two endpoint characters of the edge, in endpoint order."""
-    a, b = desc.edge_by_id(edge_id).ends
-    return vertex_character(desc, a), vertex_character(desc, b)
 
 
 def star_tree(

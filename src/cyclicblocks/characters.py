@@ -6,6 +6,13 @@ fixed generator a of the unique order-e subgroup of (Z/p^n)* multiplies the
 index kappa, every orbit has length e, and we index exceptional coordinates
 by the ascending orbit minima kappa(1) < ... < kappa(m).
 
+Characters of the block are integer vectors split into a non-exceptional
+part (indexed by the non-exceptional vertices in descriptor order) and an
+exceptional part (indexed by the orbit representatives kappa(1) < ... <
+kappa(m)).  Every exceptional part the package builds is constant on the
+valuation levels of kappa, so a `BlockCharacter` holds it as its n level
+values; the m coordinates are a view.
+
 The central objects are the shared exceptional part Xi(W, i) carried by all
 non-hook trivial source modules with vertex of order p^i, its complement
 inside the full exceptional bundle, and the per-module assembly of the full
@@ -24,14 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
-from operator import mod, mul
-from typing import TYPE_CHECKING
+from operator import add, mod, mul
+from typing import TYPE_CHECKING, NamedTuple
 
-from .brauer_tree import (
-    BlockCharacter,
-    BlockDescriptor,
-    vertex_character,
-)
+from .brauer_tree import BlockDescriptor
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
@@ -344,64 +347,134 @@ def t_and_d0(w: EndoPermParams, i: int) -> tuple[int, int]:
     return t, 1 if t % 2 != 0 else 0
 
 
+class BlockCharacter(NamedTuple):
+    """Integer multiplicity vector over the ordinary characters of the block.
+
+    `nonexceptional` follows the descriptor's non-exceptional vertex order.
+    The exceptional part is held by its values on the valuation levels:
+    `levels[v]` is the multiplicity at every orbit representative of
+    valuation v < n, one byte each, and `orbit_levels` is the valuation of
+    each representative in ascending order, `exceptional_orbits(p, n,
+    e).levels`; both are empty when m = 1.  `exceptional`, the
+    multiplicities at the representatives, is a view made on each read.
+    Characters of trivial source lifts are 0/1-valued throughout.
+
+    >>> orbits = exceptional_orbits(3, 2, 2)
+    >>> orbits.representatives, orbits.levels
+    ((1, 2, 3, 4), b'\\x00\\x00\\x01\\x00')
+    >>> chi = BlockCharacter((1, 0), bytes((0, 1)), orbits.levels)
+    >>> chi.exceptional
+    (0, 0, 1, 0)
+    >>> (chi + chi).levels, chi.is_zero_one
+    (b'\\x00\\x02', True)
+    """
+
+    nonexceptional: tuple[int, ...]
+    levels: bytes
+    orbit_levels: bytes
+
+    @property
+    def exceptional(self) -> tuple[int, ...]:
+        """The multiplicity at each orbit representative, ascending; one
+        byte translation of the orbit levels, made afresh on each read."""
+        table = self.levels + bytes(256 - len(self.levels))
+        return tuple(self.orbit_levels.translate(table))
+
+    def __add__(self, other: "BlockCharacter") -> "BlockCharacter":
+        if (
+            len(self.nonexceptional) != len(other.nonexceptional)
+            or len(self.levels) != len(other.levels)
+            or self.orbit_levels != other.orbit_levels
+        ):
+            raise ValueError("block character shapes differ")
+        return BlockCharacter(
+            tuple(map(add, self.nonexceptional, other.nonexceptional)),
+            bytes(map(add, self.levels, other.levels)),
+            self.orbit_levels,
+        )
+
+    @property
+    def is_zero_one(self) -> bool:
+        """Whether every coordinate is 0 or 1; read off the levels, since
+        level v holds p^(n-v-1)(p-1)/e >= 1 representatives."""
+        return {*self.nonexceptional, *self.levels} <= {0, 1}
+
+
+def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
+    """Indicator of a non-exceptional vertex, or the full exceptional bundle;
+    the non-exceptional part is built once per vertex and descriptor."""
+    exceptional = int(vertex == desc.exceptional)
+    parts = desc.nonexceptional_parts
+    plain = parts.get(vertex)
+    if plain is None:
+        counts = [0] * len(desc.nonexceptional_vertices)
+        if not exceptional:
+            position = desc.nonexceptional_positions.get(vertex)
+            if position is None:
+                raise KeyError(f"no vertex {vertex!r}")
+            counts[position] = 1
+        plain = parts[vertex] = tuple(counts)
+    if desc.exceptional is None:
+        return BlockCharacter(plain, b"", b"")
+    orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
+    return BlockCharacter(plain, bytes((exceptional,)) * desc.n, orbit_levels)
+
+
+def pim_character(desc: BlockDescriptor, edge_id: str) -> BlockCharacter:
+    """Character of the projective cover of the simple at this edge: the sum
+    of both endpoint characters, the exceptional endpoint contributing the
+    whole bundle."""
+    a, b = hook_characters(desc, edge_id)
+    return a + b
+
+
+def hook_characters(
+    desc: BlockDescriptor, edge_id: str
+) -> tuple[BlockCharacter, BlockCharacter]:
+    """The two endpoint characters of the edge, in endpoint order."""
+    a, b = desc.edge_by_id(edge_id).ends
+    return vertex_character(desc, a), vertex_character(desc, b)
+
+
 def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """The exceptional part shared by all non-hook trivial source modules
     with vertex of order p^i.
 
-    Coordinate at kappa(r): the multiplicity of lambda_kappa(r) in the Morita
-    correspondent of the local trivial source module with vertex D_i, built
-    once per vertex index and descriptor; it depends on (p, n, e, W, i) only.
+    Value at kappa(r): the multiplicity of lambda_kappa(r) in the Morita
+    correspondent of the local trivial source module with vertex D_i, read
+    at the valuation level of kappa(r) once per vertex index and
+    descriptor; it depends on (p, n, e, W, i) only.
     """
-    part = _exceptional_part(desc, i, False)
-    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
+    plain = (0,) * len(desc.nonexceptional_vertices)
+    return _exceptional_character(desc, plain, i, False)
 
 
 def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """Complement of xi inside the full exceptional bundle (coordinatewise
     1 - xi); the other value the exceptional part of a trivial source
     character can take."""
-    part = _exceptional_part(desc, i, True)
-    return BlockCharacter((0,) * len(desc.nonexceptional_vertices), part)
+    plain = (0,) * len(desc.nonexceptional_vertices)
+    return _exceptional_character(desc, plain, i, True)
 
 
-def _exceptional_pair(desc: BlockDescriptor, i: int) -> tuple[bytes, bytes]:
-    """Level values of xi and of its complement on the valuation levels
-    0 ... n - 1, one byte each: xi's are the Morita correspondent's below
-    n, checked 0/1 and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi),
-    the count law.  The pair is kept in `desc.exceptional_parts` under i;
-    neither part is spread to its m coordinates here."""
+def _exceptional_character(
+    desc: BlockDescriptor, plain: tuple[int, ...], i: int, complement: bool
+) -> BlockCharacter:
+    """The character with this non-exceptional part whose exceptional part
+    is xi's at vertex index i, or its complement's.
+
+    xi's level values are the Morita correspondent's below n, checked 0/1
+    and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law;
+    they and their complement's are kept in `desc.xi_levels` under i."""
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    pair = desc.exceptional_parts.get(i)
+    pair = desc.xi_levels.get(i)
     if pair is None:
         g = CyclicGroupData(desc.p, desc.n)
         levels = morita_correspondent_character(desc.w, g, i).levels[: g.n]
-        pair = desc.exceptional_parts[i] = (
-            bytes(levels),
-            bytes(1 - c for c in levels),
-        )
-    return pair
-
-
-def _exceptional_part(
-    desc: BlockDescriptor, i: int, complement: bool
-) -> tuple[int, ...]:
-    """Exceptional coordinates of xi, or of its complement, spread from
-    their level values the first time either is read and kept in
-    `desc.exceptional_parts` under those values.  Every level holds an
-    orbit, so equal parts have equal level values: equal parts at different
-    vertex indices are one tuple, which the enumerate writer renders once,
-    and a part that no caller reads is never spread."""
-    parts = desc.exceptional_parts
-    per_level = _exceptional_pair(desc, i)[complement]
-    part = parts.get(per_level)
-    if part is None:
-        # one byte translation of the representatives' levels; a table has
-        # 256 entries, and only the first n are levels
-        table = per_level + bytes(256 - desc.n)
-        orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
-        part = parts[per_level] = tuple(orbit_levels.translate(table))
-    return part
+        pair = desc.xi_levels[i] = (bytes(levels), bytes(1 - c for c in levels))
+    orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
+    return BlockCharacter(plain, pair[complement], orbit_levels)
 
 
 def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:
@@ -452,8 +525,7 @@ def b_level_character(
     _, d0 = t_and_d0(star_desc.w, i)
     plain = [0] * star_desc.e
     plain[x - 1] = d0
-    part = _exceptional_part(star_desc, i, False)
-    return BlockCharacter(tuple(plain), part)
+    return _exceptional_character(star_desc, tuple(plain), i, False)
 
 
 def character_of(
@@ -501,12 +573,12 @@ def character_of(
                 except KeyError:
                     raise KeyError(f"no non-exceptional vertex {v!r}") from None
             # the counts are 0/1 exactly when no spine vertex repeats; the
-            # exceptional part is one of two tuples already checked to be
-            # 0/1.  Only a checked part is kept.
+            # exceptional part is one of two level vectors already checked
+            # to be 0/1.  Only a checked part is kept.
             if len(set(spine)) != len(spine):
                 raise CharacterConsistencyError(
                     f"assembled character is not 0/1-valued: {tuple(counts)}"
                 )
             plain = parts[spine] = tuple(counts)
         complement = path.case_tag in ("i", "iv")
-    return BlockCharacter(plain, _exceptional_part(desc, i, complement))
+    return _exceptional_character(desc, plain, i, complement)

@@ -45,13 +45,11 @@ from typing import Iterator, NamedTuple
 from .brauer_tree import (
     NEGATIVE,
     POSITIVE,
-    BlockCharacter,
     BlockDescriptor,
-    hook_characters,
-    pim_character,
     predecessor,
     successor,
 )
+from .characters import BlockCharacter, hook_characters, pim_character
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,

@@ -24,13 +24,12 @@ from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .brauer_tree import (
-    BlockCharacter,
     BlockDescriptor,
     Edge,
     sign_alternation_violations,
     validate,
 )
-from .characters import character_of, exceptional_orbits
+from .characters import BlockCharacter, character_of, exceptional_orbits
 from .classification import (
     ClassificationError,
     M1Enumeration,
@@ -303,13 +302,15 @@ def _enumerate_text(
     whose concatenation is the text of json.dumps(payload, indent=2) plus a
     newline, or the flattened CSV view.
 
-    The modules of a call share most of their tuples: the exceptional parts
+    The modules of a call share most of their lists: the exceptional parts
     (xi or its complement per vertex index, the bundle), the spine lists
     and the non-exceptional part of each anchor, and the four directions.
-    So each tuple's text is rendered once per call and kept under that
-    tuple, in one table per kind of list.  The pieces are never joined:
-    a long list's text is one piece, listed once per module that prints
-    it, and the caller writes the pieces out as they are.
+    So each list's text is rendered once per call, in one table per kind
+    of list: a short list is kept under its tuple, an exceptional part
+    under its level values, all of whose characters share the orbit
+    levels of (p, n, e).  The pieces are never joined: a long list's text
+    is one piece, listed once per module that prints it, and the caller
+    writes the pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
@@ -320,16 +321,17 @@ def _enumerate_text(
         listed = ";".join
     rep_text = tuple(map(str, reps))
     plain = _Rendered(partial(compress, names), listed)
-    # exceptional parts are long, so they are keyed by identity, which
-    # costs no hash; each entry holds its tuple, so no key is reused for
-    # another one within the call
-    rendered: dict[int, tuple[tuple[int, ...], str]] = {}
+    rendered: dict[bytes, str] = {}
 
-    def exceptional(coords: tuple[int, ...]) -> str:
-        hit = rendered.get(id(coords))
-        if hit is None:
-            hit = rendered[id(coords)] = (coords, listed(compress(rep_text, coords)))
-        return hit[1]
+    def exceptional(char: BlockCharacter) -> str:
+        text = rendered.get(char.levels)
+        if text is None:
+            # the 0/1 mask over the representatives, one byte each
+            table = char.levels + bytes(256 - len(char.levels))
+            text = rendered[char.levels] = listed(
+                compress(rep_text, char.orbit_levels.translate(table))
+            )
+        return text
 
     if not as_json:
         out = ["vertex,type,case,multiplicity,nonexceptional,exceptional\n"]
@@ -341,7 +343,7 @@ def _enumerate_text(
                     f"{i},{path.type_tag},{case},{mult},",
                     plain[char.nonexceptional],
                     ",",
-                    exceptional(char.exceptional),
+                    exceptional(char),
                     "\n",
                 )
         return out
@@ -365,9 +367,7 @@ def _enumerate_text(
                 direction[path.direction],
                 plain[char.nonexceptional],
             )
-            out += (
-                module_sep, text, exceptional(char.exceptional), _MODULE_JSON_END
-            )
+            out += (module_sep, text, exceptional(char), _MODULE_JSON_END)
             module_sep = ",\n        "
         out.append("\n      ]" if modules else "]")
         if error is not None:

@@ -358,29 +358,27 @@ def _check_exceptional(p: int, n: int, check) -> None:
             correspondent = induce_character(g, i, local).mults
             for e in es:
                 star = star_tree(e, p, n, w, -1)
-                part = xi(star, i)
-                comp = xi_complement(star, i)
+                # each view is made once, and checked coordinate by
+                # coordinate against the independent sources
+                part = xi(star, i).exceptional
+                comp = xi_complement(star, i).exceptional
                 check(
                     "xi count law",
                     (p, n, e, w.indices, i),
                     (dim - d0) // e,
-                    sum(part.exceptional),
+                    sum(part),
                 )
                 reps = exceptional_orbits(p, n, e).representatives
                 check(
                     "xi coordinates vs oracle correspondent",
                     (p, n, e, w.indices, i),
                     (correspondent[0], tuple(map(correspondent.__getitem__, reps))),
-                    (d0, part.exceptional),
+                    (d0, part),
                 )
                 check(
                     "complement audit",
                     (p, n, e, w.indices, i),
-                    (
-                        comp.exceptional
-                        if t % 2 != 0
-                        else tuple(c - 1 for c in comp.exceptional)
-                    ),
+                    comp if t % 2 != 0 else tuple(c - 1 for c in comp),
                     xi_complement_nondivisible(star, i),
                 )
                 _check_star_agreement(star, i, check)
@@ -415,7 +413,7 @@ def _check_descriptor(desc: BlockDescriptor, check) -> None:
                 char.is_zero_one,
             )
             if path.type_tag != 1:
-                seen_exceptional.add(char.exceptional)
+                seen_exceptional.add(char.levels)
             if desc.e > 1 and path.type_tag != 1:
                 # all modules at one vertex sit on the same divisibility
                 # branch, the one d0's parity selects
@@ -454,15 +452,17 @@ def _check_self_block(p: int, n: int, check) -> None:
 
 
 def _check_star_agreement(star: BlockDescriptor, i: int, check) -> None:
+    # both sides read their exceptional part off the same level pair of
+    # the star, so the level values stand for the coordinates
     enumerated = sorted(
-        (c.nonexceptional, c.exceptional)
+        (c.nonexceptional, c.levels)
         for c in (
             character_of(star, i, path)
             for path in enumerate_trivial_source(star, i)
         )
     )
     expected = sorted(
-        (c.nonexceptional, c.exceptional)
+        (c.nonexceptional, c.levels)
         for c in (b_level_character(star, i, x) for x in range(1, star.e + 1))
     )
     check(

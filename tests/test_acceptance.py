@@ -7,11 +7,12 @@ tolerances anywhere."""
 import random
 import time
 
-from cyclicblocks.brauer_tree import exceptional_bundle, group_algebra_block, star_tree
+from cyclicblocks.brauer_tree import group_algebra_block, star_tree
 from cyclicblocks.characters import (
     b_level_character,
     character_of,
     t_and_d0,
+    vertex_character,
     xi,
     xi_complement,
     xi_complement_nondivisible,
@@ -198,7 +199,7 @@ def test_criterion_08_complement_audit():
                 for e in _eligible_e(p, n):
                     for w in block_params_for(n):
                         star = star_tree(e, p, n, w, -1)
-                        bundle = exceptional_bundle(star)
+                        bundle = vertex_character(star, star.exceptional)
                         for i in range(1, n + 1):
                             t, _ = t_and_d0(w, i)
                             part = xi(star, i)

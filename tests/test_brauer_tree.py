@@ -8,15 +8,13 @@ from cyclicblocks.brauer_tree import (
     BlockDescriptor,
     Edge,
     group_algebra_block,
-    hook_characters,
-    pim_character,
     predecessor,
     sign_alternation_violations,
     star_tree,
     successor,
     validate,
-    vertex_character,
 )
+from cyclicblocks.characters import hook_characters, pim_character, vertex_character
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
 from cyclicblocks.oracle import random_block_descriptor, random_corpus
 

@@ -1,29 +1,38 @@
 import gc
+import hashlib
+import io
+import json
 import random
 import re
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 from itertools import combinations
 from math import gcd
 
 import pytest
+from test_golden import GOLDEN, fixtures
 
 import cyclicblocks.characters
 import cyclicblocks.local_reps
-from cyclicblocks.brauer_tree import exceptional_bundle, star_tree, vertex_character
+from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
 from cyclicblocks.characters import (
+    BlockCharacter,
     CharacterConsistencyError,
     _mark_lattice_points,
     _reduced_basis,
     _smallest_of_order,
     b_level_character,
     exceptional_orbits,
+    pim_character,
     t_and_d0,
+    vertex_character,
     xi,
     xi_complement,
     xi_complement_nondivisible,
 )
+from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
 from cyclicblocks.cyclotomic import CyclicCharacter, valuation
@@ -388,7 +397,7 @@ def test_xi_complement_examples():
     comp = xi_complement(star, 1)
     assert comp.exceptional == (1, 1, 0, 1)
     assert xi_complement(star, 2).exceptional == (1, 1, 1, 1)
-    assert (xi(star, 1) + comp) == exceptional_bundle(star)
+    assert (xi(star, 1) + comp) == vertex_character(star, star.exceptional)
 
 
 def test_xi_count_law_on_grid():
@@ -630,67 +639,74 @@ def test_modules_of_one_anchor_share_their_nonexceptional_part():
     assert {(shape, i) for shape in (4, 5, 6) for i in (1, 2, 3)} <= seen
 
 
-def test_equal_exceptional_parts_are_one_tuple():
-    # parts at different vertex indices that agree in value are one tuple,
-    # so that the enumerate writer, which keys rendered lists by identity,
-    # renders each value once; (3, 9, 2) trees repeat a part in most calls
-    rng = random.Random(7)
-    repeated = 0
-    for _ in range(4):
-        desc = random_block_descriptor(rng, 3, 9, 2)
-        parts = [xi(desc, i).exceptional for i in range(1, 10)]
-        parts += [xi_complement(desc, i).exceptional for i in range(1, 10)]
-        for i in range(1, 10):
-            for path in enumerate_trivial_source(desc, i):
-                parts.append(character_of(desc, i, path).exceptional)
-        assert len({id(part) for part in parts}) == len(set(parts))
-        repeated += len(set(parts)) < 18
-    assert repeated > 0
+@pytest.mark.parametrize(
+    "p, n, e", [(3, 9, 2), (5, 6, 4), (7, 5, 6), (13, 4, 12), (37, 3, 12)]
+)
+def test_exceptional_view_matches_an_independent_spread(p, n, e):
+    # the view of every character of an enumeration, of xi, its complement
+    # and every vertex character is its level values read at each
+    # representative's own valuation, at the benchmark's size classes
+    desc = random_block_descriptor(random.Random(p), p, n, e)
+    reps = exceptional_orbits(p, n, e).representatives
+    valuations = [valuation(p, r) for r in reps]
+    chars = [vertex_character(desc, v) for v in desc.vertices]
+    for i in range(1, n + 1):
+        chars += [xi(desc, i), xi_complement(desc, i)]
+        for path in enumerate_trivial_source(desc, i):
+            chars.append(character_of(desc, i, path))
+    for char in chars:
+        assert len(char.levels) == n
+        assert char.exceptional == tuple(char.levels[v] for v in valuations)
 
 
-
-def test_exceptional_parts_live_on_their_descriptor():
-    # two descriptors built from one seed hold equal parts but no tuple in
-    # common, so a part goes when its descriptor goes; within one descriptor
-    # equal parts, the bundle and the zero part among them, stay one tuple
-    first, second = (
-        random_block_descriptor(random.Random(3), 3, 6, 2) for _ in range(2)
+def test_exceptional_view_is_empty_at_m_1():
+    m1 = BlockDescriptor(
+        p=3,
+        n=1,
+        e=2,
+        vertices=("A", "B", "C"),
+        signs={"A": 1, "B": -1, "C": 1},
+        edges=(Edge("E1", ("A", "B")), Edge("E2", ("B", "C"))),
+        cyclic_order={"A": ("E1",), "B": ("E1", "E2"), "C": ("E2",)},
+        exceptional=None,
+        w=W(()),
     )
-    assert first == second and first is not second
-    held = []
-    for desc in (first, second):
-        parts = [exceptional_bundle(desc).exceptional]
-        parts += [vertex_character(desc, v).exceptional for v in desc.vertices]
-        for i in range(1, desc.n + 1):
-            parts += [xi(desc, i).exceptional, xi_complement(desc, i).exceptional]
-            for path in enumerate_trivial_source(desc, i):
-                parts.append(character_of(desc, i, path).exceptional)
-        assert len({id(part) for part in parts}) == len(set(parts)) < len(parts)
-        held.append(parts)
-    assert held[0] == held[1]
-    assert not {id(part) for part in held[0]} & {id(part) for part in held[1]}
+    for char in (vertex_character(m1, "B"), pim_character(m1, "E2")):
+        assert (char.levels, char.orbit_levels, char.exceptional) == (b"", b"", ())
 
 
-def test_exceptional_parts_are_spread_only_when_read():
-    # after a full enumeration the descriptor keeps each vertex index's
-    # level values of xi and of its complement, and spreads to m coordinates
-    # exactly the parts that some module carries: one of the two per index
-    for seed in range(3):
-        desc = random_block_descriptor(random.Random(seed), 5, 6, 4)
-        carried = {}
-        for i in range(1, desc.n + 1):
-            for path in enumerate_trivial_source(desc, i):
-                part = character_of(desc, i, path).exceptional
-                carried[id(part)] = part
-        parts = desc.exceptional_parts
-        pairs = [parts[i] for i in range(1, desc.n + 1)]
-        assert all(len(levels) == desc.n for pair in pairs for levels in pair)
-        spread = {
-            id(part): part for key, part in parts.items() if isinstance(key, bytes)
-        }
-        assert spread.keys() == carried.keys()
-        assert all(len(part) == desc.m for part in spread.values())
-        assert len(spread) < len({levels for pair in pairs for levels in pair})
+def test_every_level_holds_a_representative():
+    # is_zero_one reads the n level values, not the m coordinates; the two
+    # agree because every level v < n holds p^(n-v-1)(p-1)/e >= 1
+    # representatives, so a 2 at any level shows in the view
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 5):
+            for e in _divisors(p - 1):
+                if (p ** n - 1) // e <= 1:
+                    continue
+                orbit_levels = exceptional_orbits(p, n, e).levels
+                assert set(orbit_levels) == set(range(n)), (p, n, e)
+                for v in range(n):
+                    levels = bytes(2 if u == v else 1 for u in range(n))
+                    char = BlockCharacter((), levels, orbit_levels)
+                    assert not char.is_zero_one and 2 in char.exceptional
+
+
+def test_enumerate_never_reads_the_exceptional_view(tmp_path, monkeypatch):
+    # the writer renders each exceptional list from the level values, so
+    # the golden output comes out with the view made unreadable
+    def unreadable(char):
+        raise AssertionError("the exceptional view was read")
+
+    monkeypatch.setattr(BlockCharacter, "exceptional", property(unreadable))
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(descriptor_to_obj(fixtures()["random-3-9-2"])))
+    digests = GOLDEN["random-3-9-2"]
+    for extra, digest in (([], digests[1]), (["--format", "csv"], digests[2])):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["enumerate", str(path), *extra]) == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_consistency_suite_leaves_no_exceptional_parts_behind():

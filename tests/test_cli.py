@@ -20,14 +20,17 @@ from test_golden import GOLDEN, fixtures
 
 import cyclicblocks.cli
 from cyclicblocks.brauer_tree import (
-    BlockCharacter,
     BlockDescriptor,
     Edge,
-    exceptional_bundle,
     group_algebra_block,
     star_tree,
 )
-from cyclicblocks.characters import character_of, exceptional_orbits
+from cyclicblocks.characters import (
+    BlockCharacter,
+    character_of,
+    exceptional_orbits,
+    vertex_character,
+)
 from cyclicblocks.classification import PathDescriptor, enumerate_trivial_source
 from cyclicblocks.cli import (
     _enumerate_text,
@@ -525,12 +528,17 @@ _INTS = st.integers() | st.integers(min_value=10**20)
 def _enumerate_results(draw):
     """A descriptor stand-in, representatives and per vertex index results
     as `cmd_enumerate` hands them to the writer: modules of the real schema
-    with arbitrary ids and numbers, exceptional parts and spines drawn from
-    small pools of shared tuples so that the writer's tables are hit."""
+    with arbitrary ids and numbers, exceptional level vectors over one
+    orbit-level table of the representatives, and level vectors and spines
+    drawn from small pools so that the writer's tables are hit."""
     names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
-    coords = st.lists(st.sampled_from((0, 1)), min_size=len(reps), max_size=len(reps))
-    pool = draw(st.lists(coords.map(tuple), min_size=1, max_size=3))
+    n = draw(st.integers(1, 3))
+    orbit_levels = bytes(
+        draw(st.lists(st.integers(0, n - 1), min_size=len(reps), max_size=len(reps)))
+    )
+    vectors = st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n).map(bytes)
+    pool = draw(st.lists(vectors, min_size=1, max_size=3))
     ids = st.lists(_IDS, max_size=3).map(tuple)
     # spine tuples from a small pool of shared objects, so that modules with
     # one spine object and different edges or directions meet in one call
@@ -550,7 +558,8 @@ def _enumerate_results(draw):
         plain = draw(
             st.lists(st.sampled_from((0, 1)), min_size=len(names), max_size=len(names))
         )
-        return path, BlockCharacter(tuple(plain), draw(st.sampled_from(pool)))
+        levels = draw(st.sampled_from(pool))
+        return path, BlockCharacter(tuple(plain), levels, orbit_levels)
 
     results = [
         (
@@ -622,7 +631,11 @@ def test_enumerate_writer_renders_each_field_of_a_shared_spine():
         PathDescriptor(4, spine, ("E1", "E3"), ("E2",), (1, 1), 2, "iv"),
         PathDescriptor(5, spine, spine, ("E3",), (0, 0), 2, "iv"),
     ]
-    chars = [BlockCharacter((1, 0), (1, 0)), BlockCharacter((0, 0), (0, 1))]
+    # reps 5 and 6 sit at levels 0 and 1
+    chars = [
+        BlockCharacter((1, 0), b"\x01\x00", b"\x00\x01"),
+        BlockCharacter((0, 0), b"\x00\x01", b"\x00\x01"),
+    ]
     results = [(1, [(path, chars[k % 2]) for k, path in enumerate(paths)], None)]
     reps = (5, 6)
     expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
@@ -632,7 +645,7 @@ def test_enumerate_writer_renders_each_field_of_a_shared_spine():
 def test_enumerate_writer_cache_lasts_one_call():
     desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=())
     path = PathDescriptor(2, (), ("E1",), (), (1, -1), 2, "ii")
-    results = [(1, [(path, BlockCharacter((), (1, 0)))], None)]
+    results = [(1, [(path, BlockCharacter((), b"\x01\x00", b"\x00\x01"))], None)]
     for reps in ((5, 6), (7, 8)):
         as_json = json.loads("".join(_enumerate_text(desc, results, reps, "json")))
         module = as_json["results"][0]["modules"][0]
@@ -649,10 +662,10 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
         (path, character_of(star, 2, path))
         for path in enumerate_trivial_source(star, 2)
     ]
-    bundle = exceptional_bundle(star).exceptional
+    bundle = vertex_character(star, star.exceptional)
     hooks = [char for path, char in modules if path.type_tag == 1]
     assert len(hooks) == 4
-    assert all(char.exceptional is bundle for char in hooks)
+    assert all(char.levels == bundle.levels for char in hooks)
     selectors = []
     real = itertools.compress
 
@@ -663,7 +676,10 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     monkeypatch.setattr(cyclicblocks.cli, "compress", spy)
     reps = exceptional_orbits(5, 2, 4).representatives
     _enumerate_text(star, [(2, modules, None)], reps, "json")
-    assert sum(chosen is bundle for chosen in selectors) == 1
+    # one exceptional mask per distinct level vector, the bundle's among them
+    masks = [chosen for chosen in selectors if isinstance(chosen, bytes)]
+    assert len(masks) == len({char.levels for _, char in modules})
+    assert masks.count(bytes(bundle.exceptional)) == 1
 
 
 class _RecordingStream(io.StringIO):

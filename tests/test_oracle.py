@@ -1,9 +1,10 @@
 import random
 import sys
+from types import SimpleNamespace
 
 import cyclicblocks.local_reps
 import cyclicblocks.oracle
-from cyclicblocks.brauer_tree import BlockCharacter, validate
+from cyclicblocks.brauer_tree import validate
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -113,10 +114,8 @@ def test_consistency_suite_passes_larger_grids():
 
 def test_consistency_suite_sees_one_flipped_xi_coordinate(monkeypatch):
     def flipped(desc, i):
-        part = real(desc, i)
-        return BlockCharacter(
-            part.nonexceptional, (1 - part.exceptional[0],) + part.exceptional[1:]
-        )
+        part = real(desc, i).exceptional
+        return SimpleNamespace(exceptional=(1 - part[0],) + part[1:])
 
     real = cyclicblocks.oracle.xi
     monkeypatch.setattr(cyclicblocks.oracle, "xi", flipped)
