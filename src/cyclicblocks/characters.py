@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
-from operator import add, mod, mul
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .brauer_tree import BlockDescriptor
@@ -40,7 +40,6 @@ from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
     morita_correspondent_character,
-    restricted_cap_params,
 )
 
 
@@ -57,7 +56,8 @@ class OrbitStructure:
     choice.  For even e that subgroup holds -1 = a^(e/2), so every orbit is
     a union of pairs {kappa, p^n - kappa} and its minimum lies below p^n/2.
     `representatives` are the orbit minima in ascending order; see
-    `exceptional_orbits` for how they are found.
+    `exceptional_orbits` for how they are found.  The orbits themselves are
+    not kept: the orbit of r is r*a^k mod p^n for k < e.
     The p-adic valuation is constant on each orbit (a is a unit), so
     divisibility of a representative by p^j is a property of the orbit:
     `levels[r]` is the valuation of `representatives[r]`, one byte each
@@ -70,18 +70,6 @@ class OrbitStructure:
     a: int
     representatives: tuple[int, ...]
     levels: bytes
-
-    @property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Every orbit in ascending order, listed by ascending minimum;
-        built afresh on each read."""
-        q = self.p ** self.n
-        reps = self.representatives
-        columns = (
-            map(mod, map(mul, reps, repeat(h)), repeat(q))
-            for h in _powers(self.a, self.e, q)
-        )
-        return tuple(map(tuple, map(sorted, zip(*columns))))
 
 
 @lru_cache(maxsize=None)
@@ -475,29 +463,6 @@ def _exceptional_character(
         pair = desc.xi_levels[i] = (bytes(levels), bytes(1 - c for c in levels))
     orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
     return BlockCharacter(plain, pair[complement], orbit_levels)
-
-
-def xi_complement_nondivisible(desc: BlockDescriptor, i: int) -> tuple[int, ...]:
-    """Complement assembled from NON-divisibility indicators, returned raw.
-
-    Agrees with the exceptional coordinates of `xi_complement` exactly when
-    t(i) is odd; when t(i) is even it comes out lower by the full bundle
-    (every coordinate off by one, some of them negative), which is why the
-    1 - xi form above is the one used for characters.
-    """
-    if desc.exceptional is None:
-        raise ValueError("descriptor has no exceptional characters (m = 1)")
-    n = desc.n
-    below = restricted_cap_params(desc.w, CyclicGroupData(desc.p, n), i).indices
-    # p^a fails to divide a representative exactly when its valuation lies
-    # below a, so the signed sum is taken once per valuation level; its
-    # values can be -1, so each level reads a tuple entry
-    per_level = tuple(
-        sum((-1) ** j for j, a in enumerate(below + (i,)) if v < a)
-        for v in range(n)
-    )
-    levels = exceptional_orbits(desc.p, n, desc.e).levels
-    return tuple(map(per_level.__getitem__, levels))
 
 
 def b_level_character(

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .brauer_tree import (
     BlockDescriptor,
@@ -35,7 +36,6 @@ from .characters import (
     t_and_d0,
     xi,
     xi_complement,
-    xi_complement_nondivisible,
 )
 from .classification import ClassificationError, enumerate_trivial_source
 from .cyclotomic import CyclicCharacter, decompose, valuation
@@ -337,49 +337,77 @@ def _check_local(p: int, n: int, caps, check) -> None:
         )
 
 
+def xi_complement_nondivisible(
+    w: EndoPermParams, p: int, n: int, i: int
+) -> tuple[int, ...]:
+    """Complement of xi assembled from NON-divisibility indicators, as its n
+    level values, returned raw.
+
+    Level v is the signed sum of the indicators [p^a does not divide kappa],
+    that is [v < a], over the indices a of the capped parameter list below
+    i, closed by i.  Agrees with the level values of `xi_complement` exactly
+    when t(i) is odd; when t(i) is even it comes out lower by the full
+    bundle (every level off by one, some of them negative), which is why
+    the 1 - xi form is the one used for characters.
+    """
+    below = restricted_cap_params(w, CyclicGroupData(p, n), i).indices
+    return tuple(
+        sum((-1) ** j for j, a in enumerate(below + (i,)) if v < a)
+        for v in range(n)
+    )
+
+
 def _check_exceptional(p: int, n: int, check) -> None:
     """The exceptional checks at every e of the (p, n) grid point with
-    m > 1.  The oracle-path correspondent depends on (W, i) alone, so each
-    one is built once and checked against every e; only one correspondent
-    and one star block, with its exceptional parts, are held at a time."""
+    m > 1, level by level.  Each orbit representative's byte in the level
+    table is checked against its valuation, which also counts the
+    representatives at each level; xi and its complement are then compared
+    by their n level values, and xi's orbit table with the checked one.
+    The oracle-path correspondent depends on (W, i) alone, so each one is
+    built once and checked against every e; only one correspondent and one
+    star block are held at a time."""
     es = [e for e in _divisors(p - 1) if (p ** n - 1) // e > 1]
+    tables = {}
     for e in es:
-        for orbit in exceptional_orbits(p, n, e).orbits:
-            vals = {valuation(p, kappa) for kappa in orbit}
-            check("orbit valuation constant", (p, n, e, orbit), 1, len(vals))
+        orbits = exceptional_orbits(p, n, e)
+        counts = [0] * n
+        for r, level in zip(orbits.representatives, orbits.levels):
+            v = valuation(p, r)
+            check("orbit level vs valuation", (p, n, e, r), v, level)
+            counts[v] += 1
+        tables[e] = orbits.levels, counts
     g = CyclicGroupData(p, n)
     for w in block_params_for(n):
         for i in range(1, n + 1):
             t, d0 = t_and_d0(w, i)
             dim = cap_dim(w, g, i) * p ** (n - i)
             # the Morita correspondent read off the oracle path: its trivial
-            # coordinate is d0 and its coordinate at kappa(r) is xi's r-th
+            # level is d0 and its levels below n are xi's
             local = det1_char_by_recursion(restricted_cap_params(w, g, i), p, i)
-            correspondent = induce_character(g, i, local).mults
+            correspondent = induce_character(g, i, local).levels
+            nondivisible = xi_complement_nondivisible(w, p, n, i)
             for e in es:
+                table, counts = tables[e]
                 star = star_tree(e, p, n, w, -1)
-                # each view is made once, and checked coordinate by
-                # coordinate against the independent sources
-                part = xi(star, i).exceptional
-                comp = xi_complement(star, i).exceptional
+                part = xi(star, i)
+                comp = tuple(xi_complement(star, i).levels)
                 check(
                     "xi count law",
                     (p, n, e, w.indices, i),
                     (dim - d0) // e,
-                    sum(part),
+                    sum(map(mul, part.levels, counts)),
                 )
-                reps = exceptional_orbits(p, n, e).representatives
                 check(
                     "xi coordinates vs oracle correspondent",
                     (p, n, e, w.indices, i),
-                    (correspondent[0], tuple(map(correspondent.__getitem__, reps))),
-                    (d0, part),
+                    (correspondent[n], correspondent[:n], table),
+                    (d0, tuple(part.levels), part.orbit_levels),
                 )
                 check(
                     "complement audit",
                     (p, n, e, w.indices, i),
                     comp if t % 2 != 0 else tuple(c - 1 for c in comp),
-                    xi_complement_nondivisible(star, i),
+                    nondivisible,
                 )
                 _check_star_agreement(star, i, check)
 

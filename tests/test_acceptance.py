@@ -15,7 +15,6 @@ from cyclicblocks.characters import (
     vertex_character,
     xi,
     xi_complement,
-    xi_complement_nondivisible,
 )
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.local_reps import (
@@ -35,6 +34,7 @@ from cyclicblocks.oracle import (
     det1_char_by_recursion,
     general_params_for,
     random_corpus,
+    xi_complement_nondivisible,
 )
 from zeta_reference import (
     class_function_from_multiplicities,
@@ -205,12 +205,12 @@ def test_criterion_08_complement_audit():
                             part = xi(star, i)
                             comp = xi_complement(star, i)
                             assert part + comp == bundle
-                            literal = xi_complement_nondivisible(star, i)
+                            literal = xi_complement_nondivisible(w, p, n, i)
                             if t % 2 != 0:
-                                assert literal == comp.exceptional
+                                assert literal == tuple(comp.levels)
                             else:
                                 assert literal == tuple(
-                                    c - 1 for c in comp.exceptional
+                                    c - 1 for c in comp.levels
                                 )
 
     run_criterion(

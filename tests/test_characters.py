@@ -30,7 +30,6 @@ from cyclicblocks.characters import (
     vertex_character,
     xi,
     xi_complement,
-    xi_complement_nondivisible,
 )
 from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.classification import enumerate_trivial_source
@@ -50,6 +49,7 @@ from cyclicblocks.oracle import (
     det1_char_by_recursion,
     random_block_descriptor,
     random_corpus,
+    xi_complement_nondivisible,
 )
 
 W = EndoPermParams
@@ -60,15 +60,25 @@ def block_params(n):
     return [W(c) for size in range(len(pool) + 1) for c in combinations(pool, size)]
 
 
+def _orbits_of(s):
+    """Every orbit of the structure in ascending order, listed by its
+    representative: the representative times 1, a, ..., a^(e-1)."""
+    q = s.p ** s.n
+    return tuple(
+        tuple(sorted(r * pow(s.a, k, q) % q for k in range(s.e)))
+        for r in s.representatives
+    )
+
+
 def test_exceptional_orbits_examples():
     small = exceptional_orbits(7, 1, 3)
     assert small.a == 2
-    assert small.orbits == ((1, 2, 4), (3, 5, 6))
+    assert _orbits_of(small) == ((1, 2, 4), (3, 5, 6))
     assert small.representatives == (1, 3)
 
     nine = exceptional_orbits(3, 2, 2)
     assert nine.a == 8
-    assert nine.orbits == ((1, 8), (2, 7), (3, 6), (4, 5))
+    assert _orbits_of(nine) == ((1, 8), (2, 7), (3, 6), (4, 5))
     assert nine.representatives == (1, 2, 3, 4)
 
     trivial = exceptional_orbits(5, 1, 1)
@@ -82,10 +92,10 @@ def test_orbits_ascend_by_minimum_and_partition_the_indices():
             q = p ** n
             for e in _divisors(p - 1):
                 s = exceptional_orbits(p, n, e)
-                assert all(list(o) == sorted(o) for o in s.orbits), (p, n, e)
-                minima = [o[0] for o in s.orbits]
+                orbits = _orbits_of(s)
+                minima = [o[0] for o in orbits]
                 assert minima == sorted(minima), (p, n, e)
-                assert sorted(k for o in s.orbits for k in o) == list(range(1, q))
+                assert sorted(k for o in orbits for k in o) == list(range(1, q))
                 assert s.representatives == tuple(minima), (p, n, e)
 
 
@@ -178,7 +188,6 @@ def test_lazy_orbits_match_the_walk():
             for e in _divisors(p - 1):
                 s = build(p, n, e)
                 walked = _orbits_by_walk(p, n, e)
-                assert s.orbits == walked, (p, n, e)
                 assert s.representatives == tuple(o[0] for o in walked), (p, n, e)
 
 
@@ -363,7 +372,7 @@ def test_orbit_valuation_is_constant():
         for e in range(1, p):
             if (p - 1) % e:
                 continue
-            for orbit in exceptional_orbits(p, n, e).orbits:
+            for orbit in _orbits_of(exceptional_orbits(p, n, e)):
                 vals = set()
                 for kappa in orbit:
                     v = 0
@@ -453,8 +462,8 @@ def test_complement_audit():
                 star = star_tree(e, p, n, w, -1)
                 for i in range(1, n + 1):
                     t, _ = t_and_d0(w, i)
-                    literal = xi_complement_nondivisible(star, i)
-                    comp = xi_complement(star, i).exceptional
+                    literal = xi_complement_nondivisible(w, p, n, i)
+                    comp = tuple(xi_complement(star, i).levels)
                     if t % 2 != 0:
                         assert literal == comp
                     else:
@@ -484,9 +493,12 @@ def test_nondivisible_complement_matches_its_per_representative_form(p, n_max):
                 continue
             for w in block_params(n):
                 star = star_tree(e, p, n, w, -1)
+                reps = exceptional_orbits(p, n, e).representatives
                 for i in range(1, n + 1):
-                    assert xi_complement_nondivisible(
-                        star, i
+                    # each representative reads the level of its valuation
+                    levels = xi_complement_nondivisible(w, p, n, i)
+                    assert tuple(
+                        levels[valuation(p, r)] for r in reps
                     ) == _nondivisible_by_representative(star, i), (p, n, e, w, i)
 
 

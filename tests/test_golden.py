@@ -4,7 +4,7 @@ Each fixture descriptor is written to a file and enumerated through
 `cli.main`, in JSON and in CSV; the sha256 of stdout and the exit code must
 match the values recorded below.  A change to the corpus generator, to the
 enumeration, to the characters or to the output format shows up here.  The
-oracle runs pin its report, failure order included, on five grids, and the
+oracle runs pin its report, failure order included, on six grids, and the
 `local` runs pin the dense character vectors of every parameter list on a
 grid of small groups.
 """
@@ -258,6 +258,10 @@ ORACLE_GOLDEN = {
     ("oracle", "--nmax", "5"): (
         0,
         "7dea6d84b7f67adc2f2f5fb4f72410c7de8b5f2251ba9da843a49e40a932cfda",
+    ),
+    ("oracle", "--nmax", "6"): (
+        0,
+        "fcbbb0f1164da903134dbb8a6fd80cf479ca18dca910e45a1f47fdd5c95d20dc",
     ),
 }
 

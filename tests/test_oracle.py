@@ -1,10 +1,16 @@
 import random
 import sys
-from types import SimpleNamespace
+from collections import Counter
+from dataclasses import replace
 
+import pytest
+
+import cyclicblocks.characters
 import cyclicblocks.local_reps
 import cyclicblocks.oracle
 from cyclicblocks.brauer_tree import validate
+from cyclicblocks.characters import BlockCharacter
+from cyclicblocks.cyclotomic import CyclicCharacter
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -16,6 +22,7 @@ from cyclicblocks.oracle import (
     ConsistencyReport,
     GridSpec,
     _check_descriptor,
+    _check_exceptional,
     block_params_for,
     consistency_suite,
     det1_char_by_recursion,
@@ -113,9 +120,11 @@ def test_consistency_suite_passes_larger_grids():
 
 
 def test_consistency_suite_sees_one_flipped_xi_coordinate(monkeypatch):
+    # a level-valued part cannot flip one coordinate alone: flipping level 0
+    # flips every coordinate of valuation 0
     def flipped(desc, i):
-        part = real(desc, i).exceptional
-        return SimpleNamespace(exceptional=(1 - part[0],) + part[1:])
+        part = real(desc, i)
+        return part._replace(levels=bytes((1 - part.levels[0],)) + part.levels[1:])
 
     real = cyclicblocks.oracle.xi
     monkeypatch.setattr(cyclicblocks.oracle, "xi", flipped)
@@ -125,6 +134,73 @@ def test_consistency_suite_sees_one_flipped_xi_coordinate(monkeypatch):
     # one failure per (n, e, block parameter, vertex index): e = 1 at n = 1,
     # e in 1, 2 with two parameters and two indices at n = 2
     assert len(flagged) == 1 + 2 * 2 * 2
+
+
+def _zero_first_level(monkeypatch, *modules):
+    """Make `exceptional_orbits`, as the given modules read it, return a
+    level table whose first nonzero byte is zeroed."""
+    real = cyclicblocks.characters.exceptional_orbits
+
+    def broken(p, n, e):
+        s = real(p, n, e)
+        at = next((k for k, v in enumerate(s.levels) if v), None)
+        if at is None:
+            return s
+        return replace(s, levels=s.levels[:at] + b"\0" + s.levels[at + 1 :])
+
+    for module in modules:
+        monkeypatch.setattr(module, "exceptional_orbits", broken)
+
+
+def test_consistency_suite_sees_a_level_table_the_characters_alone_read(
+    monkeypatch,
+):
+    # the characters spread their parts by a wrong table: xi's table differs
+    # from the one the oracle checked, and the group algebra's permutation
+    # character at i = 1 is level-dependent
+    _zero_first_level(monkeypatch, cyclicblocks.characters)
+    report = consistency_suite(GridSpec((3,), 2, 5), corpus_size=0)
+    # at n = 2, e in 1, 2 with two parameters and two indices
+    assert Counter(f.check for f in report.failures) == {
+        "xi coordinates vs oracle correspondent": 2 * 2 * 2,
+        "self-block closure": 1,
+    }
+
+
+def test_consistency_suite_sees_a_wrong_level_table(monkeypatch):
+    # both sides read the same wrong table: only the valuations and the
+    # dense permutation character can tell, once per e = 1, 2 at n = 2
+    _zero_first_level(
+        monkeypatch, cyclicblocks.characters, cyclicblocks.oracle
+    )
+    report = consistency_suite(GridSpec((3,), 2, 5), corpus_size=0)
+    assert Counter(f.check for f in report.failures) == {
+        "orbit level vs valuation": 2,
+        "self-block closure": 1,
+    }
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2), (13, 2)])
+def test_exceptional_checks_read_no_dense_vector(monkeypatch, p, n):
+    # the exceptional checks compare level values only; the one dense
+    # comparison, "self-block closure", runs elsewhere
+    def unreadable(char):
+        raise AssertionError("a dense vector was read")
+
+    monkeypatch.setattr(BlockCharacter, "exceptional", property(unreadable))
+    monkeypatch.setattr(CyclicCharacter, "mults", property(unreadable))
+    checks, failures = [], []
+
+    def check(name, params, expected, actual):
+        checks.append(name)
+        if expected != actual:
+            failures.append((name, params, expected, actual))
+
+    _check_exceptional(p, n, check)
+    assert failures == []
+    assert checks.count("orbit level vs valuation") == sum(
+        (p ** n - 1) // e for e in range(1, p) if (p - 1) % e == 0
+    )
 
 
 def test_consistency_suite_names_injected_fault():
