@@ -114,6 +114,15 @@ class BlockDescriptor:
         return {}
 
     @cached_property
+    def candidate_paths(self) -> dict[str | None, tuple[tuple, ...]]:
+        """The candidate paths of each anchor, the fields of a
+        `classification.PathDescriptor` up to its multiplicity and case,
+        filled as an anchor is first admitted at some vertex index: keyed
+        by the anchoring vertex, None for the hooks.  They do not depend on
+        the vertex index, so the n indices share one build."""
+        return {}
+
+    @cached_property
     def xi_levels(self) -> dict[int, tuple[bytes, bytes]]:
         """The values of xi and of its complement on the valuation levels
         0 ... n - 1, one byte each, filled per vertex index as they are

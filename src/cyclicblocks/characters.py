@@ -62,6 +62,13 @@ class OrbitStructure:
     divisibility of a representative by p^j is a property of the orbit:
     `levels[r]` is the valuation of `representatives[r]`, one byte each
     (a p^n that can be indexed has n < 256).
+
+    The minima of valuation at least v < n are p^v times the minima of
+    (p, n - v, e), at their levels shifted by v: x = p^v*y has orbit
+    p^v*(orbit of y mod p^(n-v)), since the order-e subgroup mod p^n
+    reduces onto the one mod p^(n-v).  So a character lambda_kappa with
+    p^v | kappa, inflated from D/D_v, finds its orbit in the smaller
+    table (`orbits_from_level`).
     """
 
     p: int
@@ -155,6 +162,24 @@ def exceptional_orbits(p: int, n: int, e: int) -> OrbitStructure:
             f"an orbit is shorter than {e}"
         )
     return OrbitStructure(p, n, e, a, tuple(reps), levels)
+
+
+def orbits_from_level(
+    p: int, n: int, e: int, v: int
+) -> tuple[tuple[int, ...], bytes]:
+    """The orbit minima of valuation at least v < n in ascending order, and
+    the valuation of each less v: p^v times the representatives of
+    `exceptional_orbits(p, n - v, e)`, and that table's levels, so that
+    nothing of the O(p^n) table of (p, n, e) is built.  At v = 0 they are
+    that table's own fields, with no scaling pass.
+
+    >>> orbits_from_level(3, 3, 2, 1)
+    ((3, 6, 9, 12), b'\\x00\\x00\\x01\\x00')
+    """
+    orbits = exceptional_orbits(p, n - v, e)
+    if v == 0:
+        return orbits.representatives, orbits.levels
+    return tuple(map((p ** v).__mul__, orbits.representatives)), orbits.levels
 
 
 def _minima_by_key(
@@ -341,16 +366,18 @@ class BlockCharacter(NamedTuple):
     `nonexceptional` follows the descriptor's non-exceptional vertex order.
     The exceptional part is held by its values on the valuation levels:
     `levels[v]` is the multiplicity at every orbit representative of
-    valuation v < n, one byte each, and `orbit_levels` is the valuation of
-    each representative in ascending order, `exceptional_orbits(p, n,
-    e).levels`; both are empty when m = 1.  `exceptional`, the
-    multiplicities at the representatives, is a view made on each read.
-    Characters of trivial source lifts are 0/1-valued throughout.
+    valuation v < n, one byte each, and `orbit_key` is the (p, n, e) of the
+    orbit table the representatives come from; both are empty when m = 1.
+    A character names its table and never builds it: `orbit_levels`, the
+    valuation of each representative in ascending order, and
+    `exceptional`, the multiplicities at the representatives, are views
+    that fetch `exceptional_orbits(*orbit_key)` on each read.  Characters
+    of trivial source lifts are 0/1-valued throughout.
 
     >>> orbits = exceptional_orbits(3, 2, 2)
     >>> orbits.representatives, orbits.levels
     ((1, 2, 3, 4), b'\\x00\\x00\\x01\\x00')
-    >>> chi = BlockCharacter((1, 0), bytes((0, 1)), orbits.levels)
+    >>> chi = BlockCharacter((1, 0), bytes((0, 1)), (3, 2, 2))
     >>> chi.exceptional
     (0, 0, 1, 0)
     >>> (chi + chi).levels, chi.is_zero_one
@@ -359,7 +386,15 @@ class BlockCharacter(NamedTuple):
 
     nonexceptional: tuple[int, ...]
     levels: bytes
-    orbit_levels: bytes
+    orbit_key: tuple[int, ...]
+
+    @property
+    def orbit_levels(self) -> bytes:
+        """The valuation of each orbit representative, ascending: the
+        levels of the named orbit table, empty when m = 1."""
+        if not self.orbit_key:
+            return b""
+        return exceptional_orbits(*self.orbit_key).levels
 
     @property
     def exceptional(self) -> tuple[int, ...]:
@@ -372,13 +407,13 @@ class BlockCharacter(NamedTuple):
         if (
             len(self.nonexceptional) != len(other.nonexceptional)
             or len(self.levels) != len(other.levels)
-            or self.orbit_levels != other.orbit_levels
+            or self.orbit_key != other.orbit_key
         ):
             raise ValueError("block character shapes differ")
         return BlockCharacter(
             tuple(map(add, self.nonexceptional, other.nonexceptional)),
             bytes(map(add, self.levels, other.levels)),
-            self.orbit_levels,
+            self.orbit_key,
         )
 
     @property
@@ -403,9 +438,9 @@ def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
             counts[position] = 1
         plain = parts[vertex] = tuple(counts)
     if desc.exceptional is None:
-        return BlockCharacter(plain, b"", b"")
-    orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
-    return BlockCharacter(plain, bytes((exceptional,)) * desc.n, orbit_levels)
+        return BlockCharacter(plain, b"", ())
+    orbit_key = desc.p, desc.n, desc.e
+    return BlockCharacter(plain, bytes((exceptional,)) * desc.n, orbit_key)
 
 
 def pim_character(desc: BlockDescriptor, edge_id: str) -> BlockCharacter:
@@ -461,8 +496,7 @@ def _exceptional_character(
         g = CyclicGroupData(desc.p, desc.n)
         levels = morita_correspondent_character(desc.w, g, i).levels[: g.n]
         pair = desc.xi_levels[i] = (bytes(levels), bytes(1 - c for c in levels))
-    orbit_levels = exceptional_orbits(desc.p, desc.n, desc.e).levels
-    return BlockCharacter(plain, pair[complement], orbit_levels)
+    return BlockCharacter(plain, pair[complement], (desc.p, desc.n, desc.e))
 
 
 def b_level_character(

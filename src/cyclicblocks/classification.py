@@ -27,10 +27,12 @@ spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
 class once per (p, n, e, W, i).  `enumerate_trivial_source` is the one
 entry point: `_anchors`, the one place that maps a path to its class, hands
 it each anchor's class key, and it looks the key up before building any
-path anchored there, so it builds only the admitted modules.  The
-classification guarantees exactly e modules per vertex, so any other count
-is surfaced as a ClassificationError carrying the partial list, never
-suppressed.
+path anchored there, so it builds only the admitted modules.  An anchor's
+paths do not depend on the vertex index: they are built when some index
+first admits the anchor and kept in `BlockDescriptor.candidate_paths`.
+The classification guarantees exactly e modules per vertex, so any other
+count is surfaced as a ClassificationError carrying the partial list,
+never suppressed.
 
 One-edge blocks (e = 1) only admit the back-and-forth path along their
 single edge, the shape-2 path from the plain vertex, with its own two
@@ -194,11 +196,15 @@ def enumerate_trivial_source(
     if desc.m == 1:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
     table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
+    kept = desc.candidate_paths
     found = []
-    for key, paths in _anchors(desc, i):
+    for key, anchor in _anchors(desc, i):
         verdict = table.get(key)
         if verdict is not None:
             case, mu = verdict
+            paths = kept.get(anchor)
+            if paths is None:
+                paths = kept[anchor] = _anchor_paths(desc, anchor)
             for fields in paths:
                 found.append(PathDescriptor(*fields, mu, case))
     if len(found) != desc.e:
@@ -212,21 +218,30 @@ _Fields = tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[in
 
 def _anchors(
     desc: BlockDescriptor, i: int
-) -> Iterator[tuple[ClassKey, Iterator[_Fields]]]:
-    """The candidate paths at vertex index i, anchor by anchor in candidate
-    order: each anchor's class key, with a generator of the paths anchored
-    there that builds nothing until it is run.  The hooks come first as one
-    anchor (each affords a positive endpoint), then the non-exceptional
-    vertices in descriptor order, then the exceptional vertex."""
+) -> Iterator[tuple[ClassKey, str | None]]:
+    """The anchors at vertex index i in candidate order, each with its
+    class key: the hooks first as one anchor, None (each hook affords a
+    positive endpoint), then the non-exceptional vertices in descriptor
+    order, then the exceptional vertex."""
     if desc.e > 1 and desc.w.is_trivial and i == desc.n:
-        yield (1, POSITIVE, 0), _hooks(desc)
+        yield (1, POSITIVE, 0), None
+    spines, signs = desc.spines, desc.signs
     for x0 in desc.nonexceptional_vertices:
-        spine_v, spine_e = desc.spines[x0]
-        key = SPINE, desc.sign(x0), (len(spine_v) - 1) % 2
-        yield key, _spine_paths(desc, x0, spine_v, spine_e)
+        yield (SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0
     exc = desc.exceptional
     shape = 3 if desc.is_leaf(exc) else 7
-    yield (shape, desc.sign(exc), 0), _exceptional_paths(desc, exc)
+    yield (shape, desc.sign(exc), 0), exc
+
+
+def _anchor_paths(
+    desc: BlockDescriptor, anchor: str | None
+) -> tuple[_Fields, ...]:
+    """The candidate paths anchored at a vertex, or the hooks at None."""
+    if anchor is None:
+        return tuple(_hooks(desc))
+    if anchor == desc.exceptional:
+        return tuple(_exceptional_paths(desc, anchor))
+    return tuple(_spine_paths(desc, anchor, *desc.spines[anchor]))
 
 
 def _hooks(desc: BlockDescriptor) -> Iterator[_Fields]:

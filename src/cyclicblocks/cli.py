@@ -29,7 +29,7 @@ from .brauer_tree import (
     sign_alternation_violations,
     validate,
 )
-from .characters import BlockCharacter, character_of, exceptional_orbits
+from .characters import BlockCharacter, character_of, orbits_from_level
 from .classification import (
     ClassificationError,
     M1Enumeration,
@@ -240,13 +240,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.vertex is not None and not 1 <= args.vertex <= desc.n:
         raise ValueError(f"vertex index {args.vertex} outside 1..{desc.n}")
-    # fetched before any per-vertex work, so that a p^n too large to index
-    # is refused at once
-    reps = (
-        exceptional_orbits(desc.p, desc.n, desc.e).representatives
-        if desc.exceptional is not None
-        else ()
-    )
+    if desc.exceptional is not None:
+        # the allocation that opens `exceptional_orbits`, made before any
+        # per-vertex work, so that a p^n too large to index is refused at
+        # once; the orbit table is built after the characters, from the
+        # lowest level they print
+        bytearray(desc.p ** desc.n)
     status = EXIT_OK
     if desc.m == 1:
         sys.stdout.write(_m1_text(desc, m1_enumerate(desc), args.format))
@@ -264,9 +263,28 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 status = EXIT_SEMANTIC
             characters = [(path, character_of(desc, i, path)) for path in modules]
             results.append((i, characters, error))
-        # every character is built before the first write, so a failure
-        # leaves stdout empty
-        sys.stdout.writelines(_enumerate_text(desc, results, reps, args.format))
+        # the lowest level at which a printed exceptional part is non-zero:
+        # the orbits of valuation at least `low` come from the table of
+        # (p, n - low, e), and no table is built when every part is zero
+        parts = {char.levels for _, modules, _ in results for _, char in modules}
+        low = min(
+            (len(part) - len(part.lstrip(b"\0")) for part in parts if any(part)),
+            default=None,
+        )
+        if low is None:
+            reps, orbit_levels, low = (), b"", 0
+        else:
+            reps, orbit_levels = orbits_from_level(desc.p, desc.n, desc.e, low)
+        # every character and the orbit table are built before the first
+        # write, so a failure leaves stdout empty
+        sys.stdout.writelines(
+            _enumerate_text(desc, results, reps, orbit_levels, low, args.format)
+        )
+        if args.format == "csv":
+            # CSV has no field for the error a vertex index ends with
+            for _, _, error in results:
+                if error is not None:
+                    print(f"error: {error}", file=sys.stderr)
     return status
 
 
@@ -295,6 +313,8 @@ def _enumerate_text(
     desc: BlockDescriptor,
     results: list[tuple[int, list[tuple[PathDescriptor, BlockCharacter]], str | None]],
     reps: tuple[int, ...],
+    orbit_levels: bytes,
+    low: int,
     fmt: str,
 ) -> list[str]:
     """What `enumerate` prints for an m > 1 block, given per vertex index
@@ -302,15 +322,19 @@ def _enumerate_text(
     whose concatenation is the text of json.dumps(payload, indent=2) plus a
     newline, or the flattened CSV view.
 
+    `reps` are the orbit representatives of valuation at least `low` in
+    ascending order, and `orbit_levels` the valuation of each less `low`.
+    Every exceptional part printed is zero below `low`, so its list is
+    read off these alone.
+
     The modules of a call share most of their lists: the exceptional parts
     (xi or its complement per vertex index, the bundle), the spine lists
     and the non-exceptional part of each anchor, and the four directions.
     So each list's text is rendered once per call, in one table per kind
     of list: a short list is kept under its tuple, an exceptional part
-    under its level values, all of whose characters share the orbit
-    levels of (p, n, e).  The pieces are never joined: a long list's text
-    is one piece, listed once per module that prints it, and the caller
-    writes the pieces out as they are.
+    under its level values.  The pieces are never joined: a long list's
+    text is one piece, listed once per module that prints it, and the
+    caller writes the pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
@@ -326,10 +350,11 @@ def _enumerate_text(
     def exceptional(char: BlockCharacter) -> str:
         text = rendered.get(char.levels)
         if text is None:
-            # the 0/1 mask over the representatives, one byte each
-            table = char.levels + bytes(256 - len(char.levels))
+            # the 0/1 mask over the representatives, one byte each, read
+            # from the levels at and above `low`
+            table = char.levels[low:] + bytes(256 - len(char.levels) + low)
             text = rendered[char.levels] = listed(
-                compress(rep_text, char.orbit_levels.translate(table))
+                compress(rep_text, orbit_levels.translate(table))
             )
         return text
 

@@ -25,6 +25,7 @@ from cyclicblocks.characters import (
     _smallest_of_order,
     b_level_character,
     exceptional_orbits,
+    orbits_from_level,
     pim_character,
     t_and_d0,
     vertex_character,
@@ -34,7 +35,7 @@ from cyclicblocks.characters import (
 from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
-from cyclicblocks.cyclotomic import CyclicCharacter, valuation
+from cyclicblocks.cyclotomic import CyclicCharacter, is_odd_prime, valuation
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -214,6 +215,38 @@ def _orbits_by_marking(p, n, e):
     level_of = {p ** v: v for v in range(n)}
     levels = bytes(level_of[gcd(rep, q)] for rep in reps)
     return a, tuple(reps), levels
+
+
+def test_orbits_of_valuation_v_are_inflated_from_n_minus_v():
+    # lambda_kappa with p^v | kappa is inflated from D/D_v: the orbit minima
+    # of valuation at least v are p^v times those of (p, n - v, e), at
+    # levels shifted by v.  Every odd prime p with p^2 <= 10^5, every
+    # e | p - 1, every n >= 2 with p^n <= 10^5 and every 1 <= v < n.  The
+    # full table is built past the cache; the smaller tables the helper
+    # caches are dropped after each p.
+    build = exceptional_orbits.__wrapped__
+    branches = Counter()
+    for p in filter(is_odd_prime, range(3, 317)):
+        for e in _divisors(p - 1):
+            for n in range(2, 11):
+                if p ** n > 10**5:
+                    break
+                full = build(p, n, e)
+                for v in range(1, n):
+                    upper = [
+                        (r, level - v)
+                        for r, level in zip(full.representatives, full.levels)
+                        if level >= v
+                    ]
+                    reps, levels = orbits_from_level(p, n, e, v)
+                    assert list(zip(reps, levels)) == upper, (p, n, e, v)
+                if e <= 2:
+                    branches["e <= 2"] += 1
+                else:
+                    branches["lattice" if 16 * e * e < p ** n else "key scan"] += 1
+                branches["odd e"] += e % 2
+        exceptional_orbits.cache_clear()
+    assert min(branches.values()) >= 10, branches
 
 
 def test_folded_orbits_match_the_marking_pass():
@@ -700,7 +733,7 @@ def test_every_level_holds_a_representative():
                 assert set(orbit_levels) == set(range(n)), (p, n, e)
                 for v in range(n):
                     levels = bytes(2 if u == v else 1 for u in range(n))
-                    char = BlockCharacter((), levels, orbit_levels)
+                    char = BlockCharacter((), levels, (p, n, e))
                     assert not char.is_zero_one and 2 in char.exceptional
 
 
@@ -719,6 +752,40 @@ def test_enumerate_never_reads_the_exceptional_view(tmp_path, monkeypatch):
         with redirect_stdout(out):
             assert main(["enumerate", str(path), *extra]) == 0
         assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, table",
+    [
+        ("random-3-9-2-flipped", (3, 8, 2)),
+        ("random-13-4-12-flipped", (13, 3, 12)),
+        ("random-3-9-2", (3, 9, 2)),
+    ],
+)
+def test_enumerate_builds_the_orbit_table_from_the_lowest_printed_level(
+    tmp_path, monkeypatch, name, table
+):
+    # no exceptional part the flipped trees print is non-zero at level 0,
+    # so their orbits come from the table of (p, n - 1, e), and the table
+    # of (p, n, e) is never built; the unflipped tree prints level 0
+    real = cyclicblocks.characters.exceptional_orbits
+    calls = []
+
+    def recording(p, n, e):
+        calls.append((p, n, e))
+        return real(p, n, e)
+
+    monkeypatch.setattr(cyclicblocks.characters, "exceptional_orbits", recording)
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(descriptor_to_obj(fixtures()[name])))
+    digests = GOLDEN[name]
+    for extra, digest in (([], digests[1]), (["--format", "csv"], digests[2])):
+        calls.clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["enumerate", str(path), *extra]) == 0
+        assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+        assert calls == [table]
 
 
 def test_consistency_suite_leaves_no_exceptional_parts_behind():

@@ -15,6 +15,7 @@ from cyclicblocks.characters import character_of
 from cyclicblocks.classification import (
     ClassificationError,
     PathDescriptor,
+    _anchor_paths,
     _anchors,
     enumerate_projective,
     enumerate_trivial_source,
@@ -53,8 +54,8 @@ def candidates(desc, i):
     table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
     return [
         (PathDescriptor(*fields), table.get(key))
-        for key, paths in _anchors(desc, i)
-        for fields in paths
+        for key, anchor in _anchors(desc, i)
+        for fields in _anchor_paths(desc, anchor)
     ]
 
 

@@ -334,8 +334,9 @@ def test_enumerate_all_vertices_self_block(tmp_path, capsys):
     assert first["character"]["exceptional"] == [3, 6]
 
 
-def test_enumerate_surfaces_count_error(tmp_path, capsys):
-    obj = {
+def _short_count_obj():
+    """A descriptor whose vertex index 2 admits one module, not e = 2."""
+    return {
         "p": 3,
         "n": 2,
         "e": 2,
@@ -354,13 +355,37 @@ def test_enumerate_surfaces_count_error(tmp_path, capsys):
         },
         "W": {"indices": [1]},
     }
-    path = write_obj(tmp_path, obj)
+
+
+def test_enumerate_surfaces_count_error(tmp_path, capsys):
+    path = write_obj(tmp_path, _short_count_obj())
     assert main(["enumerate", path]) == 1
     payload = json.loads(capsys.readouterr().out)
     with_error = [entry for entry in payload["results"] if "error" in entry]
     assert len(with_error) == 1
     assert with_error[0]["vertex"] == 2
     assert len(with_error[0]["modules"]) == 1  # partial results still emitted
+
+
+def test_enumerate_csv_surfaces_count_error(tmp_path, capsys):
+    # CSV has no field for the error, so each failing vertex index says so
+    # on stderr; stdout lists the partial results as before, and the JSON
+    # form, which carries "error", writes nothing to stderr
+    path = write_obj(tmp_path, _short_count_obj())
+    assert main(["enumerate", path, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "vertex,type,case,multiplicity,nonexceptional,exceptional\n"
+        "1,4,ii,2,B,3\n"
+        "1,5,ii,2,B,3\n"
+        "2,2,iii,2,A;B,3\n"
+    )
+    assert captured.err == (
+        "error: enumeration at vertex index 2 returned 1 modules, "
+        "expected e = 2\n"
+    )
+    assert main(["enumerate", path]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_enumerate_m1_block(tmp_path, capsys):
@@ -526,18 +551,27 @@ _INTS = st.integers() | st.integers(min_value=10**20)
 
 @st.composite
 def _enumerate_results(draw):
-    """A descriptor stand-in, representatives and per vertex index results
+    """A descriptor stand-in, per vertex index results and the orbit table
     as `cmd_enumerate` hands them to the writer: modules of the real schema
-    with arbitrary ids and numbers, exceptional level vectors over one
-    orbit-level table of the representatives, and level vectors and spines
-    drawn from small pools so that the writer's tables are hit."""
+    with arbitrary ids and numbers, exceptional level vectors that vanish
+    below a lowest level `low`, representatives with their levels less
+    `low`, and level vectors and spines drawn from small pools so that the
+    writer's tables are hit.  The characters name no orbit table: the
+    writer reads the one it is handed."""
     names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
     n = draw(st.integers(1, 3))
+    low = draw(st.integers(0, n - 1))
     orbit_levels = bytes(
-        draw(st.lists(st.integers(0, n - 1), min_size=len(reps), max_size=len(reps)))
+        draw(
+            st.lists(
+                st.integers(0, n - 1 - low), min_size=len(reps), max_size=len(reps)
+            )
+        )
     )
-    vectors = st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n).map(bytes)
+    vectors = st.lists(
+        st.sampled_from((0, 1)), min_size=n - low, max_size=n - low
+    ).map(lambda upper: bytes(low) + bytes(upper))
     pool = draw(st.lists(vectors, min_size=1, max_size=3))
     ids = st.lists(_IDS, max_size=3).map(tuple)
     # spine tuples from a small pool of shared objects, so that modules with
@@ -559,7 +593,7 @@ def _enumerate_results(draw):
             st.lists(st.sampled_from((0, 1)), min_size=len(names), max_size=len(names))
         )
         levels = draw(st.sampled_from(pool))
-        return path, BlockCharacter(tuple(plain), levels, orbit_levels)
+        return path, BlockCharacter(tuple(plain), levels, ())
 
     results = [
         (
@@ -570,14 +604,20 @@ def _enumerate_results(draw):
         for _ in range(draw(st.integers(0, 3)))
     ]
     head = {key: draw(_INTS) for key in ("p", "n", "e", "m")}
-    return SimpleNamespace(**head, nonexceptional_vertices=names), results, reps
+    desc = SimpleNamespace(**head, nonexceptional_vertices=names)
+    return desc, results, reps, orbit_levels, low
 
 
-def _payload(desc, results, reps):
-    """The data the writer prints, as the dicts json.dumps would take."""
+def _payload(desc, results, reps, orbit_levels, low):
+    """The data the writer prints, as the dicts json.dumps would take; a
+    representative at level `low + v` is printed where the character's
+    value at that level is non-zero."""
 
     def listed(values, selectors):
         return list(itertools.compress(values, selectors))
+
+    def exceptional(char):
+        return listed(reps, [char.levels[low + v] for v in orbit_levels])
 
     def entry(i, modules, error):
         out = {
@@ -597,7 +637,7 @@ def _payload(desc, results, reps):
                         "nonexceptional": listed(
                             desc.nonexceptional_vertices, char.nonexceptional
                         ),
-                        "exceptional": listed(reps, char.exceptional),
+                        "exceptional": exceptional(char),
                     },
                 }
                 for path, char in modules
@@ -614,9 +654,10 @@ def _payload(desc, results, reps):
 @settings(max_examples=100, deadline=None)
 @given(_enumerate_results())
 def test_enumerate_writer_matches_json_dumps(drawn):
-    desc, results, reps = drawn
-    expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
-    assert "".join(_enumerate_text(desc, results, reps, "json")) == expected
+    desc, results, reps, orbit_levels, low = drawn
+    expected = json.dumps(_payload(*drawn), indent=2) + "\n"
+    text = _enumerate_text(desc, results, reps, orbit_levels, low, "json")
+    assert "".join(text) == expected
 
 
 def test_enumerate_writer_renders_each_field_of_a_shared_spine():
@@ -633,24 +674,25 @@ def test_enumerate_writer_renders_each_field_of_a_shared_spine():
     ]
     # reps 5 and 6 sit at levels 0 and 1
     chars = [
-        BlockCharacter((1, 0), b"\x01\x00", b"\x00\x01"),
-        BlockCharacter((0, 0), b"\x00\x01", b"\x00\x01"),
+        BlockCharacter((1, 0), b"\x01\x00", ()),
+        BlockCharacter((0, 0), b"\x00\x01", ()),
     ]
     results = [(1, [(path, chars[k % 2]) for k, path in enumerate(paths)], None)]
-    reps = (5, 6)
-    expected = json.dumps(_payload(desc, results, reps), indent=2) + "\n"
-    assert "".join(_enumerate_text(desc, results, reps, "json")) == expected
+    table = (5, 6), b"\x00\x01", 0
+    expected = json.dumps(_payload(desc, results, *table), indent=2) + "\n"
+    assert "".join(_enumerate_text(desc, results, *table, "json")) == expected
 
 
 def test_enumerate_writer_cache_lasts_one_call():
     desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=())
     path = PathDescriptor(2, (), ("E1",), (), (1, -1), 2, "ii")
-    results = [(1, [(path, BlockCharacter((), b"\x01\x00", b"\x00\x01"))], None)]
+    results = [(1, [(path, BlockCharacter((), b"\x01\x00", ()))], None)]
     for reps in ((5, 6), (7, 8)):
-        as_json = json.loads("".join(_enumerate_text(desc, results, reps, "json")))
+        table = reps, b"\x00\x01", 0
+        as_json = json.loads("".join(_enumerate_text(desc, results, *table, "json")))
         module = as_json["results"][0]["modules"][0]
         assert module["character"]["exceptional"] == [reps[0]]
-        as_csv = "".join(_enumerate_text(desc, results, reps, "csv"))
+        as_csv = "".join(_enumerate_text(desc, results, *table, "csv"))
         assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n")
 
 
@@ -674,8 +716,9 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
         return real(data, chosen)
 
     monkeypatch.setattr(cyclicblocks.cli, "compress", spy)
-    reps = exceptional_orbits(5, 2, 4).representatives
-    _enumerate_text(star, [(2, modules, None)], reps, "json")
+    orbits = exceptional_orbits(5, 2, 4)
+    table = orbits.representatives, orbits.levels, 0
+    _enumerate_text(star, [(2, modules, None)], *table, "json")
     # one exceptional mask per distinct level vector, the bundle's among them
     masks = [chosen for chosen in selectors if isinstance(chosen, bytes)]
     assert len(masks) == len({char.levels for _, char in modules})

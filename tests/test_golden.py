@@ -14,6 +14,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,12 @@ def fixtures() -> dict[str, BlockDescriptor]:
     # lattice lines, and the deepest n of the benchmark's sizes
     out["random-13-4-12"] = random_block_descriptor(random.Random(0), 13, 4, 12)
     out["random-3-9-2"] = random_block_descriptor(random.Random(0), 3, 9, 2)
+    # their sign-flipped twins, which print no exceptional part that is
+    # non-zero at valuation level 0
+    for name in ("random-13-4-12", "random-3-9-2"):
+        desc = out[name]
+        flipped = {v: -sign for v, sign in desc.signs.items()}
+        out[f"{name}-flipped"] = replace(desc, signs=flipped)
     out["star-neg"] = star_tree(4, 5, 2, EndoPermParams((1,)), -1)
     out["star-pos"] = star_tree(4, 5, 2, EndoPermParams((1,)), 1)
     out["group-algebra-3-2"] = group_algebra_block(3, 2)
@@ -181,6 +188,16 @@ GOLDEN = {
         0,
         "a9ec88b5a3a7d46a4cb2aa19b7140c23368fb26b287886af2e024559d91e0894",
         "9c6c774eb9061e453ffc26b5433e73cde669eef23186b410e79a1edea06b6098",
+    ),
+    "random-13-4-12-flipped": (
+        0,
+        "0c164bfce99ea847b7e26f8468beb5dabffde7be907dd092b036c692d1c2927f",
+        "f380e5b95d9fc393bb8f2fc12a975dadbfc349d80363ba862b09bdc8072ebe7f",
+    ),
+    "random-3-9-2-flipped": (
+        0,
+        "612509a1f6cd5b07a659e4d571613d2dcced8b82adb5a8d10023a475ee5b12ba",
+        "0d3d927f0c5fb73e417a6806099ce4aa66bc4c5364481aa87a0b499143860ea5",
     ),
     "star-neg": (
         0,
