@@ -31,6 +31,7 @@ from .characters import (
 from .classification import (
     ClassificationError,
     PathDescriptor,
+    admitted_anchors,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -72,6 +73,7 @@ __all__ = [
     "IndecomposableModule",
     "OrbitStructure",
     "PathDescriptor",
+    "admitted_anchors",
     "b_level_character",
     "cap_dim",
     "cap_dim_recursive",

@@ -24,15 +24,17 @@ tied to the parity datum of the endo-permutation parameter, and the
 multiplicity range) read a path only through its class: the sign of its
 anchoring vertex, the parity of its spine, and whether it is a hook, a
 spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
-class once per (p, n, e, W, i).  `enumerate_trivial_source` is the one
-entry point: `_anchors`, the one place that maps a path to its class, hands
-it each anchor's class key, and it looks the key up before building any
-path anchored there, so it builds only the admitted modules.  An anchor's
-paths do not depend on the vertex index: they are built when some index
-first admits the anchor and kept in `BlockDescriptor.candidate_paths`.
-The classification guarantees exactly e modules per vertex, so any other
-count is surfaced as a ClassificationError carrying the partial list,
-never suppressed.
+class once per (p, n, e, W, i).  `admitted_anchors` is the one place that
+admits: `_anchors`, the one place that maps a path to its class, hands it
+each anchor's class key, and it looks the key up before building any path
+anchored there, so it builds only the admitted modules.  An anchor's paths
+do not depend on the vertex index: they are built when some index first
+admits the anchor and kept in `BlockDescriptor.candidate_paths`.  They
+share their spine and verdict, and so their character, and come out as
+one group; each hook is a group of its own.  `enumerate_trivial_source`
+flattens the groups into path descriptors.  The classification guarantees
+exactly e modules per vertex, so any other count is surfaced as a
+ClassificationError carrying the partial list, never suppressed.
 
 One-edge blocks (e = 1) only admit the back-and-forth path along their
 single edge, the shape-2 path from the plain vertex, with its own two
@@ -78,9 +80,14 @@ class ClassificationError(Exception):
         self.vertex_index = vertex_index
         self.expected = desc.e
         self.paths = paths
-        super().__init__(
+        super().__init__(self.message(desc, vertex_index, len(paths)))
+
+    @staticmethod
+    def message(desc: BlockDescriptor, vertex_index: int, count: int) -> str:
+        """What the error says when `count` modules were admitted."""
+        return (
             f"enumeration at vertex index {vertex_index} returned "
-            f"{len(paths)} modules, expected e = {desc.e}"
+            f"{count} modules, expected e = {desc.e}"
         )
 
 
@@ -187,33 +194,55 @@ def _within(verdict: Verdict | None, low: int, high: int) -> Verdict | None:
     return verdict
 
 
-def enumerate_trivial_source(
-    desc: BlockDescriptor, i: int
-) -> list[PathDescriptor]:
-    """The e trivial source modules with vertex of order p^i, as completed
-    path descriptors; raises ClassificationError when the admitted set
-    does not have size e, ValueError at m = 1 or i outside 1..n."""
+# The fields of a PathDescriptor up to its multiplicity and case:
+# (type_tag, spine_vertices, spine_edges, extra_edges, direction).
+PathFields = tuple[
+    int, tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[int, int]
+]
+# The paths of one admitted anchor at one vertex index with their verdict.
+AnchorGroup = tuple[Verdict, tuple[PathFields, ...]]
+
+
+def admitted_anchors(desc: BlockDescriptor, i: int) -> list[AnchorGroup]:
+    """The admitted anchors at vertex index i in candidate order, each as
+    its verdict and its kept paths, which share their spine lists and so
+    their character; the hooks, which share one anchor, come one group per
+    hook.  The count is not checked here.  Raises ValueError at m = 1 or i
+    outside 1..n."""
     if desc.m == 1:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
     table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
     kept = desc.candidate_paths
-    found = []
+    groups: list[AnchorGroup] = []
     for key, anchor in _anchors(desc, i):
         verdict = table.get(key)
         if verdict is not None:
-            case, mu = verdict
             paths = kept.get(anchor)
             if paths is None:
                 paths = kept[anchor] = _anchor_paths(desc, anchor)
-            for fields in paths:
-                found.append(PathDescriptor(*fields, mu, case))
+            if anchor is None:
+                # each hook affords the character of its own endpoint
+                groups += ((verdict, (path,)) for path in paths)
+            else:
+                groups.append((verdict, paths))
+    return groups
+
+
+def enumerate_trivial_source(
+    desc: BlockDescriptor, i: int
+) -> list[PathDescriptor]:
+    """The e trivial source modules with vertex of order p^i, as completed
+    path descriptors: the admitted anchors' paths in candidate order.
+    Raises ClassificationError when the admitted set does not have size e,
+    ValueError at m = 1 or i outside 1..n."""
+    found = [
+        PathDescriptor(*fields, mu, case)
+        for (case, mu), paths in admitted_anchors(desc, i)
+        for fields in paths
+    ]
     if len(found) != desc.e:
         raise ClassificationError(desc, i, found)
     return found
-
-
-# The fields of a PathDescriptor up to its multiplicity and case.
-_Fields = tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[int, int]]
 
 
 def _anchors(
@@ -235,7 +264,7 @@ def _anchors(
 
 def _anchor_paths(
     desc: BlockDescriptor, anchor: str | None
-) -> tuple[_Fields, ...]:
+) -> tuple[PathFields, ...]:
     """The candidate paths anchored at a vertex, or the hooks at None."""
     if anchor is None:
         return tuple(_hooks(desc))
@@ -244,7 +273,7 @@ def _anchor_paths(
     return tuple(_spine_paths(desc, anchor, *desc.spines[anchor]))
 
 
-def _hooks(desc: BlockDescriptor) -> Iterator[_Fields]:
+def _hooks(desc: BlockDescriptor) -> Iterator[PathFields]:
     for edge in desc.edges:
         for v in edge.ends:
             if desc.sign(v) > 0:
@@ -256,7 +285,7 @@ def _spine_paths(
     x0: str,
     spine_v: tuple[str, ...],
     spine_e: tuple[str, ...],
-) -> Iterator[_Fields]:
+) -> Iterator[PathFields]:
     """Shape 2 at a leaf x0; shapes 4, 5 and 6 at any other x0."""
     if desc.is_leaf(x0):
         yield 2, spine_v, spine_e, (), (1, -1)
@@ -270,7 +299,7 @@ def _spine_paths(
             yield 6, spine_v, spine_e, (e1, e2), (-1, 1)
 
 
-def _exceptional_paths(desc: BlockDescriptor, exc: str) -> Iterator[_Fields]:
+def _exceptional_paths(desc: BlockDescriptor, exc: str) -> Iterator[PathFields]:
     """Shape 3 at a leaf exceptional vertex; shape 7 at any other."""
     order = desc.incident(exc)
     if desc.is_leaf(exc):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -34,7 +33,9 @@ from .classification import (
     ClassificationError,
     M1Enumeration,
     PathDescriptor,
-    enumerate_trivial_source,
+    PathFields,
+    Verdict,
+    admitted_anchors,
     m1_enumerate,
 )
 from .cyclotomic import is_odd_prime
@@ -255,18 +256,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
         results = []
         for i in indices:
+            groups = admitted_anchors(desc, i)
+            count = sum(len(paths) for _, paths in groups)
             error = None
-            try:
-                modules = enumerate_trivial_source(desc, i)
-            except ClassificationError as err:
-                modules, error = err.paths, str(err)
+            if count != desc.e:
+                error = ClassificationError.message(desc, i, count)
                 status = EXIT_SEMANTIC
-            characters = [(path, character_of(desc, i, path)) for path in modules]
+            # the paths of a group share one character, assembled from the
+            # group's first path
+            characters = [
+                (
+                    (case, mu),
+                    paths,
+                    character_of(desc, i, PathDescriptor(*paths[0], mu, case)),
+                )
+                for (case, mu), paths in groups
+            ]
             results.append((i, characters, error))
         # the lowest level at which a printed exceptional part is non-zero:
         # the orbits of valuation at least `low` come from the table of
         # (p, n - low, e), and no table is built when every part is zero
-        parts = {char.levels for _, modules, _ in results for _, char in modules}
+        parts = {char.levels for _, groups, _ in results for *_, char in groups}
         low = min(
             (len(part) - len(part.lstrip(b"\0")) for part in parts if any(part)),
             default=None,
@@ -288,53 +298,49 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return status
 
 
-# One module of `enumerate --format json` as json.dumps(payload, indent=2)
-# lays it out, up to its exceptional list; the module object sits at depth
-# 4 and each of its lists at depth 6.
-_MODULE_JSON = """{
-          "type": %d,
-          "case": %s,
-          "multiplicity": %s,
-          "path": {
-            "spine_vertices": %s,
-            "spine_edges": %s,
-            "extra_edges": %s,
-            "direction": %s
-          },
-          "character": {
-            "nonexceptional": %s,
-            "exceptional": """
-_MODULE_JSON_END = "\n          }\n        }"
+# The head of `enumerate --format json`, the head of each vertex index's
+# entry and the end of each module, as json.dumps(payload, indent=2) lays
+# them out; the module object sits at depth 4 and each of its lists at
+# depth 6.
 _HEAD_JSON = '{\n  "p": %d,\n  "n": %d,\n  "e": %d,\n  "m": %d,\n  "results": ['
 _ENTRY_JSON = '{\n      "vertex": %d,\n      "modules": ['
+_MODULE_JSON_END = "\n          }\n        }"
+
+# The modules of one admitted anchor: their verdict, their paths, at least
+# one, and the character they share.
+_Group = tuple[Verdict, tuple[PathFields, ...], BlockCharacter]
 
 
 def _enumerate_text(
     desc: BlockDescriptor,
-    results: list[tuple[int, list[tuple[PathDescriptor, BlockCharacter]], str | None]],
+    results: list[tuple[int, list[_Group], str | None]],
     reps: tuple[int, ...],
     orbit_levels: bytes,
     low: int,
     fmt: str,
 ) -> list[str]:
     """What `enumerate` prints for an m > 1 block, given per vertex index
-    its modules with their characters and its error, if any: the pieces
-    whose concatenation is the text of json.dumps(payload, indent=2) plus a
-    newline, or the flattened CSV view.
+    its admitted anchor groups with their characters and its error, if
+    any: the pieces whose concatenation is the text of
+    json.dumps(payload, indent=2) plus a newline, or the flattened CSV
+    view, one module per path of each group.
 
     `reps` are the orbit representatives of valuation at least `low` in
     ascending order, and `orbit_levels` the valuation of each less `low`.
     Every exceptional part printed is zero below `low`, so its list is
     read off these alone.
 
-    The modules of a call share most of their lists: the exceptional parts
-    (xi or its complement per vertex index, the bundle), the spine lists
-    and the non-exceptional part of each anchor, and the four directions.
-    So each list's text is rendered once per call, in one table per kind
-    of list: a short list is kept under its tuple, an exceptional part
-    under its level values.  The pieces are never joined: a long list's
-    text is one piece, listed once per module that prints it, and the
-    caller writes the pieces out as they are.
+    The paths of a group share their spine lists, verdict and character,
+    so the case, multiplicity and spine text, the non-exceptional list and
+    the exceptional list are rendered once per group; a module adds only
+    its type, extra edges and direction.  Across groups the lists repeat
+    too (an anchor's spine and non-exceptional part at every vertex index,
+    xi or its complement in most groups, the four directions), so each
+    list's text is rendered on first sight and kept for the call, in one
+    table per kind of list: a short list under its tuple, an exceptional
+    part under its level values.  The pieces are never joined: a long
+    list's text is one piece, listed once per module that prints it, and
+    the caller writes the pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
@@ -344,78 +350,100 @@ def _enumerate_text(
         names = desc.nonexceptional_vertices
         listed = ";".join
     rep_text = tuple(map(str, reps))
-    plain = _Rendered(partial(compress, names), listed)
-    rendered: dict[bytes, str] = {}
+    ids: dict[tuple, str] = {}
+    directions: dict[tuple, str] = {}
+    plains: dict[tuple[int, ...], str] = {}
+    exceptionals: dict[bytes, str] = {}
 
-    def exceptional(char: BlockCharacter) -> str:
-        text = rendered.get(char.levels)
-        if text is None:
-            # the 0/1 mask over the representatives, one byte each, read
-            # from the levels at and above `low`
-            table = char.levels[low:] + bytes(256 - len(char.levels) + low)
-            text = rendered[char.levels] = listed(
-                compress(rep_text, orbit_levels.translate(table))
-            )
+    # each renderer keeps the text it makes in its table; the JSON writer
+    # looks a text up as `table.get(key) or render(key)`, since no JSON
+    # list is empty text
+    def quoted(items: tuple) -> str:
+        text = ids[items] = listed(map(_quote, items))
+        return text
+
+    def direction_text(direction: tuple) -> str:
+        text = directions[direction] = listed(map(str, direction))
+        return text
+
+    def plain(counts: tuple[int, ...]) -> str:
+        text = plains[counts] = listed(compress(names, counts))
+        return text
+
+    def exceptional(levels: bytes) -> str:
+        # the 0/1 mask over the representatives, one byte each, read from
+        # the levels at and above `low`
+        table = levels[low:] + bytes(256 - len(levels) + low)
+        text = exceptionals[levels] = listed(
+            compress(rep_text, orbit_levels.translate(table))
+        )
         return text
 
     if not as_json:
         out = ["vertex,type,case,multiplicity,nonexceptional,exceptional\n"]
-        for i, modules, _ in results:
-            for path, char in modules:
-                case = "" if path.case_tag is None else path.case_tag
-                mult = "" if path.multiplicity is None else path.multiplicity
-                out += (
-                    f"{i},{path.type_tag},{case},{mult},",
-                    plain[char.nonexceptional],
-                    ",",
-                    exceptional(char),
-                    "\n",
-                )
+        for i, groups, _ in results:
+            for (case, mult), paths, char in groups:
+                case = "" if case is None else case
+                mult = "" if mult is None else mult
+                nonexceptional = plains.get(char.nonexceptional)
+                if nonexceptional is None:
+                    nonexceptional = plain(char.nonexceptional)
+                shared = f"{case},{mult},{nonexceptional},"
+                text = exceptionals.get(char.levels)
+                if text is None:
+                    text = exceptional(char.levels)
+                for path in paths:
+                    out += (f"{i},{path[0]},{shared}", text, "\n")
         return out
-    ids = _Rendered(partial(map, _quote), listed)
-    direction = _Rendered(partial(map, str), listed)
     out = [_HEAD_JSON % (desc.p, desc.n, desc.e, desc.m)]
     entry_sep = "\n    "
-    for i, modules, error in results:
+    for i, groups, error in results:
         out.append(entry_sep + _ENTRY_JSON % i)
         module_sep = "\n        "
-        for path, char in modules:
-            case = "null" if path.case_tag is None else _quote(path.case_tag)
-            mult = "null" if path.multiplicity is None else path.multiplicity
-            text = _MODULE_JSON % (
-                path.type_tag,
-                case,
-                mult,
-                ids[path.spine_vertices],
-                ids[path.spine_edges],
-                ids[path.extra_edges],
-                direction[path.direction],
-                plain[char.nonexceptional],
+        for (case, mult), paths, char in groups:
+            # the module's fields from its case to its extra edges, and
+            # from the end of its path to its exceptional list, as
+            # json.dumps(payload, indent=2) lays them out at depth 4
+            _, spine_vertices, spine_edges, _, _ = paths[0]
+            case = "null" if case is None else _quote(case)
+            mult = "null" if mult is None else mult
+            spine_vertices = ids.get(spine_vertices) or quoted(spine_vertices)
+            spine_edges = ids.get(spine_edges) or quoted(spine_edges)
+            counts, levels = char.nonexceptional, char.levels
+            nonexceptional = plains.get(counts) or plain(counts)
+            head = (
+                f'"case": {case},\n'
+                f'          "multiplicity": {mult},\n'
+                '          "path": {\n'
+                f'            "spine_vertices": {spine_vertices},\n'
+                f'            "spine_edges": {spine_edges},\n'
+                '            "extra_edges": '
             )
-            out += (module_sep, text, exceptional(char), _MODULE_JSON_END)
-            module_sep = ",\n        "
-        out.append("\n      ]" if modules else "]")
+            tail = (
+                "\n          },\n"
+                '          "character": {\n'
+                f'            "nonexceptional": {nonexceptional},\n'
+                '            "exceptional": '
+            )
+            text = exceptionals.get(levels) or exceptional(levels)
+            for type_tag, _, _, extra_edges, direction in paths:
+                extra_edges = ids.get(extra_edges) or quoted(extra_edges)
+                direction = directions.get(direction) or direction_text(direction)
+                out += (
+                    f'{module_sep}{{\n          "type": {type_tag},\n          '
+                    f'{head}{extra_edges},\n            "direction": {direction}',
+                    tail,
+                    text,
+                    _MODULE_JSON_END,
+                )
+                module_sep = ",\n        "
+        out.append("\n      ]" if groups else "]")
         if error is not None:
             out.append(',\n      "error": ' + _quote(error))
         out.append("\n    }")
         entry_sep = ",\n    "
     out.append("\n  ]\n}\n" if results else "]\n}\n")
     return out
-
-
-class _Rendered(dict):
-    """The text listed(encode(items)) of each short tuple, rendered on first
-    lookup and kept under the tuple itself; it depends on the tuple's value
-    alone."""
-
-    def __init__(self, encode, listed) -> None:
-        super().__init__()
-        self.encode = encode
-        self.listed = listed
-
-    def __missing__(self, items: tuple) -> str:
-        text = self[items] = self.listed(self.encode(items))
-        return text
 
 
 def _json_list(items) -> str:

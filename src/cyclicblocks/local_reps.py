@@ -123,8 +123,12 @@ def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     >>> cap_dim(EndoPermParams((1, 2)), g, 3)
     7
     """
-    below = restricted_cap_params(params, g, i).indices
-    total = sum((-1) ** j * g.p ** (i - a) for j, a in enumerate(below))
+    return _cap_dim_below(g.p, i, restricted_cap_params(params, g, i).indices)
+
+
+def _cap_dim_below(p: int, i: int, below: tuple[int, ...]) -> int:
+    """`cap_dim` from the parameter indices below i, already checked."""
+    total = sum((-1) ** j * p ** (i - a) for j, a in enumerate(below))
     return total + (-1) ** len(below)
 
 
@@ -189,14 +193,12 @@ def morita_correspondent_character(
     Closed form: the alternating sum of the permutation characters for the
     parameter indices below i, closed by the one for D_i itself.  Equals
     inducing the determinant-1 character of the cap of the restriction, and
-    has degree cap_dim * p^{n-i}.
+    has degree cap_dim * p^{n-i}, read off the same checked indices.
     """
     below = restricted_cap_params(params, g, i).indices
     if not params.is_block_form:
         raise ValueError(f"block parameter must have indices >= 1, got {params.indices}")
-    return _alternating_perm_sum(
-        g, below + (i,), u_module_dimension(params, g, i)
-    )
+    return _alternating_perm_sum(g, below + (i,), _induced_cap_dim(g, i, below))
 
 
 def _alternating_perm_sum(
@@ -217,4 +219,10 @@ def _alternating_perm_sum(
 
 def u_module_dimension(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     """Dimension of the induced cap: cap_dim * p^{n-i}."""
-    return cap_dim(params, g, i) * g.p ** (g.n - i)
+    return _induced_cap_dim(g, i, restricted_cap_params(params, g, i).indices)
+
+
+def _induced_cap_dim(g: CyclicGroupData, i: int, below: tuple[int, ...]) -> int:
+    """`u_module_dimension` from the parameter indices below i, already
+    checked."""
+    return _cap_dim_below(g.p, i, below) * g.p ** (g.n - i)

@@ -53,6 +53,10 @@ from .local_reps import (
     u_module_dimension,
 )
 
+# Empties the cache of the orbit tables the characters read; bound at
+# import, so that it is that cache whatever the name is later bound to.
+_drop_orbit_tables = exceptional_orbits.cache_clear
+
 
 @lru_cache(maxsize=None)
 def perm_character_by_fixed_points(p: int, n: int, i: int) -> CyclicCharacter:
@@ -279,6 +283,9 @@ def consistency_suite(
                 _check_exceptional(p, n, check)
             except CharacterConsistencyError as err:
                 invariant_broken((p, n), err)
+            # no later check reads this grid point's orbit tables, and the
+            # largest grid point's alone are most of the suite's memory
+            _drop_orbit_tables()
 
     if grid.primes:
         for desc in random_corpus(

@@ -17,6 +17,7 @@ from cyclicblocks.classification import (
     PathDescriptor,
     _anchor_paths,
     _anchors,
+    admitted_anchors,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -475,3 +476,19 @@ def test_anchor_classes_read_the_table_like_the_reference():
         assert {(False, shape, True), (False, shape, False)} <= seen
     assert {(False, 1, False), (True, 2, False), (True, 3, True)} <= seen
 
+
+def test_admitted_anchor_groups_share_spine_verdict_and_character():
+    # a group is one anchor's paths under one verdict: they share their
+    # spine lists and so their character, and each hook stands alone
+    for desc in _reference_corpus():
+        for i in range(1, desc.n + 1):
+            for (case, mu), paths in admitted_anchors(desc, i):
+                assert paths
+                assert len({fields[1:3] for fields in paths}) == 1
+                if paths[0][0] == 1:
+                    assert len(paths) == 1
+                chars = {
+                    character_of(desc, i, PathDescriptor(*fields, mu, case))
+                    for fields in paths
+                }
+                assert len(chars) == 1

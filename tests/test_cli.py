@@ -31,7 +31,12 @@ from cyclicblocks.characters import (
     exceptional_orbits,
     vertex_character,
 )
-from cyclicblocks.classification import PathDescriptor, enumerate_trivial_source
+from cyclicblocks.classification import (
+    ClassificationError,
+    PathDescriptor,
+    admitted_anchors,
+    enumerate_trivial_source,
+)
 from cyclicblocks.cli import (
     _enumerate_text,
     descriptor_from_obj,
@@ -552,12 +557,14 @@ _INTS = st.integers() | st.integers(min_value=10**20)
 @st.composite
 def _enumerate_results(draw):
     """A descriptor stand-in, per vertex index results and the orbit table
-    as `cmd_enumerate` hands them to the writer: modules of the real schema
-    with arbitrary ids and numbers, exceptional level vectors that vanish
-    below a lowest level `low`, representatives with their levels less
-    `low`, and level vectors and spines drawn from small pools so that the
-    writer's tables are hit.  The characters name no orbit table: the
-    writer reads the one it is handed."""
+    as `cmd_enumerate` hands them to the writer: admitted anchor groups of
+    the real schema with arbitrary ids and numbers, each a verdict, one to
+    three paths sharing the group's spine objects and a character;
+    exceptional level vectors that vanish below a lowest level `low`,
+    representatives with their levels less `low`, and level vectors and
+    spines drawn from small pools so that the writer's tables are hit
+    within a group's paths and across groups.  The characters name no
+    orbit table: the writer reads the one it is handed."""
     names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
     n = draw(st.integers(1, 3))
@@ -574,31 +581,29 @@ def _enumerate_results(draw):
     ).map(lambda upper: bytes(low) + bytes(upper))
     pool = draw(st.lists(vectors, min_size=1, max_size=3))
     ids = st.lists(_IDS, max_size=3).map(tuple)
-    # spine tuples from a small pool of shared objects, so that modules with
-    # one spine object and different edges or directions meet in one call
+    # spine tuples from a small pool of shared objects, so that groups with
+    # one spine object and different verdicts or characters meet in one
+    # call, and a spine object can stand for a group's edges too
     spines = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=3)))
     directions = st.sampled_from(((0, 0), (1, -1))) | st.tuples(_INTS, _INTS)
 
-    def module():
-        path = PathDescriptor(
-            type_tag=draw(_INTS),
-            spine_vertices=draw(spines),
-            spine_edges=draw(spines | ids),
-            extra_edges=draw(ids),
-            direction=draw(directions),
-            multiplicity=draw(st.none() | _INTS),
-            case_tag=draw(st.none() | _IDS),
+    def group():
+        verdict = (draw(st.none() | _IDS), draw(st.none() | _INTS))
+        spine_vertices, spine_edges = draw(spines), draw(spines | ids)
+        paths = tuple(
+            (draw(_INTS), spine_vertices, spine_edges, draw(ids), draw(directions))
+            for _ in range(draw(st.integers(1, 3)))
         )
         plain = draw(
             st.lists(st.sampled_from((0, 1)), min_size=len(names), max_size=len(names))
         )
         levels = draw(st.sampled_from(pool))
-        return path, BlockCharacter(tuple(plain), levels, ())
+        return verdict, paths, BlockCharacter(tuple(plain), levels, ())
 
     results = [
         (
             draw(_INTS),
-            [module() for _ in range(draw(st.integers(0, 3)))],
+            [group() for _ in range(draw(st.integers(0, 3)))],
             draw(st.none() | _IDS),
         )
         for _ in range(draw(st.integers(0, 3)))
@@ -609,8 +614,9 @@ def _enumerate_results(draw):
 
 
 def _payload(desc, results, reps, orbit_levels, low):
-    """The data the writer prints, as the dicts json.dumps would take; a
-    representative at level `low + v` is printed where the character's
+    """The data the writer prints, as the dicts json.dumps would take: one
+    module per path of each group, with the group's verdict and character;
+    a representative at level `low + v` is printed where the character's
     value at that level is non-zero."""
 
     def listed(values, selectors):
@@ -619,28 +625,33 @@ def _payload(desc, results, reps, orbit_levels, low):
     def exceptional(char):
         return listed(reps, [char.levels[low + v] for v in orbit_levels])
 
-    def entry(i, modules, error):
+    def module(verdict, path, char):
+        type_tag, spine_vertices, spine_edges, extra_edges, direction = path
+        return {
+            "type": type_tag,
+            "case": verdict[0],
+            "multiplicity": verdict[1],
+            "path": {
+                "spine_vertices": list(spine_vertices),
+                "spine_edges": list(spine_edges),
+                "extra_edges": list(extra_edges),
+                "direction": list(direction),
+            },
+            "character": {
+                "nonexceptional": listed(
+                    desc.nonexceptional_vertices, char.nonexceptional
+                ),
+                "exceptional": exceptional(char),
+            },
+        }
+
+    def entry(i, groups, error):
         out = {
             "vertex": i,
             "modules": [
-                {
-                    "type": path.type_tag,
-                    "case": path.case_tag,
-                    "multiplicity": path.multiplicity,
-                    "path": {
-                        "spine_vertices": list(path.spine_vertices),
-                        "spine_edges": list(path.spine_edges),
-                        "extra_edges": list(path.extra_edges),
-                        "direction": list(path.direction),
-                    },
-                    "character": {
-                        "nonexceptional": listed(
-                            desc.nonexceptional_vertices, char.nonexceptional
-                        ),
-                        "exceptional": exceptional(char),
-                    },
-                }
-                for path, char in modules
+                module(verdict, path, char)
+                for verdict, paths, char in groups
+                for path in paths
             ],
         }
         if error is not None:
@@ -661,23 +672,32 @@ def test_enumerate_writer_matches_json_dumps(drawn):
 
 
 def test_enumerate_writer_renders_each_field_of_a_shared_spine():
-    # one spine object, and the one empty tuple, carried by paths whose
-    # edges and directions differ: each list is rendered from its own tuple
+    # one spine object, and the one empty tuple, carried by groups whose
+    # verdicts and characters differ and by paths whose extra edges and
+    # directions differ; the spine object also stands for a group's edges:
+    # each list is rendered from its own tuple
     desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=("v1", "v2"))
     spine = ("v1",)
-    paths = [
-        PathDescriptor(3, (), ("E1",), (), (-1, 1), 2, "ii"),
-        PathDescriptor(7, (), (), ("E1", "E2"), (0, 0), 1, "i"),
-        PathDescriptor(2, spine, ("E1",), (), (1, -1), 2, "ii"),
-        PathDescriptor(4, spine, ("E1", "E3"), ("E2",), (1, 1), 2, "iv"),
-        PathDescriptor(5, spine, spine, ("E3",), (0, 0), 2, "iv"),
-    ]
     # reps 5 and 6 sit at levels 0 and 1
     chars = [
         BlockCharacter((1, 0), b"\x01\x00", ()),
         BlockCharacter((0, 0), b"\x00\x01", ()),
     ]
-    results = [(1, [(path, chars[k % 2]) for k, path in enumerate(paths)], None)]
+    groups = [
+        (("ii", 2), ((3, (), ("E1",), (), (-1, 1)),), chars[0]),
+        (("i", 1), ((7, (), (), ("E1", "E2"), (0, 0)),), chars[1]),
+        (("ii", 2), ((2, spine, ("E1",), (), (1, -1)),), chars[0]),
+        (
+            ("iv", 2),
+            (
+                (4, spine, spine, ("E2",), (1, 1)),
+                (5, spine, spine, ("E3",), (0, 0)),
+                (6, spine, spine, ("E2", "E3"), (-1, 1)),
+            ),
+            chars[1],
+        ),
+    ]
+    results = [(1, groups, None)]
     table = (5, 6), b"\x00\x01", 0
     expected = json.dumps(_payload(desc, results, *table), indent=2) + "\n"
     assert "".join(_enumerate_text(desc, results, *table, "json")) == expected
@@ -685,27 +705,31 @@ def test_enumerate_writer_renders_each_field_of_a_shared_spine():
 
 def test_enumerate_writer_cache_lasts_one_call():
     desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=())
-    path = PathDescriptor(2, (), ("E1",), (), (1, -1), 2, "ii")
-    results = [(1, [(path, BlockCharacter((), b"\x01\x00", ()))], None)]
+    group = (
+        ("ii", 2),
+        ((2, (), ("E1",), (), (1, -1)), (4, (), ("E1",), ("E2",), (1, 1))),
+        BlockCharacter((), b"\x01\x00", ()),
+    )
+    results = [(1, [group], None)]
     for reps in ((5, 6), (7, 8)):
         table = reps, b"\x00\x01", 0
         as_json = json.loads("".join(_enumerate_text(desc, results, *table, "json")))
-        module = as_json["results"][0]["modules"][0]
-        assert module["character"]["exceptional"] == [reps[0]]
+        for module in as_json["results"][0]["modules"]:
+            assert module["character"]["exceptional"] == [reps[0]]
         as_csv = "".join(_enumerate_text(desc, results, *table, "csv"))
-        assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n")
+        assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n1,4,ii,2,,{reps[0]}\n")
 
 
 def test_enumerate_renders_the_bundle_once(monkeypatch):
     # at the full vertex a trivial parameter gives a hook per edge; with a
     # positive exceptional centre every one of them affords the bundle
     star = star_tree(4, 5, 2, W(()), 1)
-    modules = [
-        (path, character_of(star, 2, path))
-        for path in enumerate_trivial_source(star, 2)
-    ]
+    groups = []
+    for (case, mu), paths in admitted_anchors(star, 2):
+        path = PathDescriptor(*paths[0], mu, case)
+        groups.append(((case, mu), paths, character_of(star, 2, path)))
     bundle = vertex_character(star, star.exceptional)
-    hooks = [char for path, char in modules if path.type_tag == 1]
+    hooks = [char for _, paths, char in groups if paths[0][0] == 1]
     assert len(hooks) == 4
     assert all(char.levels == bundle.levels for char in hooks)
     selectors = []
@@ -718,10 +742,10 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     monkeypatch.setattr(cyclicblocks.cli, "compress", spy)
     orbits = exceptional_orbits(5, 2, 4)
     table = orbits.representatives, orbits.levels, 0
-    _enumerate_text(star, [(2, modules, None)], *table, "json")
+    _enumerate_text(star, [(2, groups, None)], *table, "json")
     # one exceptional mask per distinct level vector, the bundle's among them
     masks = [chosen for chosen in selectors if isinstance(chosen, bytes)]
-    assert len(masks) == len({char.levels for _, char in modules})
+    assert len(masks) == len({char.levels for *_, char in groups})
     assert masks.count(bytes(bundle.exceptional)) == 1
 
 
@@ -786,6 +810,34 @@ sys.exit(cli.main(["enumerate", {path!r}]))
     assert b"injected at the last vertex index" in done.stderr
 
 
+def test_enumerate_prints_the_golden_text_in_optimised_mode(tmp_path):
+    # python -O strips assert statements; the sharing of one character per
+    # admitted anchor rests on none of them, so both formats still print
+    # the golden text: hooks at index n in JSON, shape 3 in CSV
+    script = (
+        "import sys, cyclicblocks.cli as cli; print(__debug__); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = Path(cyclicblocks.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for name, fmt, column in (
+        ("random-67-2-66", "json", 1),
+        ("random-101-2-100", "csv", 2),
+    ):
+        obj = descriptor_to_obj(fixtures()[name])
+        path = write_obj(tmp_path, obj, f"{name}.json")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, "enumerate", path, "--format", fmt],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == GOLDEN[name][0], done.stderr
+        debug, _, text = done.stdout.partition(b"\n")
+        assert debug == b"False"
+        assert hashlib.sha256(text).hexdigest() == GOLDEN[name][column], name
+
+
 def _round_trip_descriptors():
     yield from fixtures().items()
     corpus = random_corpus(primes=(3, 5, 7, 11), n_max=3, seed=23, count=20)
@@ -802,6 +854,64 @@ def test_enumerate_json_is_what_json_dumps_writes(tmp_path):
             main(["enumerate", path])
         text = out.getvalue()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
+def _printed_path(module):
+    """The path descriptor a printed enumerate module describes."""
+    path = module["path"]
+    return PathDescriptor(
+        module["type"],
+        tuple(path["spine_vertices"]),
+        tuple(path["spine_edges"]),
+        tuple(path["extra_edges"]),
+        tuple(path["direction"]),
+        module["multiplicity"],
+        module["case"],
+    )
+
+
+def test_enumerate_shares_one_character_per_anchor_rightly(tmp_path):
+    # enumerate assembles one character per admitted anchor; every printed
+    # module must still carry the character of its own path: its lists are
+    # the non-zero coordinates of character_of on the path it prints, and
+    # the paths are enumerate_trivial_source's, partial lists included
+    descriptors = [
+        *_round_trip_descriptors(),
+        ("short-count", descriptor_from_obj(_short_count_obj())),
+    ]
+    seen = set()
+    for name, desc in descriptors:
+        if desc.m == 1:
+            continue
+        path = write_obj(tmp_path, descriptor_to_obj(desc), f"{name}.json")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(["enumerate", path])
+        plain = desc.nonexceptional_vertices
+        reps = exceptional_orbits(desc.p, desc.n, desc.e).representatives
+        for entry in json.loads(out.getvalue())["results"]:
+            i = entry["vertex"]
+            try:
+                expected = enumerate_trivial_source(desc, i)
+            except ClassificationError as err:
+                expected = err.paths
+                assert entry["error"] == str(err), name
+            printed = [_printed_path(module) for module in entry["modules"]]
+            assert printed == expected, (name, i)
+            for module, own in zip(entry["modules"], printed):
+                char = character_of(desc, i, own)
+                assert module["character"] == {
+                    "nonexceptional": list(
+                        itertools.compress(plain, char.nonexceptional)
+                    ),
+                    "exceptional": list(itertools.compress(reps, char.exceptional)),
+                }, (name, i, own)
+                seen.add("e = 1" if desc.e == 1 else own.type_tag)
+            if "error" in entry:
+                seen.add("count error")
+    # one-edge blocks, hooks, both exceptional shapes, the spine shapes with
+    # several paths per anchor and the count error all came by
+    assert {"e = 1", 1, 3, 4, 5, 6, 7, "count error"} <= seen
 
 
 def test_oracle_small_grid(capsys):

@@ -221,12 +221,14 @@ def _clear_package_caches():
 
 
 def test_consistency_suite_reports_broken_invariant(monkeypatch):
-    real = cyclicblocks.local_reps.u_module_dimension
+    # the induced cap dimension is the degree the Morita correspondent is
+    # checked against
+    real = cyclicblocks.local_reps._induced_cap_dim
     _clear_package_caches()
     monkeypatch.setattr(
         cyclicblocks.local_reps,
-        "u_module_dimension",
-        lambda w, g, i: real(w, g, i) + 1,
+        "_induced_cap_dim",
+        lambda g, i, below: real(g, i, below) + 1,
     )
     try:
         report = consistency_suite(
