@@ -123,11 +123,31 @@ class BlockDescriptor:
         return {}
 
     @cached_property
-    def xi_levels(self) -> dict[int, tuple[bytes, bytes]]:
-        """The values of xi and of its complement on the valuation levels
-        0 ... n - 1, one byte each, filled per vertex index as they are
-        first read (`characters`)."""
-        return {}
+    def anchor_keys(self) -> list[tuple[tuple[int, int, int], str]]:
+        """The anchors of every non-hook candidate path with their class
+        keys, in candidate order, filled when first read
+        (`classification._anchors`); unlike the hooks' key, they do not
+        depend on the vertex index."""
+        return []
+
+    @cached_property
+    def index_table(self) -> dict[int, tuple]:
+        """Per vertex index i = 1 ... n, what depends on (p, n, e, W, i)
+        alone: the cap dimension, the admissibility verdict of every class
+        of paths and the values of xi and of its complement on the
+        valuation levels, from one sweep over W that checks (p, n, W) once
+        (`classification.index_table`).  Read an entry with `index_entry`."""
+        # classification imports this module, so it is imported on first read
+        from .classification import index_table
+
+        return index_table(self)
+
+    def index_entry(self, i: int) -> tuple:
+        """The entry of `index_table` at vertex index i."""
+        entry = self.index_table.get(i)
+        if entry is None:
+            raise ValueError(f"vertex index {i} outside 1..{self.n}")
+        return entry
 
     def edge_by_id(self, edge_id: str) -> Edge:
         try:

@@ -39,7 +39,6 @@ from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
     EndoPermParams,
-    morita_correspondent_character,
 )
 
 
@@ -465,8 +464,9 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
 
     Value at kappa(r): the multiplicity of lambda_kappa(r) in the Morita
     correspondent of the local trivial source module with vertex D_i, read
-    at the valuation level of kappa(r) once per vertex index and
-    descriptor; it depends on (p, n, e, W, i) only.
+    at the valuation level of kappa(r); it depends on (p, n, W, i) only,
+    and the levels of every i come from one sweep per descriptor
+    (`BlockDescriptor.index_table`).
     """
     plain = (0,) * len(desc.nonexceptional_vertices)
     return _exceptional_character(desc, plain, i, False)
@@ -484,19 +484,12 @@ def _exceptional_character(
     desc: BlockDescriptor, plain: tuple[int, ...], i: int, complement: bool
 ) -> BlockCharacter:
     """The character with this non-exceptional part whose exceptional part
-    is xi's at vertex index i, or its complement's.
-
-    xi's level values are the Morita correspondent's below n, checked 0/1
-    and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count law;
-    they and their complement's are kept in `desc.xi_levels` under i."""
+    is xi's at vertex index i, or its complement's, read off the entry of
+    i in `desc.index_table`."""
     if desc.exceptional is None:
         raise ValueError("descriptor has no exceptional characters (m = 1)")
-    pair = desc.xi_levels.get(i)
-    if pair is None:
-        g = CyclicGroupData(desc.p, desc.n)
-        levels = morita_correspondent_character(desc.w, g, i).levels[: g.n]
-        pair = desc.xi_levels[i] = (bytes(levels), bytes(1 - c for c in levels))
-    return BlockCharacter(plain, pair[complement], (desc.p, desc.n, desc.e))
+    levels = desc.index_entry(i).xi_levels[complement]
+    return BlockCharacter(plain, levels, (desc.p, desc.n, desc.e))
 
 
 def b_level_character(

@@ -24,7 +24,9 @@ tied to the parity datum of the endo-permutation parameter, and the
 multiplicity range) read a path only through its class: the sign of its
 anchoring vertex, the parity of its spine, and whether it is a hook, a
 spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
-class once per (p, n, e, W, i).  `admitted_anchors` is the one place that
+class once per (p, n, e, W, i); a descriptor keeps the verdicts of every
+vertex index, with xi's level values, in its index table (`index_table`),
+filled by one sweep over W.  `admitted_anchors` is the one place that
 admits: `_anchors`, the one place that maps a path to its class, hands it
 each anchor's class key, and it looks the key up before building any path
 anchored there, so it builds only the admitted modules.  An anchor's paths
@@ -59,6 +61,7 @@ from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
+    correspondents_by_index,
 )
 
 # The shape under which the verdict table files the spine shapes 2, 4, 5
@@ -153,7 +156,46 @@ def verdict_table(
     admitted is the even spine: case i with multiplicity dim at a positive
     plain vertex, case ii with p^n - dim at a negative one.
     """
-    ell = cap_dim(w, CyclicGroupData(p, n), i)
+    return _verdicts(p, n, e, cap_dim(w, CyclicGroupData(p, n), i), i)
+
+
+class IndexEntry(NamedTuple):
+    """What vertex index i of a descriptor depends on, (p, n, e, W, i)
+    alone: the cap dimension, the verdict of every class of paths and the
+    values of xi and of its complement on the valuation levels below n,
+    one byte each."""
+
+    cap_dim: int
+    verdicts: dict[ClassKey, Verdict | None]
+    xi_levels: tuple[bytes, bytes]
+
+
+def index_table(desc: BlockDescriptor) -> dict[int, IndexEntry]:
+    """The entry of every vertex index i = 1 ... n, built afresh from one
+    sweep over W that checks (p, n, W) once; `desc.index_table` keeps
+    one.  xi's level values are the Morita correspondent's below n, checked
+    0/1 and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count
+    law.  Raises ValueError for a p, n or W that the closed forms refuse,
+    W not in block form included."""
+    p, n, e = desc.p, desc.n, desc.e
+    forms = correspondents_by_index(desc.w, CyclicGroupData(p, n))
+    table = {}
+    for i, (ell, levels) in enumerate(forms, 1):
+        xi = bytes(levels[:n])
+        table[i] = IndexEntry(
+            ell, _verdicts(p, n, e, ell, i), (xi, xi.translate(_COMPLEMENT))
+        )
+    return table
+
+
+# the byte translation that takes a 0/1 level value to one minus it
+_COMPLEMENT = b"\x01\x00" + bytes(254)
+
+
+def _verdicts(
+    p: int, n: int, e: int, ell: int, i: int
+) -> dict[ClassKey, Verdict | None]:
+    """`verdict_table` at cap dimension ell, already computed."""
     dim = ell * p ** (n - i)
     neg_ok = ell % e == 0
     # e | p-1 makes p = 1 mod e, so both readings of the negative-sign
@@ -211,7 +253,7 @@ def admitted_anchors(desc: BlockDescriptor, i: int) -> list[AnchorGroup]:
     outside 1..n."""
     if desc.m == 1:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
-    table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
+    table = desc.index_entry(i).verdicts
     kept = desc.candidate_paths
     groups: list[AnchorGroup] = []
     for key, anchor in _anchors(desc, i):
@@ -251,15 +293,18 @@ def _anchors(
     """The anchors at vertex index i in candidate order, each with its
     class key: the hooks first as one anchor, None (each hook affords a
     positive endpoint), then the non-exceptional vertices in descriptor
-    order, then the exceptional vertex."""
+    order, then the exceptional vertex.  Only the hooks depend on i; the
+    other keys are kept in `desc.anchor_keys` from their first read."""
     if desc.e > 1 and desc.w.is_trivial and i == desc.n:
         yield (1, POSITIVE, 0), None
-    spines, signs = desc.spines, desc.signs
-    for x0 in desc.nonexceptional_vertices:
-        yield (SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0
-    exc = desc.exceptional
-    shape = 3 if desc.is_leaf(exc) else 7
-    yield (shape, desc.sign(exc), 0), exc
+    keys = desc.anchor_keys
+    if not keys:
+        spines, signs, exc = desc.spines, desc.signs, desc.exceptional
+        keys += [
+            ((SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0)
+            for x0 in desc.nonexceptional_vertices
+        ] + [((3 if desc.is_leaf(exc) else 7, desc.sign(exc), 0), exc)]
+    yield from keys
 
 
 def _anchor_paths(

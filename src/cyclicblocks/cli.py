@@ -305,6 +305,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 _HEAD_JSON = '{\n  "p": %d,\n  "n": %d,\n  "e": %d,\n  "m": %d,\n  "results": ['
 _ENTRY_JSON = '{\n      "vertex": %d,\n      "modules": ['
 _MODULE_JSON_END = "\n          }\n        }"
+# A non-empty list at depth 6 is its items, joined by the separator,
+# between the opening and the closing text.
+_JSON_LIST_OPEN = "[\n              "
+_JSON_ITEM_SEP = ",\n              "
+_JSON_LIST_CLOSE = "\n            ]"
 
 # The modules of one admitted anchor: their verdict, their paths, at least
 # one, and the character they share.
@@ -338,17 +343,21 @@ def _enumerate_text(
     xi or its complement in most groups, the four directions), so each
     list's text is rendered on first sight and kept for the call, in one
     table per kind of list: a short list under its tuple, an exceptional
-    part under its level values.  The pieces are never joined: a long
-    list's text is one piece, listed once per module that prints it, and
-    the caller writes the pieces out as they are.
+    part under its level values.  An exceptional list is kept as its body
+    alone, the items joined by their separator, and its JSON brackets go
+    in the pieces on either side, so a long list is joined once and never
+    copied.  The pieces are never joined: a long list's body is one piece,
+    listed once per module that prints it, and the caller writes the
+    pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
         names = tuple(map(_quote, desc.nonexceptional_vertices))
         listed = _json_list
+        joined = _JSON_ITEM_SEP.join
     else:
         names = desc.nonexceptional_vertices
-        listed = ";".join
+        listed = joined = ";".join
     rep_text = tuple(map(str, reps))
     ids: dict[tuple, str] = {}
     directions: dict[tuple, str] = {}
@@ -356,8 +365,9 @@ def _enumerate_text(
     exceptionals: dict[bytes, str] = {}
 
     # each renderer keeps the text it makes in its table; the JSON writer
-    # looks a text up as `table.get(key) or render(key)`, since no JSON
-    # list is empty text
+    # looks a short list up as `table.get(key) or render(key)`, since no
+    # JSON list is empty text, and an exceptional body, which may be
+    # empty, against None
     def quoted(items: tuple) -> str:
         text = ids[items] = listed(map(_quote, items))
         return text
@@ -372,9 +382,10 @@ def _enumerate_text(
 
     def exceptional(levels: bytes) -> str:
         # the 0/1 mask over the representatives, one byte each, read from
-        # the levels at and above `low`
+        # the levels at and above `low`; the list's body only, without its
+        # brackets
         table = levels[low:] + bytes(256 - len(levels) + low)
-        text = exceptionals[levels] = listed(
+        text = exceptionals[levels] = joined(
             compress(rep_text, orbit_levels.translate(table))
         )
         return text
@@ -425,7 +436,17 @@ def _enumerate_text(
                 f'            "nonexceptional": {nonexceptional},\n'
                 '            "exceptional": '
             )
-            text = exceptionals.get(levels) or exceptional(levels)
+            text = exceptionals.get(levels)
+            if text is None:
+                text = exceptional(levels)
+            # the exceptional list's brackets go in the pieces around its
+            # body, so that a long body is never copied
+            if text:
+                tail += _JSON_LIST_OPEN
+                end = _JSON_LIST_CLOSE + _MODULE_JSON_END
+            else:
+                tail += "[]"
+                end = _MODULE_JSON_END
             for type_tag, _, _, extra_edges, direction in paths:
                 extra_edges = ids.get(extra_edges) or quoted(extra_edges)
                 direction = directions.get(direction) or direction_text(direction)
@@ -434,7 +455,7 @@ def _enumerate_text(
                     f'{head}{extra_edges},\n            "direction": {direction}',
                     tail,
                     text,
-                    _MODULE_JSON_END,
+                    end,
                 )
                 module_sep = ",\n        "
         out.append("\n      ]" if groups else "]")
@@ -450,8 +471,8 @@ def _json_list(items) -> str:
     """A list of already encoded items, none of them empty, laid out as
     json.dumps(..., indent=2) lays out a list at depth 6, the depth of
     every list in an enumerate module."""
-    body = ",\n              ".join(items)
-    return f"[\n              {body}\n            ]" if body else "[]"
+    body = _JSON_ITEM_SEP.join(items)
+    return f"{_JSON_LIST_OPEN}{body}{_JSON_LIST_CLOSE}" if body else "[]"
 
 
 def _m1_text(desc: BlockDescriptor, found: M1Enumeration, fmt: str) -> str:

@@ -19,6 +19,7 @@ All functions are pure and all values immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cyclotomic import CyclicCharacter, is_odd_prime
 
@@ -123,13 +124,8 @@ def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     >>> cap_dim(EndoPermParams((1, 2)), g, 3)
     7
     """
-    return _cap_dim_below(g.p, i, restricted_cap_params(params, g, i).indices)
-
-
-def _cap_dim_below(p: int, i: int, below: tuple[int, ...]) -> int:
-    """`cap_dim` from the parameter indices below i, already checked."""
-    total = sum((-1) ** j * p ** (i - a) for j, a in enumerate(below))
-    return total + (-1) ** len(below)
+    below = restricted_cap_params(params, g, i).indices
+    return _closed_form(g.p, g.n, below + (i,))[0]
 
 
 def restricted_cap_params(
@@ -166,11 +162,11 @@ def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicChar
 
     Alternating sum of permutation characters, closed by the trivial
     character (the one on D/D_n); the assembled levels are 0/1-valued with
-    degree equal to the module's dimension.
+    degree equal to the module's dimension, the cap dimension at D itself.
     """
-    return _alternating_perm_sum(
-        g, params.indices + (g.n,), cap_dim(params, g, g.n)
-    )
+    below = restricted_cap_params(params, g, g.n).indices
+    levels = _closed_form(g.p, g.n, below + (g.n,))[1]
+    return CyclicCharacter(g.p, g.n, levels)
 
 
 def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> CyclicCharacter:
@@ -193,36 +189,82 @@ def morita_correspondent_character(
     Closed form: the alternating sum of the permutation characters for the
     parameter indices below i, closed by the one for D_i itself.  Equals
     inducing the determinant-1 character of the cap of the restriction, and
-    has degree cap_dim * p^{n-i}, read off the same checked indices.
+    has degree cap_dim * p^{n-i}.
     """
+    below = _block_indices_below(params, g, i)
+    levels = _closed_form(g.p, g.n, below + (i,))[1]
+    return CyclicCharacter(g.p, g.n, levels)
+
+
+def correspondents_by_index(
+    params: EndoPermParams, g: CyclicGroupData
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """`cap_dim` and the levels of `morita_correspondent_character` at every
+    vertex index, entry i - 1 for i = 1 ... n, from one check of the
+    parameter instead of one per index."""
+    indices = _block_indices_below(params, g, g.n)
+    return tuple(
+        _closed_form(g.p, g.n, tuple(a for a in indices if a < i) + (i,))
+        for i in range(1, g.n + 1)
+    )
+
+
+def _block_indices_below(
+    params: EndoPermParams, g: CyclicGroupData, i: int
+) -> tuple[int, ...]:
+    """The parameter indices below i, checked as `restricted_cap_params`
+    checks them, for a parameter that must be in block form."""
     below = restricted_cap_params(params, g, i).indices
     if not params.is_block_form:
-        raise ValueError(f"block parameter must have indices >= 1, got {params.indices}")
-    return _alternating_perm_sum(g, below + (i,), _induced_cap_dim(g, i, below))
-
-
-def _alternating_perm_sum(
-    g: CyclicGroupData, indices: tuple[int, ...], degree: int
-) -> CyclicCharacter:
-    """The alternating sum of the permutation characters on D/D_a over the
-    subgroup indices a, which must come out 0/1-valued of the given degree."""
-    total = CyclicCharacter(g.p, g.n, (0,) * (g.n + 1))
-    for j, a in enumerate(indices):
-        term = perm_module_character(g, a)
-        total = total + term if j % 2 == 0 else total - term
-    if any(m not in (0, 1) for m in total.levels) or total.degree != degree:
-        raise CharacterConsistencyError(
-            f"alternating sum over indices {indices} is not 0/1 of degree {degree}"
+        raise ValueError(
+            f"block parameter must have indices >= 1, got {params.indices}"
         )
-    return total
+    return below
+
+
+def _closed_form(
+    p: int, n: int, cuts: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """The cap dimension at D_i and the n + 1 levels of the alternating sum
+    of the permutation characters on D/D_a over the cut indices a: the
+    parameter indices below i, already checked, closed by i = cuts[-1].
+
+    The one home of the closed forms.  For a block parameter the sum is the
+    Morita correspondent at D_i; closed by n, it is the determinant-1
+    character of any parameter.  The levels must come out 0/1 of degree
+    cap_dim * p^(n-i), the count law.
+    """
+    *below, i = cuts
+    ell = (-1) ** len(below)
+    for j, a in enumerate(below):
+        ell += (-1) ** j * p ** (i - a)
+    levels = _perm_sum_levels(n, cuts)
+    # level v < n holds p^(n-v-1)(p-1) characters, level n the one lambda_0
+    degree, weight = levels[n], p - 1
+    for c in reversed(levels[:n]):
+        degree += c * weight
+        weight *= p
+    expected = ell * p ** (n - i)
+    if not {*levels} <= {0, 1} or degree != expected:
+        raise CharacterConsistencyError(
+            f"alternating sum over indices {cuts} is not 0/1 of degree {expected}"
+        )
+    return ell, levels
+
+
+def _perm_sum_levels(n: int, cuts: tuple[int, ...]) -> tuple[int, ...]:
+    """The n + 1 levels of the alternating sum, first term positive, of the
+    permutation characters on D/D_a over the indices a: each is 1 on the
+    levels a ... n (`perm_module_character`), so the sum steps by +-1 at
+    each a."""
+    steps = [0] * (n + 1)
+    sign = 1
+    for a in cuts:
+        steps[a] += sign
+        sign = -sign
+    return tuple(accumulate(steps))
 
 
 def u_module_dimension(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     """Dimension of the induced cap: cap_dim * p^{n-i}."""
-    return _induced_cap_dim(g, i, restricted_cap_params(params, g, i).indices)
-
-
-def _induced_cap_dim(g: CyclicGroupData, i: int, below: tuple[int, ...]) -> int:
-    """`u_module_dimension` from the parameter indices below i, already
-    checked."""
-    return _cap_dim_below(g.p, i, below) * g.p ** (g.n - i)
+    return cap_dim(params, g, i) * g.p ** (g.n - i)

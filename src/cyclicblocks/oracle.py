@@ -371,8 +371,9 @@ def _check_exceptional(p: int, n: int, check) -> None:
     representatives at each level; xi and its complement are then compared
     by their n level values, and xi's orbit table with the checked one.
     The oracle-path correspondent depends on (W, i) alone, so each one is
-    built once and checked against every e; only one correspondent and one
-    star block are held at a time."""
+    built once and checked against every e; only one correspondent is held
+    at a time, and one star block per e for each W, which reads every
+    vertex index off one sweep."""
     es = [e for e in _divisors(p - 1) if (p ** n - 1) // e > 1]
     tables = {}
     for e in es:
@@ -385,6 +386,7 @@ def _check_exceptional(p: int, n: int, check) -> None:
         tables[e] = orbits.levels, counts
     g = CyclicGroupData(p, n)
     for w in block_params_for(n):
+        stars = {e: star_tree(e, p, n, w, -1) for e in es}
         for i in range(1, n + 1):
             t, d0 = t_and_d0(w, i)
             dim = cap_dim(w, g, i) * p ** (n - i)
@@ -395,7 +397,7 @@ def _check_exceptional(p: int, n: int, check) -> None:
             nondivisible = xi_complement_nondivisible(w, p, n, i)
             for e in es:
                 table, counts = tables[e]
-                star = star_tree(e, p, n, w, -1)
+                star = stars[e]
                 part = xi(star, i)
                 comp = tuple(xi_complement(star, i).levels)
                 check(

@@ -35,7 +35,7 @@ from cyclicblocks.characters import (
 from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.characters import character_of
-from cyclicblocks.cyclotomic import CyclicCharacter, is_odd_prime, valuation
+from cyclicblocks.cyclotomic import is_odd_prime, valuation
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -812,17 +812,22 @@ def _clear_package_caches():
 
 
 def test_level_check_fires_on_a_level_outside_0_1(monkeypatch):
-    # a permutation character with multiplicity 2 at the trivial character
-    # gives the Morita correspondent, whose levels below n are xi's, the
-    # value 2 at level 0: the cut indices (1, 2, 3) sum it as 2 - 2 + 2
-    star = star_tree(2, 3, 3, W((1, 2)), -1)
-    path = next(p for p in enumerate_trivial_source(star, 3) if p.type_tag != 1)
+    # an alternating sum of permutation characters with the value 2 at
+    # level 0 gives the Morita correspondent, whose levels below n are
+    # xi's, a level outside 0/1.  A descriptor keeps the levels it has
+    # read, so xi and character_of are asked on a star built afterwards.
+    path = next(
+        p
+        for p in enumerate_trivial_source(star_tree(2, 3, 3, W((1, 2)), -1), 3)
+        if p.type_tag != 1
+    )
     _clear_package_caches()
     monkeypatch.setattr(
         cyclicblocks.local_reps,
-        "perm_module_character",
-        lambda g, i: CyclicCharacter(g.p, g.n, (2,) + (0,) * g.n),
+        "_perm_sum_levels",
+        lambda n, cuts: (2,) + (0,) * n,
     )
+    star = star_tree(2, 3, 3, W((1, 2)), -1)
     try:
         with pytest.raises(CharacterConsistencyError, match="not 0/1"):
             xi(star, 3)

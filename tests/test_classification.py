@@ -27,9 +27,16 @@ from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
+    cap_dim_recursive,
+    induce_character,
     perm_module_character,
+    restricted_cap_params,
 )
-from cyclicblocks.oracle import random_block_descriptor
+from cyclicblocks.oracle import (
+    block_params_for,
+    det1_char_by_recursion,
+    random_block_descriptor,
+)
 
 W = EndoPermParams
 
@@ -232,6 +239,40 @@ def test_m1_enumeration():
         ValueError, match="m = 1 blocks are enumerated by m1_enumerate"
     ):
         enumerate_trivial_source(m1, 1)
+
+
+def test_index_table_agrees_with_independent_sources():
+    # per descriptor, one sweep over W gives every vertex index its cap
+    # dimension, verdicts and xi level pair; each agrees with a source that
+    # does not share the sweep: the Heller recursion, the verdict table
+    # checked per index, and the correspondent induced from the recursive
+    # determinant-1 character, whose levels below n are xi's
+    cases = 0
+    for p in (3, 5, 7):
+        es = [e for e in range(1, p) if (p - 1) % e == 0]
+        for n in range(1, 7):
+            g = CyclicGroupData(p, n)
+            for w in block_params_for(n):
+                expected = {}
+                for i in range(1, n + 1):
+                    local = restricted_cap_params(w, g, i)
+                    levels = induce_character(
+                        g, i, det1_char_by_recursion(local, p, i)
+                    ).levels[:n]
+                    xi_pair = bytes(levels), bytes(1 - c for c in levels)
+                    expected[i] = cap_dim_recursive(w, g, i), xi_pair
+                for e in es:
+                    if (p**n - 1) // e == 1:
+                        continue
+                    table = star_tree(e, p, n, w, -1).index_table
+                    assert sorted(table) == list(range(1, n + 1))
+                    for i, entry in table.items():
+                        assert (entry.cap_dim, entry.xi_levels) == expected[i]
+                        assert entry.verdicts == verdict_table(p, n, e, w, i)
+                        cases += 1
+    # 321 = sum of n * 2^(n-1), the (W, i) pairs for n <= 6, at each of the
+    # 2, 3 and 4 values of e, less the one e = p - 1 at n = 1 (m = 1)
+    assert cases == (2 + 3 + 4) * 321 - 3
 
 
 def test_vertex_index_bounds():

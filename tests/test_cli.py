@@ -29,6 +29,7 @@ from cyclicblocks.characters import (
     BlockCharacter,
     character_of,
     exceptional_orbits,
+    orbits_from_level,
     vertex_character,
 )
 from cyclicblocks.classification import (
@@ -749,6 +750,57 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     assert masks.count(bytes(bundle.exceptional)) == 1
 
 
+def _enumerate_pieces(desc, fmt):
+    """The pieces `cmd_enumerate` hands the writer for every vertex index,
+    with the orbit table from the lowest printed level."""
+    results = []
+    for i in range(1, desc.n + 1):
+        groups = [
+            (
+                (case, mu),
+                paths,
+                character_of(desc, i, PathDescriptor(*paths[0], mu, case)),
+            )
+            for (case, mu), paths in admitted_anchors(desc, i)
+        ]
+        results.append((i, groups, None))
+    parts = [char.levels for _, groups, _ in results for *_, char in groups]
+    low = min(len(part) - len(part.lstrip(b"\0")) for part in parts if any(part))
+    reps, orbit_levels = orbits_from_level(desc.p, desc.n, desc.e, low)
+    return results, _enumerate_text(desc, results, reps, orbit_levels, low, fmt)
+
+
+def test_enumerate_writer_copies_no_exceptional_list():
+    # every module that prints one non-empty exceptional part holds the
+    # same body object, joined once, and no piece holds a bracketed copy
+    # of it; the pieces are the golden text
+    for name in ("random-3-9-2", "random-3-9-2-flipped", "random-13-4-12"):
+        desc = fixtures()[name]
+        orbits = exceptional_orbits(desc.p, desc.n, desc.e)
+        for fmt, column, sep in (("json", 1, ",\n              "), ("csv", 2, ";")):
+            results, pieces = _enumerate_pieces(desc, fmt)
+            text = "".join(pieces)
+            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name][column]
+            printed = {}
+            for _, groups, _ in results:
+                for _, paths, char in groups:
+                    printed[char.levels] = printed.get(char.levels, 0) + len(paths)
+            assert any(map(any, printed)), name
+            for levels, modules in printed.items():
+                if not any(levels):
+                    continue
+                body = sep.join(
+                    str(r)
+                    for r, v in zip(orbits.representatives, orbits.levels)
+                    if levels[v]
+                )
+                held = [piece for piece in pieces if piece == body]
+                assert len(held) == modules, (name, fmt)
+                assert all(piece is held[0] for piece in held), (name, fmt)
+                bracketed = f"[\n              {body}\n            ]"
+                assert not any(bracketed in piece for piece in pieces), name
+
+
 class _RecordingStream(io.StringIO):
     """A text stream that keeps the length of every write."""
 
@@ -812,8 +864,11 @@ sys.exit(cli.main(["enumerate", {path!r}]))
 
 def test_enumerate_prints_the_golden_text_in_optimised_mode(tmp_path):
     # python -O strips assert statements; the sharing of one character per
-    # admitted anchor rests on none of them, so both formats still print
-    # the golden text: hooks at index n in JSON, shape 3 in CSV
+    # admitted anchor, the per-descriptor sweep's 0/1 and count-law checks
+    # and the bracket pieces around each exceptional list rest on none of
+    # them, so both formats still print the golden text: hooks at index n
+    # in JSON, shape 3 in CSV, the deepest n in JSON with parts non-zero at
+    # level 0, and e = 12 at n = 4 in CSV with parts zero there
     script = (
         "import sys, cyclicblocks.cli as cli; print(__debug__); "
         "sys.exit(cli.main(sys.argv[1:]))"
@@ -823,6 +878,8 @@ def test_enumerate_prints_the_golden_text_in_optimised_mode(tmp_path):
     for name, fmt, column in (
         ("random-67-2-66", "json", 1),
         ("random-101-2-100", "csv", 2),
+        ("random-3-9-2", "json", 1),
+        ("random-13-4-12-flipped", "csv", 2),
     ):
         obj = descriptor_to_obj(fixtures()[name])
         path = write_obj(tmp_path, obj, f"{name}.json")

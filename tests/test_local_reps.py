@@ -267,18 +267,18 @@ def test_params_out_of_group_bounds():
 
 def test_closed_form_checks_survive_optimised_mode():
     # python -O strips assert statements; the 0/1 and degree checks of the
-    # closed forms must still fire on a corrupted permutation character, and
-    # so must xi's, which are the Morita correspondent's
+    # closed forms must still fire on a corrupted alternating sum of
+    # permutation characters, and so must xi's, which are the Morita
+    # correspondent's
     script = textwrap.dedent(
         """
         from cyclicblocks import characters, local_reps as local
         from cyclicblocks.brauer_tree import star_tree
-        from cyclicblocks.cyclotomic import CyclicCharacter, decompose
 
-        def corrupted(g, i):
-            return CyclicCharacter(g.p, g.n, (2,) + (0,) * g.n)
+        def corrupted(n, cuts):
+            return (2,) + (0,) * n
 
-        local.perm_module_character = corrupted
+        local._perm_sum_levels = corrupted
         g, w = local.CyclicGroupData(3, 2), local.EndoPermParams(())
         star = star_tree(2, 3, 2, w, -1)
         print(__debug__)

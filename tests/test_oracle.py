@@ -221,14 +221,15 @@ def _clear_package_caches():
 
 
 def test_consistency_suite_reports_broken_invariant(monkeypatch):
-    # the induced cap dimension is the degree the Morita correspondent is
-    # checked against
-    real = cyclicblocks.local_reps._induced_cap_dim
+    # flipping the multiplicity of lambda_0 in every alternating sum of
+    # permutation characters keeps it 0/1 but moves its degree by one, so
+    # only the count law, degree cap_dim * p^(n-i), can see it
+    real = cyclicblocks.local_reps._perm_sum_levels
     _clear_package_caches()
     monkeypatch.setattr(
         cyclicblocks.local_reps,
-        "_induced_cap_dim",
-        lambda g, i, below: real(g, i, below) + 1,
+        "_perm_sum_levels",
+        lambda n, cuts: real(n, cuts)[:n] + (1 - real(n, cuts)[n],),
     )
     try:
         report = consistency_suite(
@@ -239,7 +240,7 @@ def test_consistency_suite_reports_broken_invariant(monkeypatch):
         _clear_package_caches()
     broken = [f for f in report.failures if f.check == "closed-form invariant"]
     # one failure per grid point and per corpus descriptor, each a break of
-    # the Morita correspondent's degree, which is xi's count law
+    # the count law, which for the Morita correspondent is xi's
     assert [f.params for f in broken[:2]] == [repr((3, 1)), repr((3, 2))]
     assert len(broken) == 2 + 3
     assert all("is not 0/1 of degree" in f.actual for f in broken)
