@@ -105,12 +105,13 @@ class BlockDescriptor:
         return {v: k for k, v in enumerate(self.nonexceptional_vertices)}
 
     @cached_property
-    def nonexceptional_parts(self) -> dict[str | tuple[str, ...], tuple[int, ...]]:
-        """Non-exceptional parts of characters, filled as they are first
-        built: a vertex character's keyed by its vertex, a module's by its
-        spine (`characters.character_of`).  A part depends on its key only,
-        so every module anchored at one vertex, at every vertex index, holds
-        one tuple, and so does every hook at one vertex."""
+    def nonexceptional_parts(self) -> dict[str | tuple[str, ...], bytes]:
+        """Non-exceptional parts of characters, one byte per vertex, filled
+        as they are first built: a vertex character's keyed by its vertex, a
+        module's by its spine (`characters.character_of`).  A part depends
+        on its key only, so every module anchored at one vertex, at every
+        vertex index, holds one bytes object, and so does every hook at one
+        vertex."""
         return {}
 
     @cached_property

@@ -9,9 +9,10 @@ by the ascending orbit minima kappa(1) < ... < kappa(m).
 Characters of the block are integer vectors split into a non-exceptional
 part (indexed by the non-exceptional vertices in descriptor order) and an
 exceptional part (indexed by the orbit representatives kappa(1) < ... <
-kappa(m)).  Every exceptional part the package builds is constant on the
-valuation levels of kappa, so a `BlockCharacter` holds it as its n level
-values; the m coordinates are a view.
+kappa(m)).  A `BlockCharacter` holds the non-exceptional part as one byte
+per vertex.  Every exceptional part the package builds is constant on the
+valuation levels of kappa, so it is held as its n level values; the m
+coordinates are a view.
 
 The central objects are the shared exceptional part Xi(W, i) carried by all
 non-hook trivial source modules with vertex of order p^i, its complement
@@ -362,7 +363,9 @@ def t_and_d0(w: EndoPermParams, i: int) -> tuple[int, int]:
 class BlockCharacter(NamedTuple):
     """Integer multiplicity vector over the ordinary characters of the block.
 
-    `nonexceptional` follows the descriptor's non-exceptional vertex order.
+    `plain` is the non-exceptional part, one byte per non-exceptional
+    vertex in the descriptor's order, and `nonexceptional` is its view as a
+    tuple, made afresh on each read.
     The exceptional part is held by its values on the valuation levels:
     `levels[v]` is the multiplicity at every orbit representative of
     valuation v < n, one byte each, and `orbit_key` is the (p, n, e) of the
@@ -371,21 +374,28 @@ class BlockCharacter(NamedTuple):
     valuation of each representative in ascending order, and
     `exceptional`, the multiplicities at the representatives, are views
     that fetch `exceptional_orbits(*orbit_key)` on each read.  Characters
-    of trivial source lifts are 0/1-valued throughout.
+    of trivial source lifts are 0/1-valued throughout.  A sum of characters
+    is a character while every coordinate stays within 0..255.
 
     >>> orbits = exceptional_orbits(3, 2, 2)
     >>> orbits.representatives, orbits.levels
     ((1, 2, 3, 4), b'\\x00\\x00\\x01\\x00')
-    >>> chi = BlockCharacter((1, 0), bytes((0, 1)), (3, 2, 2))
-    >>> chi.exceptional
-    (0, 0, 1, 0)
+    >>> chi = BlockCharacter(bytes((1, 0)), bytes((0, 1)), (3, 2, 2))
+    >>> chi.nonexceptional, chi.exceptional
+    ((1, 0), (0, 0, 1, 0))
     >>> (chi + chi).levels, chi.is_zero_one
     (b'\\x00\\x02', True)
     """
 
-    nonexceptional: tuple[int, ...]
+    plain: bytes
     levels: bytes
     orbit_key: tuple[int, ...]
+
+    @property
+    def nonexceptional(self) -> tuple[int, ...]:
+        """The multiplicity at each non-exceptional vertex, in descriptor
+        order; a tuple of `plain`, made afresh on each read."""
+        return tuple(self.plain)
 
     @property
     def orbit_levels(self) -> bytes:
@@ -404,22 +414,37 @@ class BlockCharacter(NamedTuple):
 
     def __add__(self, other: "BlockCharacter") -> "BlockCharacter":
         if (
-            len(self.nonexceptional) != len(other.nonexceptional)
+            len(self.plain) != len(other.plain)
             or len(self.levels) != len(other.levels)
             or self.orbit_key != other.orbit_key
         ):
             raise ValueError("block character shapes differ")
-        return BlockCharacter(
-            tuple(map(add, self.nonexceptional, other.nonexceptional)),
-            bytes(map(add, self.levels, other.levels)),
-            self.orbit_key,
-        )
+        try:
+            return BlockCharacter(
+                bytes(map(add, self.plain, other.plain)),
+                bytes(map(add, self.levels, other.levels)),
+                self.orbit_key,
+            )
+        except ValueError:
+            # a byte holds 0..255: name the first coordinate that left it
+            for k, total in enumerate(map(add, self.plain, other.plain)):
+                if not 0 <= total <= 255:
+                    raise ValueError(
+                        f"non-exceptional coordinate {k} sums to {total}, "
+                        "outside 0..255"
+                    ) from None
+            for v, total in enumerate(map(add, self.levels, other.levels)):
+                if not 0 <= total <= 255:
+                    raise ValueError(
+                        f"level {v} sums to {total}, outside 0..255"
+                    ) from None
+            raise
 
     @property
     def is_zero_one(self) -> bool:
         """Whether every coordinate is 0 or 1; read off the levels, since
         level v holds p^(n-v-1)(p-1)/e >= 1 representatives."""
-        return {*self.nonexceptional, *self.levels} <= {0, 1}
+        return {*self.plain, *self.levels} <= {0, 1}
 
 
 def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
@@ -429,13 +454,13 @@ def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
     parts = desc.nonexceptional_parts
     plain = parts.get(vertex)
     if plain is None:
-        counts = [0] * len(desc.nonexceptional_vertices)
+        counts = bytearray(len(desc.nonexceptional_vertices))
         if not exceptional:
             position = desc.nonexceptional_positions.get(vertex)
             if position is None:
                 raise KeyError(f"no vertex {vertex!r}")
             counts[position] = 1
-        plain = parts[vertex] = tuple(counts)
+        plain = parts[vertex] = bytes(counts)
     if desc.exceptional is None:
         return BlockCharacter(plain, b"", ())
     orbit_key = desc.p, desc.n, desc.e
@@ -468,7 +493,7 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     and the levels of every i come from one sweep per descriptor
     (`BlockDescriptor.index_table`).
     """
-    plain = (0,) * len(desc.nonexceptional_vertices)
+    plain = bytes(len(desc.nonexceptional_vertices))
     return _exceptional_character(desc, plain, i, False)
 
 
@@ -476,12 +501,12 @@ def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
     """Complement of xi inside the full exceptional bundle (coordinatewise
     1 - xi); the other value the exceptional part of a trivial source
     character can take."""
-    plain = (0,) * len(desc.nonexceptional_vertices)
+    plain = bytes(len(desc.nonexceptional_vertices))
     return _exceptional_character(desc, plain, i, True)
 
 
 def _exceptional_character(
-    desc: BlockDescriptor, plain: tuple[int, ...], i: int, complement: bool
+    desc: BlockDescriptor, plain: bytes, i: int, complement: bool
 ) -> BlockCharacter:
     """The character with this non-exceptional part whose exceptional part
     is xi's at vertex index i, or its complement's, read off the entry of
@@ -515,9 +540,9 @@ def b_level_character(
     if not 1 <= x <= star_desc.e:
         raise ValueError(f"leaf index {x} outside 1..{star_desc.e}")
     _, d0 = t_and_d0(star_desc.w, i)
-    plain = [0] * star_desc.e
+    plain = bytearray(star_desc.e)
     plain[x - 1] = d0
-    return _exceptional_character(star_desc, tuple(plain), i, False)
+    return _exceptional_character(star_desc, bytes(plain), i, False)
 
 
 def character_of(
@@ -544,7 +569,7 @@ def character_of(
                 f"case {path.case_tag!r} invalid for e = 1"
             )
         _, d0 = t_and_d0(desc.w, i)
-        plain = (d0,) if path.case_tag == "i" else (1 - d0,)
+        plain = bytes((d0 if path.case_tag == "i" else 1 - d0,))
         complement = path.case_tag == "ii"
     elif path.type_tag == 1:
         return vertex_character(desc, path.spine_vertices[0])
@@ -556,7 +581,7 @@ def character_of(
         plain = parts.get(spine)
         if plain is None:
             positions = desc.nonexceptional_positions
-            counts = [0] * len(positions)
+            counts = bytearray(len(positions))
             # one count per spine vertex, so that a repeated vertex shows
             # as a 2
             for v in spine:
@@ -571,6 +596,6 @@ def character_of(
                 raise CharacterConsistencyError(
                     f"assembled character is not 0/1-valued: {tuple(counts)}"
                 )
-            plain = parts[spine] = tuple(counts)
+            plain = parts[spine] = bytes(counts)
         complement = path.case_tag in ("i", "iv")
     return _exceptional_character(desc, plain, i, complement)

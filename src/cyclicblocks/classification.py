@@ -23,7 +23,7 @@ The admissibility conditions (sign of the anchoring vertex, a divisibility
 tied to the parity datum of the endo-permutation parameter, and the
 multiplicity range) read a path only through its class: the sign of its
 anchoring vertex, the parity of its spine, and whether it is a hook, a
-spine shape (2, 4, 5, 6) or shape 3 or 7.  `verdict_table` decides every
+spine shape (2, 4, 5, 6) or shape 3 or 7.  `_verdicts` decides every
 class once per (p, n, e, W, i); a descriptor keeps the verdicts of every
 vertex index, with xi's level values, in its index table (`index_table`),
 filled by one sweep over W.  `admitted_anchors` is the one place that
@@ -143,19 +143,8 @@ def verdict_table(
     p: int, n: int, e: int, w: EndoPermParams, i: int
 ) -> dict[ClassKey, Verdict | None]:
     """The admissibility verdict of every class of paths at vertex index i,
-    a fresh dict on each call.
-
-    Keys are (shape, anchor sign, spine parity): shape SPINE stands for the
-    spine shapes 2, 4, 5 and 6 at both parities; shapes 1 (hooks), 3 and 7
-    have parity 0.  A rejected class maps to None.  Positive anchors need
-    e | (dim - 1) and negative ones e | cap_dim, where dim = cap_dim *
-    p^{n-i} is the dimension of the local module.  The spine parity selects
-    between the shared exceptional part and its complement, and the
-    multiplicity must lie in the shape's range: 2..m for the spine shapes,
-    2..m-1 for shape 3 and 1..m-1 for shape 7.  When e = 1 the one class
-    admitted is the even spine: case i with multiplicity dim at a positive
-    plain vertex, case ii with p^n - dim at a negative one.
-    """
+    a fresh dict on each call: `_verdicts` at cap_dim(W, i), which holds
+    the rule."""
     return _verdicts(p, n, e, cap_dim(w, CyclicGroupData(p, n), i), i)
 
 
@@ -195,7 +184,20 @@ _COMPLEMENT = b"\x01\x00" + bytes(254)
 def _verdicts(
     p: int, n: int, e: int, ell: int, i: int
 ) -> dict[ClassKey, Verdict | None]:
-    """`verdict_table` at cap dimension ell, already computed."""
+    """The admissibility verdict of every class of paths at vertex index i,
+    given the cap dimension ell = cap_dim(W, i); a fresh dict on each call.
+
+    Keys are (shape, anchor sign, spine parity): shape SPINE stands for the
+    spine shapes 2, 4, 5 and 6 at both parities; shapes 1 (hooks), 3 and 7
+    have parity 0.  A rejected class maps to None.  Positive anchors need
+    e | (dim - 1) and negative ones e | cap_dim, where dim = cap_dim *
+    p^{n-i} is the dimension of the local module.  The spine parity selects
+    between the shared exceptional part and its complement, and the
+    multiplicity must lie in the shape's range: 2..m for the spine shapes,
+    2..m-1 for shape 3 and 1..m-1 for shape 7.  When e = 1 the one class
+    admitted is the even spine: case i with multiplicity dim at a positive
+    plain vertex, case ii with p^n - dim at a negative one.
+    """
     dim = ell * p ** (n - i)
     neg_ok = ell % e == 0
     # e | p-1 makes p = 1 mod e, so both readings of the negative-sign

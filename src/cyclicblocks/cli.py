@@ -210,7 +210,7 @@ def _character_obj(desc: BlockDescriptor, char) -> dict:
     """A character of an m = 1 block, which has no exceptional part."""
     return {
         "nonexceptional": list(
-            compress(desc.nonexceptional_vertices, char.nonexceptional)
+            compress(desc.nonexceptional_vertices, char.plain)
         ),
         "exceptional": [],
     }
@@ -342,8 +342,9 @@ def _enumerate_text(
     too (an anchor's spine and non-exceptional part at every vertex index,
     xi or its complement in most groups, the four directions), so each
     list's text is rendered on first sight and kept for the call, in one
-    table per kind of list: a short list under its tuple, an exceptional
-    part under its level values.  An exceptional list is kept as its body
+    table per kind of list: an id or direction list under its tuple, a
+    non-exceptional part under its bytes (`plain`), an exceptional part
+    under its level values.  An exceptional list is kept as its body
     alone, the items joined by their separator, and its JSON brackets go
     in the pieces on either side, so a long list is joined once and never
     copied.  The pieces are never joined: a long list's body is one piece,
@@ -361,7 +362,7 @@ def _enumerate_text(
     rep_text = tuple(map(str, reps))
     ids: dict[tuple, str] = {}
     directions: dict[tuple, str] = {}
-    plains: dict[tuple[int, ...], str] = {}
+    plains: dict[bytes, str] = {}
     exceptionals: dict[bytes, str] = {}
 
     # each renderer keeps the text it makes in its table; the JSON writer
@@ -376,7 +377,7 @@ def _enumerate_text(
         text = directions[direction] = listed(map(str, direction))
         return text
 
-    def plain(counts: tuple[int, ...]) -> str:
+    def plain(counts: bytes) -> str:
         text = plains[counts] = listed(compress(names, counts))
         return text
 
@@ -396,9 +397,9 @@ def _enumerate_text(
             for (case, mult), paths, char in groups:
                 case = "" if case is None else case
                 mult = "" if mult is None else mult
-                nonexceptional = plains.get(char.nonexceptional)
+                nonexceptional = plains.get(char.plain)
                 if nonexceptional is None:
-                    nonexceptional = plain(char.nonexceptional)
+                    nonexceptional = plain(char.plain)
                 shared = f"{case},{mult},{nonexceptional},"
                 text = exceptionals.get(char.levels)
                 if text is None:
@@ -420,7 +421,7 @@ def _enumerate_text(
             mult = "null" if mult is None else mult
             spine_vertices = ids.get(spine_vertices) or quoted(spine_vertices)
             spine_edges = ids.get(spine_edges) or quoted(spine_edges)
-            counts, levels = char.nonexceptional, char.levels
+            counts, levels = char.plain, char.levels
             nonexceptional = plains.get(counts) or plain(counts)
             head = (
                 f'"case": {case},\n'

@@ -618,7 +618,7 @@ def test_character_of_rejects_a_repeated_spine_vertex():
     star = star_tree(2, 3, 2, W(()), -1)
     path = enumerate_trivial_source(star, 1)[0]
     assert path.spine_vertices == ("v1",)
-    kept = character_of(star, 1, path).nonexceptional
+    kept = character_of(star, 1, path).plain
     assert star.nonexceptional_parts[("v1",)] is kept
     doubled = path._replace(spine_vertices=("v1", "v1"))
     for _ in range(2):
@@ -627,7 +627,7 @@ def test_character_of_rejects_a_repeated_spine_vertex():
         ):
             character_of(star, 1, doubled)
     assert ("v1", "v1") not in star.nonexceptional_parts
-    assert character_of(star, 1, path).nonexceptional is kept
+    assert character_of(star, 1, path).plain is kept
 
 
 def test_characters_name_an_unknown_vertex():
@@ -659,8 +659,8 @@ def test_nonexceptional_part_counts_the_spine():
 
 def test_modules_of_one_anchor_share_their_nonexceptional_part():
     # every spine-shape module anchored at one vertex holds one
-    # non-exceptional tuple at every vertex index, and so does every hook
-    # at one vertex; the parts of different keys are different tuples.  At
+    # non-exceptional part at every vertex index, and so does every hook
+    # at one vertex; the parts of different keys are different objects.  At
     # e = 1 the one module's part follows d0, so it is left out.
     corpus = random_corpus(primes=(3, 5, 7, 11, 13), n_max=3, seed=11, count=40)
     corpus.append(random_block_descriptor(random.Random(4), 67, 2, 66))
@@ -671,7 +671,7 @@ def test_modules_of_one_anchor_share_their_nonexceptional_part():
             for path in enumerate_trivial_source(desc, i):
                 if path.type_tag in (3, 7):
                     continue
-                part = character_of(desc, i, path).nonexceptional
+                part = character_of(desc, i, path).plain
                 kind = "hook" if path.type_tag == 1 else "anchor"
                 held.setdefault((kind, path.spine_vertices[0]), []).append(part)
                 seen.add((path.type_tag, i))
@@ -718,6 +718,23 @@ def test_exceptional_view_is_empty_at_m_1():
     )
     for char in (vertex_character(m1, "B"), pim_character(m1, "E2")):
         assert (char.levels, char.orbit_levels, char.exceptional) == (b"", b"", ())
+
+
+def test_character_sum_names_the_part_that_leaves_a_byte():
+    # both parts hold one byte per coordinate: 255 copies of a vertex
+    # character sum to a character, and 256 name the coordinate that left
+    # 0..255, in the non-exceptional part or at a level
+    star = star_tree(4, 5, 2, W(()), -1)
+    cases = (
+        ("v2", (0, 255, 0, 0), b"\0\0", r"non-exceptional coordinate 1 sums to 256"),
+        ("exc", (0, 0, 0, 0), b"\xff\xff", r"^level 0 sums to 256, outside 0\.\.255$"),
+    )
+    for vertex, plain, levels, message in cases:
+        char = vertex_character(star, vertex)
+        total = sum([char] * 254, char)
+        assert (total.nonexceptional, total.levels) == (plain, levels)
+        with pytest.raises(ValueError, match=message):
+            sum([char] * 255, char)
 
 
 def test_every_level_holds_a_representative():

@@ -737,15 +737,17 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     real = itertools.compress
 
     def spy(data, chosen):
-        selectors.append(chosen)
+        selectors.append((data, chosen))
         return real(data, chosen)
 
     monkeypatch.setattr(cyclicblocks.cli, "compress", spy)
     orbits = exceptional_orbits(5, 2, 4)
     table = orbits.representatives, orbits.levels, 0
     _enumerate_text(star, [(2, groups, None)], *table, "json")
-    # one exceptional mask per distinct level vector, the bundle's among them
-    masks = [chosen for chosen in selectors if isinstance(chosen, bytes)]
+    # one exceptional mask per distinct level vector, the bundle's among
+    # them: the masks passed alongside the representatives' text
+    rep_text = tuple(map(str, orbits.representatives))
+    masks = [chosen for data, chosen in selectors if data == rep_text]
     assert len(masks) == len({char.levels for *_, char in groups})
     assert masks.count(bytes(bundle.exceptional)) == 1
 

@@ -1,5 +1,7 @@
-"""Every demo script runs to the end in-process and prints something."""
+"""Every demo script runs to the end in-process and prints what it printed
+when its stdout was pinned: the sha256 of stdout is recorded below."""
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -7,14 +9,35 @@ import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
+# demo file name -> sha256 of its stdout
+DEMO_STDOUT = {
+    "01_roots_of_unity.py": (
+        "1e0cc0e11d323c387521361a2ac1c207bed7846b8c783adea36c167c2f3d2b59"
+    ),
+    "02_local_characters.py": (
+        "068095b58d15ae15edb1ed7ab0b24529a2fce8de8e496aad635369cba79eebc1"
+    ),
+    "03_brauer_trees.py": (
+        "2d92ae5200d0eb880919540eef14529aac00dbdb3fb1731f69e67995b051df66"
+    ),
+    "04_trivial_source_modules.py": (
+        "052c800578ab3b77c61bb06f2488aa25742e11a0e6fb5efc2e4831d71e6d8236"
+    ),
+    "05_consistency_oracle.py": (
+        "cf1eadb7722c80a1b4e0c994854acad3adaeb13be1cc9cc93e50f4f72e65d585"
+    ),
+}
+
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
+    assert {demo.name for demo in DEMOS} == set(DEMO_STDOUT)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     captured = capsys.readouterr()
-    assert captured.out
     assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert digest == DEMO_STDOUT[demo.name]

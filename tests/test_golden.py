@@ -51,6 +51,10 @@ def fixtures() -> dict[str, BlockDescriptor]:
     # lattice lines, and the deepest n of the benchmark's sizes
     out["random-13-4-12"] = random_block_descriptor(random.Random(0), 13, 4, 12)
     out["random-3-9-2"] = random_block_descriptor(random.Random(0), 3, 9, 2)
+    # e > 255, so that a count or position that does not fit a byte shows
+    out["random-1009-2-1008"] = random_block_descriptor(
+        random.Random(0), 1009, 2, 1008
+    )
     # their sign-flipped twins, which print no exceptional part that is
     # non-zero at valuation level 0
     for name in ("random-13-4-12", "random-3-9-2"):
@@ -188,6 +192,11 @@ GOLDEN = {
         0,
         "a9ec88b5a3a7d46a4cb2aa19b7140c23368fb26b287886af2e024559d91e0894",
         "9c6c774eb9061e453ffc26b5433e73cde669eef23186b410e79a1edea06b6098",
+    ),
+    "random-1009-2-1008": (
+        0,
+        "5e4b3a7dd6e22e0b182221dfa8bb1928898f374e0d4b19a8c8a2d6554c168ffa",
+        "e71fbe892dac631f5979e3e1eefcaecf9d6f1448d8a5a7de3f4e39d6cd6e1b2e",
     ),
     "random-13-4-12-flipped": (
         0,
