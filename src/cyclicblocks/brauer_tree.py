@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cyclotomic import is_odd_prime
 from .local_reps import EndoPermParams
@@ -30,14 +30,16 @@ POSITIVE = 1
 NEGATIVE = -1
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     ends: tuple[str, str]
 
 
 @dataclass(frozen=True)
 class BlockDescriptor:
+    """A block's Brauer tree descriptor, as the module docstring describes;
+    `validate` lists what is wrong with one."""
+
     p: int
     n: int
     e: int

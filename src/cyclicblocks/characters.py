@@ -28,7 +28,6 @@ contains the trivial constituent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd
@@ -47,8 +46,7 @@ if TYPE_CHECKING:
     from .classification import PathDescriptor
 
 
-@dataclass(frozen=True)
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     """Orbits of kappa -> a*kappa mod p^n on {1, ..., p^n - 1}.
 
     a is the smallest positive integer of multiplicative order exactly e;

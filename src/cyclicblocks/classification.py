@@ -45,7 +45,6 @@ admissibility cases; their table rejects every other class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .brauer_tree import (
@@ -117,14 +116,12 @@ class PathDescriptor(NamedTuple):
     case_tag: str | None = None
 
 
-@dataclass(frozen=True)
-class ProjectiveModule:
+class ProjectiveModule(NamedTuple):
     edge_id: str
     character: BlockCharacter
 
 
-@dataclass(frozen=True)
-class ConditionalHook:
+class ConditionalHook(NamedTuple):
     """Hook whose trivial source status cannot be decided from the
     descriptor alone (it depends on the Green correspondent being simple)."""
 
@@ -133,8 +130,7 @@ class ConditionalHook:
     character: BlockCharacter
 
 
-@dataclass(frozen=True)
-class M1Enumeration:
+class M1Enumeration(NamedTuple):
     pims: tuple[ProjectiveModule, ...]
     hooks: tuple[ConditionalHook, ...]
 

@@ -448,12 +448,14 @@ def _enumerate_text(
             else:
                 tail += "[]"
                 end = _MODULE_JSON_END
+            # `head` is a piece of its own, so a group holds one copy of it
             for type_tag, _, _, extra_edges, direction in paths:
                 extra_edges = ids.get(extra_edges) or quoted(extra_edges)
                 direction = directions.get(direction) or direction_text(direction)
                 out += (
-                    f'{module_sep}{{\n          "type": {type_tag},\n          '
-                    f'{head}{extra_edges},\n            "direction": {direction}',
+                    f'{module_sep}{{\n          "type": {type_tag},\n          ',
+                    head,
+                    f'{extra_edges},\n            "direction": {direction}',
                     tail,
                     text,
                     end,

@@ -18,7 +18,7 @@ All functions are pure and all values immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .cyclotomic import CyclicCharacter, is_odd_prime
@@ -28,18 +28,22 @@ class CharacterConsistencyError(RuntimeError):
     """An internally guaranteed character property failed to hold."""
 
 
-@dataclass(frozen=True)
-class CyclicGroupData:
+class CyclicGroupData(namedtuple("CyclicGroupData", "p n")):
     """The cyclic group of order p^n, p an odd prime, n >= 1."""
 
-    p: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p = {self.p} is not an odd prime")
-        if self.n < 1:
-            raise ValueError(f"n = {self.n} must be at least 1")
+    def __new__(cls, p: int, n: int) -> CyclicGroupData:
+        if not is_odd_prime(p):
+            raise ValueError(f"p = {p} is not an odd prime")
+        if n < 1:
+            raise ValueError(f"n = {n} must be at least 1")
+        return super().__new__(cls, p, n)
+
+    @classmethod
+    def _make(cls, iterable) -> CyclicGroupData:
+        # through __new__, so that `_replace` validates too
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -51,39 +55,44 @@ class CyclicGroupData:
         return self.p ** i
 
 
-@dataclass(frozen=True)
-class IndecomposableModule:
+class IndecomposableModule(namedtuple("IndecomposableModule", "group dim")):
     """The unique indecomposable module of the given dimension over the group."""
 
-    group: CyclicGroupData
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dim <= self.group.order:
-            raise ValueError(
-                f"dimension {self.dim} outside 1..{self.group.order}"
-            )
+    def __new__(cls, group: CyclicGroupData, dim: int) -> IndecomposableModule:
+        if not 1 <= dim <= group.order:
+            raise ValueError(f"dimension {dim} outside 1..{group.order}")
+        return super().__new__(cls, group, dim)
+
+    @classmethod
+    def _make(cls, iterable) -> IndecomposableModule:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EndoPermParams:
+class EndoPermParams(namedtuple("EndoPermParams", "indices")):
     """Strictly increasing subgroup indices i_0 < ... < i_s selecting the
     relative syzygy operators that build the endo-permutation module; the
     empty tuple encodes the trivial module.
 
     Any other encoding (repeats, descents, negatives) is rejected at
-    construction rather than normalized.  As a block parameter the indices
-    must additionally start at >= 1 (`is_block_form`).
+    construction, and by `_replace`, rather than normalized.  As a block
+    parameter the indices must additionally start at >= 1
+    (`is_block_form`).
     """
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if any(a < 0 for a in idx):
-            raise ValueError(f"negative subgroup index in {idx}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"indices {idx} are not strictly increasing")
+    def __new__(cls, indices: tuple[int, ...]) -> EndoPermParams:
+        if any(a < 0 for a in indices):
+            raise ValueError(f"negative subgroup index in {indices}")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"indices {indices} are not strictly increasing")
+        return super().__new__(cls, indices)
+
+    @classmethod
+    def _make(cls, iterable) -> EndoPermParams:
+        return cls(*iterable)
 
     @property
     def is_trivial(self) -> bool:

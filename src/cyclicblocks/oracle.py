@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from .brauer_tree import (
     BlockDescriptor,
@@ -88,23 +89,20 @@ def det1_char_by_recursion(params: EndoPermParams, p: int, n: int) -> CyclicChar
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     primes: tuple[int, ...] = (3, 5, 7)
     n_max: int = 3
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     check: str
     params: str
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checks_run: int
     failures: tuple[Failure, ...]
 

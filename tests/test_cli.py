@@ -721,6 +721,21 @@ def test_enumerate_writer_cache_lasts_one_call():
         assert as_csv.endswith(f"1,2,ii,2,,{reps[0]}\n1,4,ii,2,,{reps[0]}\n")
 
 
+def test_enumerate_writer_holds_one_head_piece_per_group():
+    # a group's case, multiplicity and spine text is one piece, which its
+    # modules share rather than each holding a copy
+    desc = SimpleNamespace(p=3, n=1, e=2, m=2, nonexceptional_vertices=("v1",))
+    group = (
+        ("ii", 2),
+        ((2, ("v1",), ("E1",), (), (1, -1)), (4, ("v1",), ("E1",), ("E2",), (1, 1))),
+        BlockCharacter((1,), b"\x01\x00", ()),
+    )
+    pieces = _enumerate_text(desc, [(1, [group], None)], (5, 6), b"\x00\x01", 0, "json")
+    heads = [piece for piece in pieces if '"spine_vertices"' in piece]
+    assert len(heads) == 2
+    assert heads[0] is heads[1]
+
+
 def test_enumerate_renders_the_bundle_once(monkeypatch):
     # at the full vertex a trivial parameter gives a hook per edge; with a
     # positive exceptional centre every one of them affords the bundle

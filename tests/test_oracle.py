@@ -1,7 +1,6 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -146,7 +145,7 @@ def _zero_first_level(monkeypatch, *modules):
         at = next((k for k, v in enumerate(s.levels) if v), None)
         if at is None:
             return s
-        return replace(s, levels=s.levels[:at] + b"\0" + s.levels[at + 1 :])
+        return s._replace(levels=s.levels[:at] + b"\0" + s.levels[at + 1 :])
 
     for module in modules:
         monkeypatch.setattr(module, "exceptional_orbits", broken)

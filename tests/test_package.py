@@ -1,4 +1,25 @@
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
 import cyclicblocks
+from cyclicblocks.brauer_tree import BlockDescriptor, Edge
+from cyclicblocks.characters import exceptional_orbits
+from cyclicblocks.classification import m1_enumerate
+from cyclicblocks.local_reps import (
+    CyclicGroupData,
+    EndoPermParams,
+    IndecomposableModule,
+)
+from cyclicblocks.oracle import ConsistencyReport, Failure, GridSpec
+
+PACKAGE = Path(cyclicblocks.__file__).parent
+MODULES = [name for _, name, _ in pkgutil.iter_modules([str(PACKAGE)])]
 
 
 def test_exports_are_sorted_unique_and_resolve():
@@ -7,3 +28,141 @@ def test_exports_are_sorted_unique_and_resolve():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(cyclicblocks, name), name
+
+
+def test_the_only_dataclasses_are_the_descriptor_and_cyclic_characters():
+    # each dataclass generates its methods at every import of the package
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"cyclicblocks.{name}")
+        for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found.add(cls_name)
+    assert found == {"BlockDescriptor", "CyclicCharacter"}
+
+
+def test_only_the_cli_and_the_package_import_the_oracle():
+    # the oracle checks the closed forms, so no closed form may lean on it
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                # `from .oracle import x` and `from . import oracle` alike
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracle" for name in names):
+                importers.add(path.stem)
+    assert importers == {"__init__", "cli"}
+
+
+def _m1_block() -> BlockDescriptor:
+    return BlockDescriptor(
+        p=3,
+        n=1,
+        e=2,
+        vertices=("A", "B", "C"),
+        signs={"A": 1, "B": -1, "C": 1},
+        edges=(Edge("E1", ("A", "B")), Edge("E2", ("B", "C"))),
+        cyclic_order={"A": ("E1",), "B": ("E1", "E2"), "C": ("E2",)},
+        exceptional=None,
+        w=EndoPermParams(()),
+    )
+
+
+def _records() -> list:
+    found = m1_enumerate(_m1_block())
+    g = CyclicGroupData(3, 2)
+    failure = Failure("check", "params", "expected", "actual")
+    return [
+        Edge("E1", ("a", "b")),
+        exceptional_orbits(3, 2, 2),
+        found.pims[0],
+        found.hooks[0],
+        found,
+        GridSpec(),
+        failure,
+        ConsistencyReport(1, (failure,)),
+        g,
+        EndoPermParams((1, 2)),
+        IndecomposableModule(g, 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, valid, bad, message",
+    [
+        (CyclicGroupData, {"p": 3, "n": 2}, {"p": 4}, "p = 4 is not an odd prime"),
+        (CyclicGroupData, {"p": 3, "n": 2}, {"n": 0}, "n = 0 must be at least 1"),
+        (
+            EndoPermParams,
+            {"indices": (1, 2)},
+            {"indices": (2, 1)},
+            "indices (2, 1) are not strictly increasing",
+        ),
+        (
+            EndoPermParams,
+            {"indices": (1, 2)},
+            {"indices": (-1, 2)},
+            "negative subgroup index in (-1, 2)",
+        ),
+        (
+            IndecomposableModule,
+            {"group": CyclicGroupData(3, 2), "dim": 4},
+            {"dim": 0},
+            "dimension 0 outside 1..9",
+        ),
+        (
+            IndecomposableModule,
+            {"group": CyclicGroupData(3, 2), "dim": 4},
+            {"dim": 10},
+            "dimension 10 outside 1..9",
+        ),
+    ],
+)
+def test_validated_records_check_on_construction_and_on_replace(
+    cls, valid, bad, message
+):
+    fields = {**valid, **bad}
+    good = cls(**valid)
+    builds = [
+        lambda: cls(**fields),
+        lambda: cls(*fields.values()),
+        lambda: cls._make(fields.values()),
+        lambda: good._replace(**bad),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_frozen_hashable_tuples_of_their_fields(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.unknown = None
+    copy = type(record)(*record)
+    assert copy == record
+    assert hash(copy) == hash(record)
+    assert record == tuple(getattr(record, name) for name in record._fields)
+    assert record._replace() == record
+
+
+def test_record_reprs_name_their_fields():
+    g = CyclicGroupData(3, 2)
+    assert repr(Edge("E1", ("a", "b"))) == "Edge(id='E1', ends=('a', 'b'))"
+    assert repr(g) == "CyclicGroupData(p=3, n=2)"
+    assert repr(EndoPermParams((1, 2))) == "EndoPermParams(indices=(1, 2))"
+    assert (
+        repr(IndecomposableModule(g, 4))
+        == "IndecomposableModule(group=CyclicGroupData(p=3, n=2), dim=4)"
+    )
+    assert repr(GridSpec()) == "GridSpec(primes=(3, 5, 7), n_max=3, seed=0)"
+    assert (
+        repr(ConsistencyReport(0, ()))
+        == "ConsistencyReport(checks_run=0, failures=())"
+    )
