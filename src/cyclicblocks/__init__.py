@@ -31,7 +31,9 @@ from .characters import (
 from .classification import (
     ClassificationError,
     PathDescriptor,
+    VertexEnumeration,
     admitted_anchors,
+    enumerate_block,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -73,6 +75,7 @@ __all__ = [
     "IndecomposableModule",
     "OrbitStructure",
     "PathDescriptor",
+    "VertexEnumeration",
     "admitted_anchors",
     "b_level_character",
     "cap_dim",
@@ -82,6 +85,7 @@ __all__ = [
     "consistency_suite",
     "decompose",
     "det1_char_by_recursion",
+    "enumerate_block",
     "enumerate_projective",
     "enumerate_trivial_source",
     "exceptional_orbits",

@@ -33,10 +33,12 @@ anchored there, so it builds only the admitted modules.  An anchor's paths
 do not depend on the vertex index: they are built when some index first
 admits the anchor and kept in `BlockDescriptor.candidate_paths`.  They
 share their spine and verdict, and so their character, and come out as
-one group; each hook is a group of its own.  `enumerate_trivial_source`
-flattens the groups into path descriptors.  The classification guarantees
-exactly e modules per vertex, so any other count is surfaced as a
-ClassificationError carrying the partial list, never suppressed.
+one group; each hook is a group of its own.  `enumerate_block`, the one
+place that assembles characters, gives each group its character, and
+`enumerate_trivial_source` flattens the groups into path descriptors.
+The classification guarantees exactly e modules per vertex, so any other
+count is surfaced, never suppressed: as `enumerate_block`'s error text or
+as a ClassificationError carrying the partial list.
 
 One-edge blocks (e = 1) only admit the back-and-forth path along their
 single edge, the shape-2 path from the plain vertex, with its own two
@@ -54,12 +56,10 @@ from .brauer_tree import (
     predecessor,
     successor,
 )
-from .characters import BlockCharacter, hook_characters, pim_character
+from .characters import BlockCharacter, character_of, hook_characters, pim_character
 from .local_reps import (
     CharacterConsistencyError,
     CyclicGroupData,
-    EndoPermParams,
-    cap_dim,
     correspondents_by_index,
 )
 
@@ -133,15 +133,6 @@ class ConditionalHook(NamedTuple):
 class M1Enumeration(NamedTuple):
     pims: tuple[ProjectiveModule, ...]
     hooks: tuple[ConditionalHook, ...]
-
-
-def verdict_table(
-    p: int, n: int, e: int, w: EndoPermParams, i: int
-) -> dict[ClassKey, Verdict | None]:
-    """The admissibility verdict of every class of paths at vertex index i,
-    a fresh dict on each call: `_verdicts` at cap_dim(W, i), which holds
-    the rule."""
-    return _verdicts(p, n, e, cap_dim(w, CyclicGroupData(p, n), i), i)
 
 
 class IndexEntry(NamedTuple):
@@ -283,6 +274,46 @@ def enumerate_trivial_source(
     if len(found) != desc.e:
         raise ClassificationError(desc, i, found)
     return found
+
+
+# The modules of one admitted anchor: their verdict, their paths, at least
+# one, and the character they share.
+CharacterGroup = tuple[Verdict, tuple[PathFields, ...], BlockCharacter]
+
+
+class VertexEnumeration(NamedTuple):
+    """What enumeration finds at one vertex index: the admitted anchor
+    groups in candidate order, each with the character its paths share,
+    and the ClassificationError text when the paths do not number e, else
+    None."""
+
+    vertex: int
+    groups: tuple[CharacterGroup, ...]
+    error: str | None
+
+
+def enumerate_block(desc: BlockDescriptor, indices) -> list[VertexEnumeration]:
+    """The enumeration at each of the vertex indices, in their order: the
+    groups of `admitted_anchors`, each with one character, assembled from
+    its first path, and the count error returned, not raised.  Raises
+    ValueError at m = 1 or an index outside 1..n."""
+    results = []
+    for i in indices:
+        groups = admitted_anchors(desc, i)
+        count = sum(len(paths) for _, paths in groups)
+        error = None
+        if count != desc.e:
+            error = ClassificationError.message(desc, i, count)
+        characters = tuple(
+            (
+                (case, mu),
+                paths,
+                character_of(desc, i, PathDescriptor(*paths[0], mu, case)),
+            )
+            for (case, mu), paths in groups
+        )
+        results.append(VertexEnumeration(i, characters, error))
+    return results
 
 
 def _anchors(

@@ -28,14 +28,11 @@ from .brauer_tree import (
     sign_alternation_violations,
     validate,
 )
-from .characters import BlockCharacter, character_of, orbits_from_level
+from .characters import orbits_from_level
 from .classification import (
-    ClassificationError,
     M1Enumeration,
-    PathDescriptor,
-    PathFields,
-    Verdict,
-    admitted_anchors,
+    VertexEnumeration,
+    enumerate_block,
     m1_enumerate,
 )
 from .cyclotomic import is_odd_prime
@@ -247,55 +244,34 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # once; the orbit table is built after the characters, from the
         # lowest level they print
         bytearray(desc.p ** desc.n)
-    status = EXIT_OK
     if desc.m == 1:
         sys.stdout.write(_m1_text(desc, m1_enumerate(desc), args.format))
+        return EXIT_OK
+    indices = range(1, desc.n + 1) if args.vertex is None else (args.vertex,)
+    results = enumerate_block(desc, indices)
+    # the lowest level at which a printed exceptional part is non-zero:
+    # the orbits of valuation at least `low` come from the table of
+    # (p, n - low, e), and no table is built when every part is zero
+    parts = {char.levels for _, groups, _ in results for *_, char in groups}
+    low = min(
+        (len(part) - len(part.lstrip(b"\0")) for part in parts if any(part)),
+        default=None,
+    )
+    if low is None:
+        reps, orbit_levels, low = (), b"", 0
     else:
-        indices = (
-            range(1, desc.n + 1) if args.vertex is None else (args.vertex,)
-        )
-        results = []
-        for i in indices:
-            groups = admitted_anchors(desc, i)
-            count = sum(len(paths) for _, paths in groups)
-            error = None
-            if count != desc.e:
-                error = ClassificationError.message(desc, i, count)
-                status = EXIT_SEMANTIC
-            # the paths of a group share one character, assembled from the
-            # group's first path
-            characters = [
-                (
-                    (case, mu),
-                    paths,
-                    character_of(desc, i, PathDescriptor(*paths[0], mu, case)),
-                )
-                for (case, mu), paths in groups
-            ]
-            results.append((i, characters, error))
-        # the lowest level at which a printed exceptional part is non-zero:
-        # the orbits of valuation at least `low` come from the table of
-        # (p, n - low, e), and no table is built when every part is zero
-        parts = {char.levels for _, groups, _ in results for *_, char in groups}
-        low = min(
-            (len(part) - len(part.lstrip(b"\0")) for part in parts if any(part)),
-            default=None,
-        )
-        if low is None:
-            reps, orbit_levels, low = (), b"", 0
-        else:
-            reps, orbit_levels = orbits_from_level(desc.p, desc.n, desc.e, low)
-        # every character and the orbit table are built before the first
-        # write, so a failure leaves stdout empty
-        sys.stdout.writelines(
-            _enumerate_text(desc, results, reps, orbit_levels, low, args.format)
-        )
-        if args.format == "csv":
-            # CSV has no field for the error a vertex index ends with
-            for _, _, error in results:
-                if error is not None:
-                    print(f"error: {error}", file=sys.stderr)
-    return status
+        reps, orbit_levels = orbits_from_level(desc.p, desc.n, desc.e, low)
+    # every character and the orbit table are built before the first
+    # write, so a failure leaves stdout empty
+    sys.stdout.writelines(
+        _enumerate_text(desc, results, reps, orbit_levels, low, args.format)
+    )
+    errors = [error for _, _, error in results if error is not None]
+    if args.format == "csv":
+        # CSV has no field for the error a vertex index ends with
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
+    return EXIT_SEMANTIC if errors else EXIT_OK
 
 
 # The head of `enumerate --format json`, the head of each vertex index's
@@ -311,24 +287,19 @@ _JSON_LIST_OPEN = "[\n              "
 _JSON_ITEM_SEP = ",\n              "
 _JSON_LIST_CLOSE = "\n            ]"
 
-# The modules of one admitted anchor: their verdict, their paths, at least
-# one, and the character they share.
-_Group = tuple[Verdict, tuple[PathFields, ...], BlockCharacter]
-
 
 def _enumerate_text(
     desc: BlockDescriptor,
-    results: list[tuple[int, list[_Group], str | None]],
+    results: list[VertexEnumeration],
     reps: tuple[int, ...],
     orbit_levels: bytes,
     low: int,
     fmt: str,
 ) -> list[str]:
-    """What `enumerate` prints for an m > 1 block, given per vertex index
-    its admitted anchor groups with their characters and its error, if
-    any: the pieces whose concatenation is the text of
-    json.dumps(payload, indent=2) plus a newline, or the flattened CSV
-    view, one module per path of each group.
+    """What `enumerate` prints for an m > 1 block, given the enumeration
+    at each vertex index it prints: the pieces whose concatenation is the
+    text of json.dumps(payload, indent=2) plus a newline, or the flattened
+    CSV view, one module per path of each group.
 
     `reps` are the orbit representatives of valuation at least `low` in
     ascending order, and `orbit_levels` the valuation of each less `low`.

@@ -32,13 +32,12 @@ from .brauer_tree import (
 )
 from .characters import (
     b_level_character,
-    character_of,
     exceptional_orbits,
     t_and_d0,
     xi,
     xi_complement,
 )
-from .classification import ClassificationError, enumerate_trivial_source
+from .classification import enumerate_block
 from .cyclotomic import CyclicCharacter, decompose, valuation
 from .local_reps import (
     CharacterConsistencyError,
@@ -420,49 +419,43 @@ def _check_exceptional(p: int, n: int, check) -> None:
 
 
 def _check_descriptor(desc: BlockDescriptor, check) -> None:
-    for i in range(1, desc.n + 1):
-        try:
-            modules = enumerate_trivial_source(desc, i)
-        except ClassificationError as err:
-            check(
-                "enumeration count",
-                (desc.p, desc.n, desc.e, desc.w.indices, i),
-                desc.e,
-                len(err.paths),
-            )
-            continue
+    for i, groups, error in enumerate_block(desc, range(1, desc.n + 1)):
         check(
             "enumeration count",
             (desc.p, desc.n, desc.e, desc.w.indices, i),
             desc.e,
-            len(modules),
+            sum(len(paths) for _, paths, _ in groups),
         )
+        if error is not None:
+            continue
         _, d0 = t_and_d0(desc.w, i)
         seen_exceptional = set()
-        for path in modules:
-            char = character_of(desc, i, path)
-            check(
-                "character coordinates 0/1",
-                (desc.p, desc.n, desc.e, desc.w.indices, i, path.type_tag),
-                True,
-                char.is_zero_one,
-            )
-            if path.type_tag != 1:
-                seen_exceptional.add(char.levels)
-            if desc.e > 1 and path.type_tag != 1:
-                # all modules at one vertex sit on the same divisibility
-                # branch, the one d0's parity selects
-                on_positive_branch = (
-                    path.case_tag in ("i", "ii")
-                    if path.type_tag in (2, 4, 5, 6)
-                    else path.case_tag == "i"
-                )
+        # the paths of a group share its character; each module is checked
+        for (case, _), paths, char in groups:
+            for type_tag, *_ in paths:
                 check(
-                    "divisibility branch matches d0",
-                    (desc.p, desc.n, desc.e, desc.w.indices, i, path.type_tag),
-                    d0 == 1,
-                    on_positive_branch,
+                    "character coordinates 0/1",
+                    (desc.p, desc.n, desc.e, desc.w.indices, i, type_tag),
+                    True,
+                    char.is_zero_one,
                 )
+                if type_tag == 1:
+                    continue
+                seen_exceptional.add(char.levels)
+                if desc.e > 1:
+                    # all modules at one vertex sit on the same divisibility
+                    # branch, the one d0's parity selects
+                    on_positive_branch = (
+                        case in ("i", "ii")
+                        if type_tag in (2, 4, 5, 6)
+                        else case == "i"
+                    )
+                    check(
+                        "divisibility branch matches d0",
+                        (desc.p, desc.n, desc.e, desc.w.indices, i, type_tag),
+                        d0 == 1,
+                        on_positive_branch,
+                    )
         check(
             "vertex-uniform exceptional part",
             (desc.p, desc.n, desc.e, desc.w.indices, i),
@@ -474,10 +467,12 @@ def _check_descriptor(desc: BlockDescriptor, check) -> None:
 def _check_self_block(p: int, n: int, check) -> None:
     desc = group_algebra_block(p, n)
     g = CyclicGroupData(p, n)
-    for i in range(1, n + 1):
-        modules = enumerate_trivial_source(desc, i)
-        check("self-block module count", (p, n, i), 1, len(modules))
-        char = character_of(desc, i, modules[0])
+    for i, groups, error in enumerate_block(desc, range(1, n + 1)):
+        count = sum(len(paths) for _, paths, _ in groups)
+        check("self-block module count", (p, n, i), 1, count)
+        if error is not None:
+            continue
+        char = groups[0][2]
         check(
             "self-block closure",
             (p, n, i),
@@ -489,12 +484,9 @@ def _check_self_block(p: int, n: int, check) -> None:
 def _check_star_agreement(star: BlockDescriptor, i: int, check) -> None:
     # both sides read their exceptional part off the same level pair of
     # the star, so the level values stand for the coordinates
+    [(_, groups, _)] = enumerate_block(star, (i,))
     enumerated = sorted(
-        (c.nonexceptional, c.levels)
-        for c in (
-            character_of(star, i, path)
-            for path in enumerate_trivial_source(star, i)
-        )
+        (c.nonexceptional, c.levels) for _, paths, c in groups for _ in paths
     )
     expected = sorted(
         (c.nonexceptional, c.levels)

@@ -17,11 +17,11 @@ from cyclicblocks.classification import (
     PathDescriptor,
     _anchor_paths,
     _anchors,
+    _verdicts,
     admitted_anchors,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
-    verdict_table,
 )
 from cyclicblocks.local_reps import (
     CyclicGroupData,
@@ -59,7 +59,8 @@ def path_block(signs=(1, -1, 1), w=(1,)):
 def candidates(desc, i):
     # every candidate path at vertex index i with the verdict of its
     # anchor's class, as a list so that a repeated path still shows
-    table = verdict_table(desc.p, desc.n, desc.e, desc.w, i)
+    ell = cap_dim(desc.w, CyclicGroupData(desc.p, desc.n), i)
+    table = _verdicts(desc.p, desc.n, desc.e, ell, i)
     return [
         (PathDescriptor(*fields), table.get(key))
         for key, anchor in _anchors(desc, i)
@@ -244,9 +245,9 @@ def test_m1_enumeration():
 def test_index_table_agrees_with_independent_sources():
     # per descriptor, one sweep over W gives every vertex index its cap
     # dimension, verdicts and xi level pair; each agrees with a source that
-    # does not share the sweep: the Heller recursion, the verdict table
-    # checked per index, and the correspondent induced from the recursive
-    # determinant-1 character, whose levels below n are xi's
+    # does not share the sweep: the Heller recursion, the verdicts at the
+    # cap dimension checked per index, and the correspondent induced from
+    # the recursive determinant-1 character, whose levels below n are xi's
     cases = 0
     for p in (3, 5, 7):
         es = [e for e in range(1, p) if (p - 1) % e == 0]
@@ -268,7 +269,8 @@ def test_index_table_agrees_with_independent_sources():
                     assert sorted(table) == list(range(1, n + 1))
                     for i, entry in table.items():
                         assert (entry.cap_dim, entry.xi_levels) == expected[i]
-                        assert entry.verdicts == verdict_table(p, n, e, w, i)
+                        ell = cap_dim(w, g, i)
+                        assert entry.verdicts == _verdicts(p, n, e, ell, i)
                         cases += 1
     # 321 = sum of n * 2^(n-1), the (W, i) pairs for n <= 6, at each of the
     # 2, 3 and 4 values of e, less the one e = p - 1 at n = 1 (m = 1)

@@ -35,7 +35,7 @@ from cyclicblocks.characters import (
 from cyclicblocks.classification import (
     ClassificationError,
     PathDescriptor,
-    admitted_anchors,
+    enumerate_block,
     enumerate_trivial_source,
 )
 from cyclicblocks.cli import (
@@ -740,10 +740,7 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
     # at the full vertex a trivial parameter gives a hook per edge; with a
     # positive exceptional centre every one of them affords the bundle
     star = star_tree(4, 5, 2, W(()), 1)
-    groups = []
-    for (case, mu), paths in admitted_anchors(star, 2):
-        path = PathDescriptor(*paths[0], mu, case)
-        groups.append(((case, mu), paths, character_of(star, 2, path)))
+    [(_, groups, _)] = enumerate_block(star, (2,))
     bundle = vertex_character(star, star.exceptional)
     hooks = [char for _, paths, char in groups if paths[0][0] == 1]
     assert len(hooks) == 4
@@ -770,17 +767,7 @@ def test_enumerate_renders_the_bundle_once(monkeypatch):
 def _enumerate_pieces(desc, fmt):
     """The pieces `cmd_enumerate` hands the writer for every vertex index,
     with the orbit table from the lowest printed level."""
-    results = []
-    for i in range(1, desc.n + 1):
-        groups = [
-            (
-                (case, mu),
-                paths,
-                character_of(desc, i, PathDescriptor(*paths[0], mu, case)),
-            )
-            for (case, mu), paths in admitted_anchors(desc, i)
-        ]
-        results.append((i, groups, None))
+    results = enumerate_block(desc, range(1, desc.n + 1))
     parts = [char.levels for _, groups, _ in results for *_, char in groups]
     low = min(len(part) - len(part.lstrip(b"\0")) for part in parts if any(part))
     reps, orbit_levels = orbits_from_level(desc.p, desc.n, desc.e, low)
@@ -856,17 +843,18 @@ def test_enumerate_failing_at_the_last_vertex_index_prints_nothing(tmp_path):
     path = write_obj(tmp_path, descriptor_to_obj(desc))
     script = f"""
 import sys
+import cyclicblocks.classification as classification
 import cyclicblocks.cli as cli
 from cyclicblocks.local_reps import CharacterConsistencyError
 
-real = cli.character_of
+real = classification.character_of
 
 def failing(desc, i, path):
     if i == desc.n:
         raise CharacterConsistencyError("injected at the last vertex index")
     return real(desc, i, path)
 
-cli.character_of = failing
+classification.character_of = failing
 sys.exit(cli.main(["enumerate", {path!r}]))
 """
     src = Path(cyclicblocks.cli.__file__).resolve().parents[1]

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -5,10 +6,12 @@ from collections import Counter
 import pytest
 
 import cyclicblocks.characters
+import cyclicblocks.classification
 import cyclicblocks.local_reps
 import cyclicblocks.oracle
 from cyclicblocks.brauer_tree import validate
 from cyclicblocks.characters import BlockCharacter
+from cyclicblocks.cli import main
 from cyclicblocks.cyclotomic import CyclicCharacter
 from cyclicblocks.local_reps import (
     CyclicGroupData,
@@ -133,6 +136,31 @@ def test_consistency_suite_sees_one_flipped_xi_coordinate(monkeypatch):
     # one failure per (n, e, block parameter, vertex index): e = 1 at n = 1,
     # e in 1, 2 with two parameters and two indices at n = 2
     assert len(flagged) == 1 + 2 * 2 * 2
+
+
+def test_a_short_module_count_is_a_named_failure(monkeypatch, capsys):
+    # an admission that drops the first group leaves every vertex index
+    # short of its e modules; the suite reports the counts as failures,
+    # and `oracle` exits 1 with its report, not with a traceback
+    real = cyclicblocks.classification.admitted_anchors
+    monkeypatch.setattr(
+        cyclicblocks.classification,
+        "admitted_anchors",
+        lambda desc, i: real(desc, i)[1:],
+    )
+    report = consistency_suite(GridSpec((3, 5), 1, 0), corpus_size=4)
+    flagged = {(f.check, f.params, f.expected, f.actual) for f in report.failures}
+    assert ("self-block module count", "(3, 1, 1)", "1", "0") in flagged
+    assert ("self-block module count", "(5, 1, 1)", "1", "0") in flagged
+    names = {f.check for f in report.failures}
+    assert {"b-level agreement", "enumeration count"} <= names
+    argv = ["oracle", "--primes", "3", "5", "--nmax", "1", "--corpus-size", "4"]
+    assert main(argv) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["checks_run"] == report.checks_run
+    assert [f["check"] for f in printed["failures"]] == [
+        f.check for f in report.failures
+    ]
 
 
 def _zero_first_level(monkeypatch, *modules):

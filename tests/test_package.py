@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import cyclicblocks
-from cyclicblocks.brauer_tree import BlockDescriptor, Edge
+from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
 from cyclicblocks.characters import exceptional_orbits
-from cyclicblocks.classification import m1_enumerate
+from cyclicblocks.classification import enumerate_block, m1_enumerate
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
@@ -58,6 +58,24 @@ def test_only_the_cli_and_the_package_import_the_oracle():
     assert importers == {"__init__", "cli"}
 
 
+def _imported_names(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_enumeration_is_assembled_in_the_classification_alone():
+    # `enumerate` prints and the oracle checks one result,
+    # `classification.enumerate_block`: neither assembles its own
+    assert not {"admitted_anchors", "character_of"} & _imported_names("cli")
+    forbidden = {"enumerate_trivial_source", "ClassificationError"}
+    assert not forbidden & _imported_names("oracle")
+
+
 def _m1_block() -> BlockDescriptor:
     return BlockDescriptor(
         p=3,
@@ -88,6 +106,7 @@ def _records() -> list:
         g,
         EndoPermParams((1, 2)),
         IndecomposableModule(g, 4),
+        enumerate_block(star_tree(2, 3, 2, EndoPermParams(()), -1), (1,))[0],
     ]
 
 
