@@ -243,7 +243,9 @@ def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
             out.append(f"vertex {v} has no sign")
 
     if desc.e >= 1 and desc.p >= 3 and (desc.p - 1) % desc.e == 0:
-        if desc.m > 1:
+        # m = (p^n - 1)/e, and e divides p - 1, so m > 1 exactly when
+        # n > 1, or n = 1 and e < p - 1; p^n is never formed
+        if desc.n > 1 or (desc.n == 1 and desc.e < desc.p - 1):
             if desc.exceptional is None:
                 out.append("m > 1 requires an exceptional vertex")
             elif desc.exceptional not in vertex_set:

@@ -21,6 +21,7 @@ import json
 import sys
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, NamedTuple
 
 from .brauer_tree import (
     BlockDescriptor,
@@ -198,7 +199,14 @@ def _load_descriptor(path: str) -> BlockDescriptor | None:
     try:
         with open(path, encoding="utf-8") as handle:
             return descriptor_from_obj(json.load(handle))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+    except (
+        OSError,
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,
+        RecursionError,
+    ) as err:
         print(f"cannot read descriptor: {err}", file=sys.stderr)
         return None
 
@@ -242,7 +250,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # the allocation that opens `exceptional_orbits`, made before any
         # per-vertex work, so that a p^n too large to index is refused at
         # once; the orbit table is built after the characters, from the
-        # lowest level they print
+        # lowest level they print.  p^n is at least 2^(n (bits of p - 1)),
+        # so past sys.maxsize the allocation's own OverflowError is raised
+        # without forming p^n, which takes minutes at n = 10^8
+        if desc.n * (desc.p.bit_length() - 1) >= sys.maxsize.bit_length():
+            raise OverflowError("p^n exceeds sys.maxsize")
         bytearray(desc.p ** desc.n)
     if desc.m == 1:
         sys.stdout.write(_m1_text(desc, m1_enumerate(desc), args.format))
@@ -563,65 +575,75 @@ def _oracle_argument_problem(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _validate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("file")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also demand opposite signs across every edge",
-    )
-    parser.set_defaults(func=cmd_validate)
+class Command(NamedTuple):
+    """A command's grammar, the one source of both its argparse parser and
+    `_read_call`: its help text, the function it runs, and its arguments,
+    each name (an option when led by "--", else a positional) with the
+    keywords `add_argument` takes.  The options named in `exclusive` form
+    one mutually exclusive group.  argparse passes a string default
+    through `type` and `_read_call` does not, so a string default goes
+    with no `type`."""
+
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    arguments: dict[str, dict]
+    exclusive: tuple[str, ...] = ()
 
 
-def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("file")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--vertex", type=int, help="single vertex index")
-    group.add_argument(
-        "--all", action="store_true", help="all vertex indices (default)"
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.set_defaults(func=cmd_enumerate)
-
-
-def _local_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "operation", choices=("cap-dim", "det1-char", "morita-char")
-    )
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument(
-        "--w",
-        default="",
-        help="comma-separated increasing subgroup indices; empty for trivial",
-    )
-    parser.add_argument("--vertex", type=int)
-    parser.set_defaults(func=cmd_local)
-
-
-def _oracle_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--primes", type=int, nargs="+", default=[3, 5, 7])
-    parser.add_argument("--nmax", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--corpus-size", type=int, default=30)
-    parser.add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
-    )
-    parser.set_defaults(func=cmd_oracle)
-
-
-# Each command's help text and the function that adds its arguments.
 COMMANDS = {
-    "validate": ("check a descriptor file", _validate_arguments),
-    "enumerate": (
+    "validate": Command(
+        "check a descriptor file",
+        cmd_validate,
+        {
+            "file": {},
+            "--strict": {
+                "action": "store_true",
+                "help": "also demand opposite signs across every edge",
+            },
+        },
+    ),
+    "enumerate": Command(
         "list trivial source modules and their characters",
-        _enumerate_arguments,
+        cmd_enumerate,
+        {
+            "file": {},
+            "--vertex": {"type": int, "help": "single vertex index"},
+            "--all": {
+                "action": "store_true",
+                "help": "all vertex indices (default)",
+            },
+            "--format": {"choices": ("json", "csv"), "default": "json"},
+        },
+        exclusive=("--vertex", "--all"),
     ),
-    "local": (
+    "local": Command(
         "closed-form data of the local block (no tree needed)",
-        _local_arguments,
+        cmd_local,
+        {
+            "operation": {"choices": ("cap-dim", "det1-char", "morita-char")},
+            "--p": {"type": int, "required": True},
+            "--n": {"type": int, "required": True},
+            "--w": {
+                "default": "",
+                "help": (
+                    "comma-separated increasing subgroup indices; empty for "
+                    "trivial"
+                ),
+            },
+            "--vertex": {"type": int},
+        },
     ),
-    "oracle": ("run the brute-force consistency suite", _oracle_arguments),
+    "oracle": Command(
+        "run the brute-force consistency suite",
+        cmd_oracle,
+        {
+            "--primes": {"type": int, "nargs": "+", "default": (3, 5, 7)},
+            "--nmax": {"type": int, "default": 3},
+            "--seed": {"type": int, "default": 0},
+            "--corpus-size": {"type": int, "default": 30},
+            "--inject-fault": {"action": "store_true", "help": argparse.SUPPRESS},
+        },
+    ),
 }
 
 
@@ -631,7 +653,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the same prog, arguments and messages."""
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"cyclicblocks {command}")
-        COMMANDS[command][1](parser)
+        _add_arguments(parser, COMMANDS[command])
         return parser
     parser = argparse.ArgumentParser(
         prog="cyclicblocks",
@@ -641,23 +663,119 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, command in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), command)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a call that names a command is parsed by that command's parser alone;
-    # the whole tree is built only when no command is named or arguments
-    # are left over, so that top-level help and every usage error read as
-    # the tree writes them
-    args, extra = None, ()
+def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
+    group = parser.add_mutually_exclusive_group() if command.exclusive else None
+    for name, keywords in command.arguments.items():
+        (group if name in command.exclusive else parser).add_argument(
+            name, **keywords
+        )
+    parser.set_defaults(func=command.func)
+
+
+def _read_call(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the named command's parser returns for argv, read
+    from its declaration with no parser built; None unless every token is
+    exact.  Exact means a known command, then declared options spelled in
+    full, each at most once, and exactly the declared positionals.  An
+    option's value is the next token, or for `nargs="+"` the tokens up to
+    the next one led by "-".  Every value and positional is non-empty, not
+    led by "-", of the declared type and among the declared choices.  At
+    most one option of the exclusive group is given, and every required
+    one is.  Help, "--", abbreviations, `--option=value`, negative values
+    and every usage error are left to argparse."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    declared = command.arguments
+    given = {}
+    positionals = []
+    k, end = 1, len(argv)
+    while k < end:
+        token = argv[k]
+        k += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        keywords = declared.get(token)
+        if keywords is None or token in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[token] = True
+            continue
+        nargs = keywords.get("nargs")
+        if nargs not in (None, "+"):
+            return None
+        values = []
+        while k < end and not argv[k].startswith("-"):
+            values.append(_exact_value(argv[k], keywords))
+            k += 1
+            if nargs is None:
+                break
+        if not values or None in values:
+            return None
+        given[token] = values if nargs else values[0]
+    names = [name for name in declared if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    for name, token in zip(names, positionals):
+        given[name] = _exact_value(token, declared[name])
+        if given[name] is None:
+            return None
+    if sum(name in given for name in command.exclusive) > 1:
+        return None
+    args = argparse.Namespace()
+    for name, keywords in declared.items():
+        if name in given:
+            value = given[name]
+        elif keywords.get("required"):
+            return None
+        elif "default" in keywords:
+            value = keywords["default"]
+        else:
+            value = False if keywords.get("action") == "store_true" else None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    args.func = command.func
+    return args
+
+
+def _exact_value(token: str, keywords: dict):
+    """The token read as the argument with these keywords reads it, or
+    None when it is empty or led by "-", not of the declared type or not
+    among the declared choices."""
+    if not token or token.startswith("-"):
+        return None
+    try:
+        value = keywords.get("type", str)(token)
+    except (TypeError, ValueError):
+        return None
+    if "choices" in keywords and value not in keywords["choices"]:
+        return None
+    return value
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace main runs: `_read_call`'s when it reads argv, else
+    that of the named command's parser alone, else the whole tree's.  The
+    tree is built only when no command is named or arguments are left
+    over, so that top-level help and every usage error read as the tree
+    writes them."""
+    args = _read_call(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        args = build_parser().parse_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ValueError as err:

@@ -210,6 +210,20 @@ def test_descriptor_that_is_not_an_object_exits_2(tmp_path, capsys):
         assert "descriptor must be an object" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+def test_deeply_nested_descriptor_exits_2_without_traceback(
+    tmp_path, capsys, command
+):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("cannot read descriptor: ")
+    assert "Traceback" not in captured.err
+
+
 def test_string_cyclic_order_is_refused_not_spelled_out(tmp_path, capsys):
     # with one-letter edge ids, "ab" read one letter at a time would be the
     # valid order ["a", "b"]
@@ -520,6 +534,33 @@ def test_enumerate_too_large_is_refused_on_the_lattice_path(tmp_path, capsys, n)
         "error: input too large to hold in memory (OverflowError)\n"
     )
     assert cpu < 1.0
+
+
+def test_huge_n_is_decided_without_forming_p_to_the_n(tmp_path):
+    # p^n at n = 10^8 takes minutes to form: validate decides m > 1 from
+    # (p, n, e) alone, and enumerate refuses p^n beyond sys.maxsize from
+    # its bit length
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W(()), -1))
+    obj["n"] = 10**8
+    path = write_obj(tmp_path, obj)
+    src = Path(cyclicblocks.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = {
+        command: subprocess.run(
+            [sys.executable, "-m", "cyclicblocks.cli", command, path],
+            capture_output=True,
+            env=env,
+            timeout=10,
+        )
+        for command in ("validate", "enumerate")
+    }
+    assert runs["validate"].returncode == 0
+    assert runs["validate"].stdout == b""
+    assert runs["enumerate"].returncode == 1
+    assert runs["enumerate"].stdout == b""
+    assert runs["enumerate"].stderr == (
+        b"error: input too large to hold in memory (OverflowError)\n"
+    )
 
 
 def test_local_cap_dim_at_a_large_prime(capsys):
@@ -1076,19 +1117,19 @@ def test_main_parses_as_the_command_tree_does(star_file, argv):
     assert _outcome(main, argv) == _outcome(_through_the_tree, argv)
 
 
+_WELL_FORMED_CALLS = {
+    "validate": ["validate", "FILE", "--strict"],
+    "enumerate": ["enumerate", "FILE", "--vertex", "1", "--format", "csv"],
+    "enumerate-file": ["enumerate", "FILE"],
+    "local": ["local", "morita-char", "--p", "3", "--n", "2", "--vertex", "1"],
+    "oracle": ["oracle", "--primes", "3", "--nmax", "1", "--corpus-size", "1"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", "FILE", "--strict"],
-        ["enumerate", "FILE", "--vertex", "1", "--format", "csv"],
-        ["local", "morita-char", "--p", "3", "--n", "2", "--vertex", "1"],
-        ["oracle", "--primes", "3", "--nmax", "1", "--corpus-size", "1"],
-    ],
-    ids=lambda argv: argv[0],
+    "argv", _WELL_FORMED_CALLS.values(), ids=_WELL_FORMED_CALLS.keys()
 )
-def test_well_formed_call_builds_only_its_commands_parser(
-    monkeypatch, star_file, argv
-):
+def test_well_formed_call_builds_no_parser(monkeypatch, star_file, argv):
     built = []
     build = cyclicblocks.cli.build_parser
 
@@ -1100,7 +1141,7 @@ def test_well_formed_call_builds_only_its_commands_parser(
     argv = [star_file if arg == "FILE" else arg for arg in argv]
     code, _, err = _outcome(main, argv)
     assert (code, err) == (0, "")
-    assert built == [argv[0]]
+    assert built == []
 
 
 # Valid calls of every command that the fuzz test below mutates; FILE stands
@@ -1161,6 +1202,68 @@ def _mutated_argv(draw):
     return argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_ARGV_BASES,
+        ("enumerate", "FILE"),
+        ("enumerate", "FILE", "--all", "--format", "json"),
+        ("oracle",),
+    ],
+    ids=" ".join,
+)
+def test_read_call_returns_what_the_commands_parser_does(argv):
+    args = cyclicblocks.cli._read_call(list(argv))
+    assert args is not None
+    assert args == cyclicblocks.cli.build_parser(argv[0]).parse_args(argv[1:])
+
+
+# Calls the reader leaves to argparse: each is a valid call but for one
+# token that is not exact.
+_INEXACT_CALLS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate", "FILE"],
+    "help": ["enumerate", "FILE", "-h"],
+    "dashes": ["enumerate", "--", "FILE"],
+    "abbreviation": ["enumerate", "FILE", "--vert", "1"],
+    "option-equals-value": ["enumerate", "FILE", "--format=csv"],
+    "repeat": ["enumerate", "FILE", "--all", "--all"],
+    "negative-value": ["enumerate", "FILE", "--vertex", "-1"],
+    "empty-value": ["local", "det1-char", "--p", "3", "--n", "2", "--w", ""],
+    "no-value": ["enumerate", "FILE", "--vertex"],
+    "not-an-int": ["enumerate", "FILE", "--vertex", "x"],
+    "not-a-choice": ["enumerate", "FILE", "--format", "xml"],
+    "positional-not-a-choice": ["local", "bogus", "--p", "3", "--n", "2"],
+    "exclusive-pair": ["enumerate", "FILE", "--vertex", "1", "--all"],
+    "required-missing": ["local", "det1-char", "--p", "3"],
+    "no-positional": ["enumerate", "--all"],
+    "empty-positional": ["validate", ""],
+    "extra-positional": ["validate", "FILE", "FILE"],
+    "dash-positional": ["validate", "-"],
+    "nargs-not-an-int": ["oracle", "--primes", "3", "x"],
+    "nargs-no-value": ["oracle", "--primes", "--nmax", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _INEXACT_CALLS.values(), ids=_INEXACT_CALLS.keys()
+)
+def test_read_call_leaves_inexact_calls_to_argparse(argv):
+    assert cyclicblocks.cli._read_call(argv) is None
+
+
+def _fields(parse):
+    """A call for `_outcome` that returns the fields parse(argv) reads,
+    less the tree's `command`."""
+
+    def fields(argv):
+        read = vars(parse(argv))
+        read.pop("command", None)
+        return read
+
+    return fields
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     obj = descriptor_to_obj(star_tree(2, 3, 2, W((1,)), -1))
@@ -1174,3 +1277,14 @@ def test_mutated_argv_exit_0_1_or_2_without_traceback(fuzz_file, argv):
     code, _, err = _outcome(main, argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err, argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=2))
+@given(_mutated_argv())
+def test_main_reads_mutated_argv_as_the_command_tree_does(fuzz_file, argv):
+    # main's parse: the exact reader, else the command's parser, else the
+    # tree
+    argv = [fuzz_file if arg == "FILE" else arg for arg in argv]
+    main_parse = _fields(cyclicblocks.cli._parse)
+    tree = _fields(cyclicblocks.cli.build_parser().parse_args)
+    assert _outcome(main_parse, argv) == _outcome(tree, argv), argv
