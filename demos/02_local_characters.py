@@ -10,14 +10,11 @@ from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
-    cap_dim_recursive,
     char_det1_endoperm,
-    heller_relative,
-    induce_character,
     morita_correspondent_character,
     restricted_cap_params,
-    u_module_dimension,
 )
+from cyclicblocks.oracle import cap_dim_recursive, heller_relative, induce_character
 
 g = CyclicGroupData(3, 2)  # D cyclic of order 9
 print("relative syzygy of the trivial module at level 0:", heller_relative(g, 0, 1))
@@ -50,5 +47,5 @@ for i in (1, 2):
     print(
         f"\nvertex level {i}: correspondent {direct.mults}",
         f"\n   composition agrees: {direct == composed},",
-        f"degree law {direct.degree} == {u_module_dimension(w, g, i)}",
+        f"degree law {direct.degree} == {cap_dim(w, g, i) * g.p ** (g.n - i)}",
     )

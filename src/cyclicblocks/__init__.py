@@ -19,14 +19,12 @@ from .brauer_tree import (
 from .characters import (
     BlockCharacter,
     OrbitStructure,
-    b_level_character,
     character_of,
     exceptional_orbits,
     hook_characters,
     pim_character,
     t_and_d0,
     xi,
-    xi_complement,
 )
 from .classification import (
     ClassificationError,
@@ -42,16 +40,10 @@ from .cyclotomic import CyclicCharacter, decompose
 from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
-    IndecomposableModule,
     cap_dim,
-    cap_dim_recursive,
     char_det1_endoperm,
-    heller_relative,
-    induce_character,
     morita_correspondent_character,
-    perm_module_character,
     restricted_cap_params,
-    u_module_dimension,
 )
 from .oracle import (
     ConsistencyReport,
@@ -72,14 +64,11 @@ __all__ = [
     "Edge",
     "EndoPermParams",
     "GridSpec",
-    "IndecomposableModule",
     "OrbitStructure",
     "PathDescriptor",
     "VertexEnumeration",
     "admitted_anchors",
-    "b_level_character",
     "cap_dim",
-    "cap_dim_recursive",
     "char_det1_endoperm",
     "character_of",
     "consistency_suite",
@@ -90,21 +79,16 @@ __all__ = [
     "enumerate_trivial_source",
     "exceptional_orbits",
     "group_algebra_block",
-    "heller_relative",
     "hook_characters",
-    "induce_character",
     "m1_enumerate",
     "morita_correspondent_character",
     "perm_character_by_fixed_points",
-    "perm_module_character",
     "pim_character",
     "random_corpus",
     "restricted_cap_params",
     "star_tree",
     "successor",
     "t_and_d0",
-    "u_module_dimension",
     "validate",
     "xi",
-    "xi_complement",
 ]

@@ -495,14 +495,6 @@ def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:
     return _exceptional_character(desc, plain, i, False)
 
 
-def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
-    """Complement of xi inside the full exceptional bundle (coordinatewise
-    1 - xi); the other value the exceptional part of a trivial source
-    character can take."""
-    plain = bytes(len(desc.nonexceptional_vertices))
-    return _exceptional_character(desc, plain, i, True)
-
-
 def _exceptional_character(
     desc: BlockDescriptor, plain: bytes, i: int, complement: bool
 ) -> BlockCharacter:
@@ -513,34 +505,6 @@ def _exceptional_character(
         raise ValueError("descriptor has no exceptional characters (m = 1)")
     levels = desc.index_entry(i).xi_levels[complement]
     return BlockCharacter(plain, levels, (desc.p, desc.n, desc.e))
-
-
-def b_level_character(
-    star_desc: BlockDescriptor, i: int, x: int
-) -> BlockCharacter:
-    """Character of the x-th trivial source module with vertex of order p^i
-    in a star block with exceptional centre (the local block one level up
-    from the nilpotent one).
-
-    The non-exceptional part is d0 at the x-th leaf, in the leaf order of
-    the descriptor; the exceptional part is xi's.  Requires the genuine
-    orientation: negative centre, positive leaves.
-    """
-    if (
-        star_desc.exceptional is None
-        or star_desc.degree(star_desc.exceptional) != star_desc.e
-    ):
-        raise ValueError("descriptor is not a star with exceptional centre")
-    if star_desc.sign(star_desc.exceptional) != -1 or any(
-        star_desc.sign(v) != 1 for v in star_desc.nonexceptional_vertices
-    ):
-        raise ValueError("star must have negative centre and positive leaves")
-    if not 1 <= x <= star_desc.e:
-        raise ValueError(f"leaf index {x} outside 1..{star_desc.e}")
-    _, d0 = t_and_d0(star_desc.w, i)
-    plain = bytearray(star_desc.e)
-    plain[x - 1] = d0
-    return _exceptional_character(star_desc, bytes(plain), i, False)
 
 
 def character_of(

@@ -234,6 +234,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_SEMANTIC if problems else EXIT_OK
 
 
+def _refuse_unindexable(p: int, n: int) -> None:
+    """Raise the OverflowError of an allocation of p^n items when p^n is
+    past sys.maxsize, without forming p^n, which takes minutes at
+    n = 10^8: p^n is at least 2^(n (bits of p - 1))."""
+    if n * (p.bit_length() - 1) >= sys.maxsize.bit_length():
+        raise OverflowError("p^n exceeds sys.maxsize")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     desc = _load_descriptor(args.file)
     if desc is None:
@@ -250,11 +258,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # the allocation that opens `exceptional_orbits`, made before any
         # per-vertex work, so that a p^n too large to index is refused at
         # once; the orbit table is built after the characters, from the
-        # lowest level they print.  p^n is at least 2^(n (bits of p - 1)),
-        # so past sys.maxsize the allocation's own OverflowError is raised
-        # without forming p^n, which takes minutes at n = 10^8
-        if desc.n * (desc.p.bit_length() - 1) >= sys.maxsize.bit_length():
-            raise OverflowError("p^n exceeds sys.maxsize")
+        # lowest level they print
+        _refuse_unindexable(desc.p, desc.n)
         bytearray(desc.p ** desc.n)
     if desc.m == 1:
         sys.stdout.write(_m1_text(desc, m1_enumerate(desc), args.format))
@@ -501,6 +506,9 @@ def cmd_local(args: argparse.Namespace) -> int:
     try:
         g = CyclicGroupData(args.p, args.n)
         w = _parse_w(args.w)
+        if args.operation != "cap-dim":
+            # both characters print p^n entries
+            _refuse_unindexable(g.p, g.n)
         if args.operation == "det1-char":
             result = list(char_det1_endoperm(w, g).mults)
         else:
@@ -647,14 +655,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the whole command tree, or, given a command, that
-    command's parser alone: the one the tree hands its arguments to, with
-    the same prog, arguments and messages."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"cyclicblocks {command}")
-        _add_arguments(parser, COMMANDS[command])
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command tree, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="cyclicblocks",
         description=(
@@ -678,16 +680,17 @@ def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
 
 
 def _read_call(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace the named command's parser returns for argv, read
-    from its declaration with no parser built; None unless every token is
-    exact.  Exact means a known command, then declared options spelled in
-    full, each at most once, and exactly the declared positionals.  An
-    option's value is the next token, or for `nargs="+"` the tokens up to
-    the next one led by "-".  Every value and positional is non-empty, not
-    led by "-", of the declared type and among the declared choices.  At
-    most one option of the exclusive group is given, and every required
-    one is.  Help, "--", abbreviations, `--option=value`, negative values
-    and every usage error are left to argparse."""
+    """The namespace the command tree returns for argv, less its `command`
+    field, read from the named command's declaration with no parser built;
+    None unless every token is exact.  Exact means a known command, then
+    declared options spelled in full, each at most once, and exactly the
+    declared positionals.  An option's value is the next token, or for
+    `nargs="+"` the tokens up to the next one led by "-".  Every value and
+    positional is non-empty, not led by "-", of the declared type and
+    among the declared choices.  At most one option of the exclusive group
+    is given, and every required one is.  Help, "--", abbreviations,
+    `--option=value`, negative values and every usage error are left to
+    argparse."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -759,19 +762,13 @@ def _exact_value(token: str, keywords: dict):
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace main runs: `_read_call`'s when it reads argv, else
-    that of the named command's parser alone, else the whole tree's.  The
-    tree is built only when no command is named or arguments are left
-    over, so that top-level help and every usage error read as the tree
+    """The namespace main runs: `_read_call`'s when it reads argv, else the
+    whole tree's, so that help and every usage error read as the tree
     writes them."""
     args = _read_call(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,10 +10,9 @@ module under the Morita equivalence with the nilpotent block.
 
 Every character here is constant on the valuation levels of kappa, so each
 lives in a `CyclicCharacter` of n + 1 level values, and each closed form
-costs O(n): a permutation character is a 0/1 step in the levels, an
-alternating sum of them is one pass over n + 1 entries, and induction from
-D_i pads the levels of the subgroup character with its value at lambda_0.
-All functions are pure and all values immutable.
+costs O(n): a permutation character is a 0/1 step in the levels, and an
+alternating sum of them is one pass over n + 1 entries.  All functions are
+pure and all values immutable.
 """
 
 from __future__ import annotations
@@ -49,26 +48,6 @@ class CyclicGroupData(namedtuple("CyclicGroupData", "p n")):
     def order(self) -> int:
         return self.p ** self.n
 
-    def subgroup_order(self, i: int) -> int:
-        if not 0 <= i <= self.n:
-            raise ValueError(f"subgroup index {i} outside 0..{self.n}")
-        return self.p ** i
-
-
-class IndecomposableModule(namedtuple("IndecomposableModule", "group dim")):
-    """The unique indecomposable module of the given dimension over the group."""
-
-    __slots__ = ()
-
-    def __new__(cls, group: CyclicGroupData, dim: int) -> IndecomposableModule:
-        if not 1 <= dim <= group.order:
-            raise ValueError(f"dimension {dim} outside 1..{group.order}")
-        return super().__new__(cls, group, dim)
-
-    @classmethod
-    def _make(cls, iterable) -> IndecomposableModule:
-        return cls(*iterable)
-
 
 class EndoPermParams(namedtuple("EndoPermParams", "indices")):
     """Strictly increasing subgroup indices i_0 < ... < i_s selecting the
@@ -103,29 +82,6 @@ class EndoPermParams(namedtuple("EndoPermParams", "indices")):
         return all(a >= 1 for a in self.indices)
 
 
-def heller_relative(g: CyclicGroupData, i: int, r: int) -> IndecomposableModule:
-    """Kernel of the D_i-relative projective cover of the r-dimensional module.
-
-    The cover is the permutation module on D/D_i, so the kernel is the
-    indecomposable of dimension p^{n-i} - r.  Requires r < p^{n-i}, else the
-    cover above would not be minimal in this sense.
-    """
-    if not 0 <= i <= g.n - 1:
-        raise ValueError(f"subgroup index {i} outside 0..{g.n - 1}")
-    quotient_order = g.p ** (g.n - i)
-    if not 1 <= r <= quotient_order - 1:
-        raise ValueError(f"dimension {r} outside 1..{quotient_order - 1}")
-    return IndecomposableModule(g, quotient_order - r)
-
-
-def perm_module_character(g: CyclicGroupData, i: int) -> CyclicCharacter:
-    """Character of the permutation module on D/D_i: multiplicity 1 at every
-    lambda_kappa with p^i | kappa, that is on the levels i..n."""
-    if not 0 <= i <= g.n:
-        raise ValueError(f"subgroup index {i} outside 0..{g.n}")
-    return CyclicCharacter(g.p, g.n, (0,) * i + (1,) * (g.n - i + 1))
-
-
 def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
     """Dimension of the cap of the restriction to D_i, in closed form.
 
@@ -154,17 +110,6 @@ def restricted_cap_params(
     return EndoPermParams(tuple(a for a in params.indices if a <= i - 1))
 
 
-def cap_dim_recursive(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
-    """Same dimension as `cap_dim`, but obtained by iterating the relative
-    Heller operators of the restricted parameter list over D_i itself."""
-    restricted = restricted_cap_params(params, g, i)
-    sub = CyclicGroupData(g.p, i)
-    module = IndecomposableModule(sub, 1)
-    for a in reversed(restricted.indices):
-        module = heller_relative(sub, a, module.dim)
-    return module.dim
-
-
 def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicCharacter:
     """Ordinary character of the determinant-1 lift of the endo-permutation
     module with the given indices (general form, index 0 allowed).
@@ -176,17 +121,6 @@ def char_det1_endoperm(params: EndoPermParams, g: CyclicGroupData) -> CyclicChar
     below = restricted_cap_params(params, g, g.n).indices
     levels = _closed_form(g.p, g.n, below + (g.n,))[1]
     return CyclicCharacter(g.p, g.n, levels)
-
-
-def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> CyclicCharacter:
-    """Induction from D_i to D: lambda_nu goes to the sum of all lambda_kappa
-    with kappa = nu mod p^i, extended linearly.  A kappa of valuation v < i
-    has a nu of valuation v, and every kappa of valuation >= i has nu = 0,
-    so the levels of chi are padded with its value at lambda_0."""
-    sub_order = g.subgroup_order(i)
-    if (chi.p, chi.n) != (g.p, i):
-        raise ValueError(f"character has order {chi.order}, expected {sub_order}")
-    return CyclicCharacter(g.p, g.n, chi.levels + chi.levels[-1:] * (g.n - i))
 
 
 def morita_correspondent_character(
@@ -248,15 +182,20 @@ def _closed_form(
     for j, a in enumerate(below):
         ell += (-1) ** j * p ** (i - a)
     levels = _perm_sum_levels(n, cuts)
-    # level v < n holds p^(n-v-1)(p-1) characters, level n the one lambda_0
-    degree, weight = levels[n], p - 1
-    for c in reversed(levels[:n]):
-        degree += c * weight
-        weight *= p
-    expected = ell * p ** (n - i)
-    if not {*levels} <= {0, 1} or degree != expected:
+    # level v < n holds p^(n-v-1)(p-1) characters and level n the one
+    # lambda_0, so the degree is the sum of each change l_v - l_(v-1) in
+    # the levels, l_(-1) = 0, times p^(n-v).  Both sides of the count law
+    # are compared divided by p^(n-top), top the last level that moves or
+    # i if later, so that no power of p up to p^n is formed
+    changes = [
+        (v, c - b) for v, (b, c) in enumerate(zip((0, *levels), levels)) if c != b
+    ]
+    top = max([i] + [v for v, _ in changes])
+    degree = sum(d * p ** (top - v) for v, d in changes)
+    if not {*levels} <= {0, 1} or degree != ell * p ** (top - i):
         raise CharacterConsistencyError(
-            f"alternating sum over indices {cuts} is not 0/1 of degree {expected}"
+            f"alternating sum over indices {cuts} is not 0/1 of degree "
+            f"{ell * p ** (n - i)}"
         )
     return ell, levels
 
@@ -264,8 +203,7 @@ def _closed_form(
 def _perm_sum_levels(n: int, cuts: tuple[int, ...]) -> tuple[int, ...]:
     """The n + 1 levels of the alternating sum, first term positive, of the
     permutation characters on D/D_a over the indices a: each is 1 on the
-    levels a ... n (`perm_module_character`), so the sum steps by +-1 at
-    each a."""
+    levels a ... n, so the sum steps by +-1 at each a."""
     steps = [0] * (n + 1)
     sign = 1
     for a in cuts:
@@ -273,7 +211,3 @@ def _perm_sum_levels(n: int, cuts: tuple[int, ...]) -> tuple[int, ...]:
         sign = -sign
     return tuple(accumulate(steps))
 
-
-def u_module_dimension(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
-    """Dimension of the induced cap: cap_dim * p^{n-i}."""
-    return cap_dim(params, g, i) * g.p ** (g.n - i)

@@ -7,6 +7,15 @@ decomposing those integer values exactly (`cyclotomic.decompose`), and
 determinant-1 lift characters rebuilt by the projective-cover recursion
 using only those fixed-point characters and subtraction.
 
+The module also holds the reference constructions that the checks compare
+the closed forms with, and that nothing else in the package uses: the
+indecomposable modules of D (`IndecomposableModule`) and their relative
+Heller translates (`heller_relative`), the cap dimension by that recursion
+(`cap_dim_recursive`), the permutation character in closed form
+(`perm_module_character`), induction from D_i (`induce_character`), the
+complement of xi (`xi_complement`) and the characters of a star block
+(`b_level_character`).
+
 `consistency_suite` sweeps every cross-formula identity over a parameter
 grid plus a seeded corpus of random valid tree descriptors and reports
 failures as data.  Oracle equality is exact equality of level tuples or
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import namedtuple
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
@@ -30,13 +40,7 @@ from .brauer_tree import (
     star_tree,
     validate,
 )
-from .characters import (
-    b_level_character,
-    exceptional_orbits,
-    t_and_d0,
-    xi,
-    xi_complement,
-)
+from .characters import BlockCharacter, exceptional_orbits, t_and_d0, xi
 from .classification import enumerate_block
 from .cyclotomic import CyclicCharacter, decompose, valuation
 from .local_reps import (
@@ -44,13 +48,9 @@ from .local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
-    cap_dim_recursive,
     char_det1_endoperm,
-    induce_character,
     morita_correspondent_character,
-    perm_module_character,
     restricted_cap_params,
-    u_module_dimension,
 )
 
 # Empties the cache of the orbit tables the characters read; bound at
@@ -86,6 +86,104 @@ def det1_char_by_recursion(params: EndoPermParams, p: int, n: int) -> CyclicChar
     return perm_character_by_fixed_points(p, n, head) - det1_char_by_recursion(
         rest, p, n
     )
+
+
+class IndecomposableModule(namedtuple("IndecomposableModule", "group dim")):
+    """The unique indecomposable module of the given dimension over the group."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: CyclicGroupData, dim: int) -> IndecomposableModule:
+        if not 1 <= dim <= group.order:
+            raise ValueError(f"dimension {dim} outside 1..{group.order}")
+        return super().__new__(cls, group, dim)
+
+    @classmethod
+    def _make(cls, iterable) -> IndecomposableModule:
+        return cls(*iterable)
+
+
+def heller_relative(g: CyclicGroupData, i: int, r: int) -> IndecomposableModule:
+    """Kernel of the D_i-relative projective cover of the r-dimensional module.
+
+    The cover is the permutation module on D/D_i, so the kernel is the
+    indecomposable of dimension p^{n-i} - r.  Requires r < p^{n-i}, else the
+    cover above would not be minimal in this sense.
+    """
+    if not 0 <= i <= g.n - 1:
+        raise ValueError(f"subgroup index {i} outside 0..{g.n - 1}")
+    quotient_order = g.p ** (g.n - i)
+    if not 1 <= r <= quotient_order - 1:
+        raise ValueError(f"dimension {r} outside 1..{quotient_order - 1}")
+    return IndecomposableModule(g, quotient_order - r)
+
+
+def cap_dim_recursive(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
+    """Same dimension as `local_reps.cap_dim`, but obtained by iterating the
+    relative Heller operators of the restricted parameter list over D_i
+    itself."""
+    restricted = restricted_cap_params(params, g, i)
+    sub = CyclicGroupData(g.p, i)
+    module = IndecomposableModule(sub, 1)
+    for a in reversed(restricted.indices):
+        module = heller_relative(sub, a, module.dim)
+    return module.dim
+
+
+def perm_module_character(g: CyclicGroupData, i: int) -> CyclicCharacter:
+    """Character of the permutation module on D/D_i: multiplicity 1 at every
+    lambda_kappa with p^i | kappa, that is on the levels i..n."""
+    if not 0 <= i <= g.n:
+        raise ValueError(f"subgroup index {i} outside 0..{g.n}")
+    return CyclicCharacter(g.p, g.n, (0,) * i + (1,) * (g.n - i + 1))
+
+
+def induce_character(g: CyclicGroupData, i: int, chi: CyclicCharacter) -> CyclicCharacter:
+    """Induction from D_i to D: lambda_nu goes to the sum of all lambda_kappa
+    with kappa = nu mod p^i, extended linearly.  A kappa of valuation v < i
+    has a nu of valuation v, and every kappa of valuation >= i has nu = 0,
+    so the levels of chi are padded with its value at lambda_0."""
+    if not 0 <= i <= g.n:
+        raise ValueError(f"subgroup index {i} outside 0..{g.n}")
+    if (chi.p, chi.n) != (g.p, i):
+        raise ValueError(f"character has order {chi.order}, expected {g.p ** i}")
+    return CyclicCharacter(g.p, g.n, chi.levels + chi.levels[-1:] * (g.n - i))
+
+
+def xi_complement(desc: BlockDescriptor, i: int) -> BlockCharacter:
+    """Complement of xi inside the full exceptional bundle (coordinatewise
+    1 - xi); the other value the exceptional part of a trivial source
+    character can take.  Its levels are the complement entry of i in
+    `desc.index_table`, the one the block's characters are built from."""
+    return xi(desc, i)._replace(levels=desc.index_entry(i).xi_levels[1])
+
+
+def b_level_character(
+    star_desc: BlockDescriptor, i: int, x: int
+) -> BlockCharacter:
+    """Character of the x-th trivial source module with vertex of order p^i
+    in a star block with exceptional centre (the local block one level up
+    from the nilpotent one).
+
+    The non-exceptional part is d0 at the x-th leaf, in the leaf order of
+    the descriptor; the exceptional part is xi's.  Requires the genuine
+    orientation: negative centre, positive leaves.
+    """
+    if (
+        star_desc.exceptional is None
+        or star_desc.degree(star_desc.exceptional) != star_desc.e
+    ):
+        raise ValueError("descriptor is not a star with exceptional centre")
+    if star_desc.sign(star_desc.exceptional) != -1 or any(
+        star_desc.sign(v) != 1 for v in star_desc.nonexceptional_vertices
+    ):
+        raise ValueError("star must have negative centre and positive leaves")
+    if not 1 <= x <= star_desc.e:
+        raise ValueError(f"leaf index {x} outside 1..{star_desc.e}")
+    _, d0 = t_and_d0(star_desc.w, i)
+    plain = bytearray(star_desc.e)
+    plain[x - 1] = d0
+    return xi(star_desc, i)._replace(plain=bytes(plain))
 
 
 class GridSpec(NamedTuple):
@@ -322,7 +420,7 @@ def _check_local(p: int, n: int, caps, check) -> None:
             check(
                 "morita correspondent degree",
                 (p, n, w.indices, i),
-                u_module_dimension(w, g, i),
+                cap_dim(w, g, i) * p ** (n - i),
                 direct.degree,
             )
     for w in general_params_for(n):

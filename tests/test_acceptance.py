@@ -9,31 +9,30 @@ import time
 
 from cyclicblocks.brauer_tree import group_algebra_block, star_tree
 from cyclicblocks.characters import (
-    b_level_character,
     character_of,
     t_and_d0,
     vertex_character,
     xi,
-    xi_complement,
 )
 from cyclicblocks.classification import enumerate_trivial_source
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
-    cap_dim_recursive,
     char_det1_endoperm,
-    induce_character,
     morita_correspondent_character,
-    perm_module_character,
     restricted_cap_params,
-    u_module_dimension,
 )
 from cyclicblocks.oracle import (
+    b_level_character,
     block_params_for,
+    cap_dim_recursive,
     det1_char_by_recursion,
     general_params_for,
+    induce_character,
+    perm_module_character,
     random_corpus,
+    xi_complement,
     xi_complement_nondivisible,
 )
 from zeta_reference import (
@@ -111,7 +110,7 @@ def test_criterion_03_morita_factorisation():
                             ),
                         )
                         assert direct == composed
-                        assert direct.degree == u_module_dimension(w, g, i)
+                        assert direct.degree == cap_dim(w, g, i) * p ** (n - i)
 
     run_criterion(
         3, "Morita correspondent = induce after cap, with the degree law", 30.0, body

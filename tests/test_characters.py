@@ -23,14 +23,12 @@ from cyclicblocks.characters import (
     _mark_lattice_points,
     _reduced_basis,
     _smallest_of_order,
-    b_level_character,
     exceptional_orbits,
     orbits_from_level,
     pim_character,
     t_and_d0,
     vertex_character,
     xi,
-    xi_complement,
 )
 from cyclicblocks.cli import descriptor_to_obj, main
 from cyclicblocks.classification import enumerate_trivial_source
@@ -40,16 +38,18 @@ from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
-    induce_character,
     morita_correspondent_character,
     restricted_cap_params,
 )
 from cyclicblocks.oracle import (
     GridSpec,
+    b_level_character,
     consistency_suite,
     det1_char_by_recursion,
+    induce_character,
     random_block_descriptor,
     random_corpus,
+    xi_complement,
     xi_complement_nondivisible,
 )
 

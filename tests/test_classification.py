@@ -27,14 +27,14 @@ from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
     cap_dim,
-    cap_dim_recursive,
-    induce_character,
-    perm_module_character,
     restricted_cap_params,
 )
 from cyclicblocks.oracle import (
     block_params_for,
+    cap_dim_recursive,
     det1_char_by_recursion,
+    induce_character,
+    perm_module_character,
     random_block_descriptor,
 )
 

@@ -12,11 +12,8 @@ from cyclicblocks.cyclotomic import (
     is_odd_prime,
     valuation,
 )
-from cyclicblocks.local_reps import (
-    CyclicGroupData,
-    induce_character,
-    perm_module_character,
-)
+from cyclicblocks.local_reps import CyclicGroupData
+from cyclicblocks.oracle import induce_character, perm_module_character
 from zeta_reference import (
     ClassFunction,
     CyclotomicInteger,

@@ -14,16 +14,17 @@ import cyclicblocks
 from cyclicblocks.local_reps import (
     CyclicGroupData,
     EndoPermParams,
-    IndecomposableModule,
     cap_dim,
-    cap_dim_recursive,
     char_det1_endoperm,
+    morita_correspondent_character,
+    restricted_cap_params,
+)
+from cyclicblocks.oracle import (
+    IndecomposableModule,
+    cap_dim_recursive,
     heller_relative,
     induce_character,
-    morita_correspondent_character,
     perm_module_character,
-    restricted_cap_params,
-    u_module_dimension,
 )
 from zeta_reference import ClassFunction, CyclotomicInteger
 from zeta_reference import decompose as dense_decompose
@@ -190,6 +191,17 @@ def test_morita_correspondent_examples():
     )
 
 
+def test_u_module_dimension_examples():
+    # dim U = cap_dim * p^(n-i), which is also the correspondent's degree
+    for w, g, i, degree in (
+        (W(()), G32, 1, 3),
+        (W((1,)), G32, 2, 2),
+        (W((1, 2)), G33, 3, 7),
+    ):
+        assert cap_dim(w, g, i) * g.p ** (g.n - i) == degree
+        assert morita_correspondent_character(w, g, i).degree == degree
+
+
 def test_morita_correspondent_rejects_general_params():
     with pytest.raises(ValueError):
         morita_correspondent_character(W((0, 1)), G32, 1)
@@ -207,14 +219,8 @@ def test_morita_factorisation_on_grid():
                         g, i, char_det1_endoperm(restricted_cap_params(params, g, i), sub)
                     )
                     assert direct == composed
-                    assert direct.degree == u_module_dimension(params, g, i)
+                    assert direct.degree == cap_dim(params, g, i) * p ** (n - i)
                     assert all(m in (0, 1) for m in direct.mults)
-
-
-def test_u_module_dimension_examples():
-    assert u_module_dimension(W(()), G32, 1) == 3
-    assert u_module_dimension(W((1,)), G32, 2) == 2
-    assert u_module_dimension(W((1, 2)), G33, 3) == 7
 
 
 def test_closed_forms_at_a_group_too_large_to_spread():
@@ -230,7 +236,7 @@ def test_closed_forms_at_a_group_too_large_to_spread():
         for i in (1, 2, 20, 39, 40):
             direct = morita_correspondent_character(w, g, i)
             assert set(direct.levels) <= {0, 1}
-            assert direct.degree == u_module_dimension(w, g, i)
+            assert direct.degree == cap_dim(w, g, i) * 3 ** (40 - i)
             sub = CyclicGroupData(3, i)
             assert direct == induce_character(
                 g, i, char_det1_endoperm(restricted_cap_params(w, g, i), sub)

@@ -18,7 +18,6 @@ from cyclicblocks.local_reps import (
     EndoPermParams,
     cap_dim,
     char_det1_endoperm,
-    perm_module_character,
 )
 from cyclicblocks.oracle import (
     ConsistencyReport,
@@ -30,6 +29,7 @@ from cyclicblocks.oracle import (
     det1_char_by_recursion,
     general_params_for,
     perm_character_by_fixed_points,
+    perm_module_character,
     random_block_descriptor,
     random_corpus,
 )

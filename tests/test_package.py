@@ -11,12 +11,13 @@ import cyclicblocks
 from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
 from cyclicblocks.characters import exceptional_orbits
 from cyclicblocks.classification import enumerate_block, m1_enumerate
-from cyclicblocks.local_reps import (
-    CyclicGroupData,
-    EndoPermParams,
+from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
+from cyclicblocks.oracle import (
+    ConsistencyReport,
+    Failure,
+    GridSpec,
     IndecomposableModule,
 )
-from cyclicblocks.oracle import ConsistencyReport, Failure, GridSpec
 
 PACKAGE = Path(cyclicblocks.__file__).parent
 MODULES = [name for _, name, _ in pkgutil.iter_modules([str(PACKAGE)])]
@@ -66,6 +67,44 @@ def _imported_names(module: str) -> set[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
+
+
+# The reference constructions only the oracle's checks use, which live in
+# the oracle, and two definitions that were deleted outright.
+ORACLE_OWN = {
+    "IndecomposableModule",
+    "b_level_character",
+    "cap_dim_recursive",
+    "heller_relative",
+    "induce_character",
+    "perm_module_character",
+    "xi_complement",
+}
+DELETED = {"subgroup_order", "u_module_dimension"}
+
+
+def test_the_oracles_own_constructions_live_in_the_oracle_alone():
+    defined = {}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, set()).add(path.stem)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.setdefault(node.id, set()).add(path.stem)
+    for name in ORACLE_OWN:
+        assert defined.get(name) == {"oracle"}, name
+    assert not DELETED & defined.keys()
+    assert not (ORACLE_OWN | DELETED) & set(cyclicblocks.__all__)
+    # the oracle rebuilds xi's complement from public reads
+    oracle = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert not [
+        alias.name
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.ImportFrom) and node.module == "characters"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
 
 
 def test_enumeration_is_assembled_in_the_classification_alone():
