@@ -107,33 +107,6 @@ class BlockDescriptor:
         return {v: k for k, v in enumerate(self.nonexceptional_vertices)}
 
     @cached_property
-    def nonexceptional_parts(self) -> dict[str | tuple[str, ...], bytes]:
-        """Non-exceptional parts of characters, one byte per vertex, filled
-        as they are first built: a vertex character's keyed by its vertex, a
-        module's by its spine (`characters.character_of`).  A part depends
-        on its key only, so every module anchored at one vertex, at every
-        vertex index, holds one bytes object, and so does every hook at one
-        vertex."""
-        return {}
-
-    @cached_property
-    def candidate_paths(self) -> dict[str | None, tuple[tuple, ...]]:
-        """The candidate paths of each anchor, the fields of a
-        `classification.PathDescriptor` up to its multiplicity and case,
-        filled as an anchor is first admitted at some vertex index: keyed
-        by the anchoring vertex, None for the hooks.  They do not depend on
-        the vertex index, so the n indices share one build."""
-        return {}
-
-    @cached_property
-    def anchor_keys(self) -> list[tuple[tuple[int, int, int], str]]:
-        """The anchors of every non-hook candidate path with their class
-        keys, in candidate order, filled when first read
-        (`classification._anchors`); unlike the hooks' key, they do not
-        depend on the vertex index."""
-        return []
-
-    @cached_property
     def index_table(self) -> dict[int, tuple]:
         """Per vertex index i = 1 ... n, what depends on (p, n, e, W, i)
         alone: the cap dimension, the admissibility verdict of every class

@@ -447,18 +447,16 @@ class BlockCharacter(NamedTuple):
 
 def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
     """Indicator of a non-exceptional vertex, or the full exceptional bundle;
-    the non-exceptional part is built once per vertex and descriptor."""
+    the non-exceptional part is built afresh on each call.  Raises KeyError
+    for a vertex the descriptor does not have."""
     exceptional = int(vertex == desc.exceptional)
-    parts = desc.nonexceptional_parts
-    plain = parts.get(vertex)
-    if plain is None:
-        counts = bytearray(len(desc.nonexceptional_vertices))
-        if not exceptional:
-            position = desc.nonexceptional_positions.get(vertex)
-            if position is None:
-                raise KeyError(f"no vertex {vertex!r}")
-            counts[position] = 1
-        plain = parts[vertex] = bytes(counts)
+    counts = bytearray(len(desc.nonexceptional_vertices))
+    if not exceptional:
+        position = desc.nonexceptional_positions.get(vertex)
+        if position is None:
+            raise KeyError(f"no vertex {vertex!r}")
+        counts[position] = 1
+    plain = bytes(counts)
     if desc.exceptional is None:
         return BlockCharacter(plain, b"", ())
     orbit_key = desc.p, desc.n, desc.e
@@ -519,9 +517,10 @@ def character_of(
     complement for i and iv.  Hooks afford the single character of their
     positive endpoint, the whole bundle when that endpoint is exceptional.
     One-edge blocks (e = 1) have a single module per vertex whose character
-    is governed by the sign of the plain vertex and d0 alone.  A spine's
-    non-exceptional part is built once per descriptor and kept in
-    `desc.nonexceptional_parts`, so the modules of one anchor share it.
+    is governed by the sign of the plain vertex and d0 alone.  The
+    non-exceptional part is built and checked afresh on each call: a spine
+    vertex the descriptor does not have as non-exceptional raises KeyError,
+    and a repeated one CharacterConsistencyError.
     """
     if path.case_tag is None and path.type_tag != 1:
         raise ValueError("path has not been through admissibility")
@@ -539,25 +538,21 @@ def character_of(
         raise CharacterConsistencyError(f"unknown case tag {path.case_tag!r}")
     else:
         spine = path.spine_vertices if path.type_tag in (2, 4, 5, 6) else ()
-        parts = desc.nonexceptional_parts
-        plain = parts.get(spine)
-        if plain is None:
-            positions = desc.nonexceptional_positions
-            counts = bytearray(len(positions))
-            # one count per spine vertex, so that a repeated vertex shows
-            # as a 2
-            for v in spine:
-                try:
-                    counts[positions[v]] += 1
-                except KeyError:
-                    raise KeyError(f"no non-exceptional vertex {v!r}") from None
-            # the counts are 0/1 exactly when no spine vertex repeats; the
-            # exceptional part is one of two level vectors already checked
-            # to be 0/1.  Only a checked part is kept.
-            if len(set(spine)) != len(spine):
-                raise CharacterConsistencyError(
-                    f"assembled character is not 0/1-valued: {tuple(counts)}"
-                )
-            plain = parts[spine] = bytes(counts)
+        positions = desc.nonexceptional_positions
+        counts = bytearray(len(positions))
+        # one count per spine vertex, so that a repeated vertex shows as a 2
+        for v in spine:
+            try:
+                counts[positions[v]] += 1
+            except KeyError:
+                raise KeyError(f"no non-exceptional vertex {v!r}") from None
+        # the counts are 0/1 exactly when no spine vertex repeats; the
+        # exceptional part is one of two level vectors already checked to
+        # be 0/1
+        if len(set(spine)) != len(spine):
+            raise CharacterConsistencyError(
+                f"assembled character is not 0/1-valued: {tuple(counts)}"
+            )
+        plain = bytes(counts)
         complement = path.case_tag in ("i", "iv")
     return _exceptional_character(desc, plain, i, complement)

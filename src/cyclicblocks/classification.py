@@ -27,15 +27,15 @@ spine shape (2, 4, 5, 6) or shape 3 or 7.  `_verdicts` decides every
 class once per (p, n, e, W, i); a descriptor keeps the verdicts of every
 vertex index, with xi's level values, in its index table (`index_table`),
 filled by one sweep over W.  `admitted_anchors` is the one place that
-admits: `_anchors`, the one place that maps a path to its class, hands it
-each anchor's class key, and it looks the key up before building any path
-anchored there, so it builds only the admitted modules.  An anchor's paths
-do not depend on the vertex index: they are built when some index first
-admits the anchor and kept in `BlockDescriptor.candidate_paths`.  They
-share their spine and verdict, and so their character, and come out as
-one group; each hook is a group of its own.  `enumerate_block`, the one
-place that assembles characters, gives each group its character, and
-`enumerate_trivial_source` flattens the groups into path descriptors.
+admits: `_anchors`, the one place that maps a path to its class, reads
+each anchor's class key off the descriptor's spines and signs, and it
+looks the key up before building any path anchored there, so it builds
+only the admitted modules, afresh at every vertex index that admits the
+anchor.  An anchor's paths share their spine and verdict, and so their
+character, and come out as one group; each hook is a group of its own.
+`enumerate_block`, the one place that assembles characters, gives each
+group its character, and `enumerate_trivial_source` flattens the groups
+into path descriptors.
 The classification guarantees exactly e modules per vertex, so any other
 count is surfaced, never suppressed: as `enumerate_block`'s error text or
 as a ClassificationError carrying the partial list.
@@ -236,21 +236,18 @@ AnchorGroup = tuple[Verdict, tuple[PathFields, ...]]
 
 def admitted_anchors(desc: BlockDescriptor, i: int) -> list[AnchorGroup]:
     """The admitted anchors at vertex index i in candidate order, each as
-    its verdict and its kept paths, which share their spine lists and so
-    their character; the hooks, which share one anchor, come one group per
-    hook.  The count is not checked here.  Raises ValueError at m = 1 or i
-    outside 1..n."""
+    its verdict and its paths, built as it is admitted, which share their
+    spine lists and so their character; the hooks, which share one anchor,
+    come one group per hook.  The count is not checked here.  Raises
+    ValueError at m = 1 or i outside 1..n."""
     if desc.m == 1:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
     table = desc.index_entry(i).verdicts
-    kept = desc.candidate_paths
     groups: list[AnchorGroup] = []
     for key, anchor in _anchors(desc, i):
         verdict = table.get(key)
         if verdict is not None:
-            paths = kept.get(anchor)
-            if paths is None:
-                paths = kept[anchor] = _anchor_paths(desc, anchor)
+            paths = _anchor_paths(desc, anchor)
             if anchor is None:
                 # each hook affords the character of its own endpoint
                 groups += ((verdict, (path,)) for path in paths)
@@ -322,18 +319,13 @@ def _anchors(
     """The anchors at vertex index i in candidate order, each with its
     class key: the hooks first as one anchor, None (each hook affords a
     positive endpoint), then the non-exceptional vertices in descriptor
-    order, then the exceptional vertex.  Only the hooks depend on i; the
-    other keys are kept in `desc.anchor_keys` from their first read."""
+    order, then the exceptional vertex.  Only the hooks depend on i."""
     if desc.e > 1 and desc.w.is_trivial and i == desc.n:
         yield (1, POSITIVE, 0), None
-    keys = desc.anchor_keys
-    if not keys:
-        spines, signs, exc = desc.spines, desc.signs, desc.exceptional
-        keys += [
-            ((SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0)
-            for x0 in desc.nonexceptional_vertices
-        ] + [((3 if desc.is_leaf(exc) else 7, desc.sign(exc), 0), exc)]
-    yield from keys
+    spines, signs, exc = desc.spines, desc.signs, desc.exceptional
+    for x0 in desc.nonexceptional_vertices:
+        yield (SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0
+    yield (3 if desc.is_leaf(exc) else 7, signs[exc], 0), exc
 
 
 def _anchor_paths(

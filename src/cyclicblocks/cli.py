@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -43,6 +44,7 @@ from .local_reps import (
     cap_dim,
     char_det1_endoperm,
     morita_correspondent_character,
+    restricted_cap_params,
 )
 from .oracle import GridSpec, consistency_suite
 
@@ -510,15 +512,15 @@ def cmd_local(args: argparse.Namespace) -> int:
             # both characters print p^n entries
             _refuse_unindexable(g.p, g.n)
         if args.operation == "det1-char":
-            result = list(char_det1_endoperm(w, g).mults)
+            text = json.dumps(list(char_det1_endoperm(w, g).mults))
         else:
             if args.vertex is None:
                 raise ValueError(f"{args.operation} needs --vertex")
             if args.operation == "cap-dim":
-                result = cap_dim(w, g, args.vertex)
+                text = _cap_dim_text(w, g, args.vertex)
             else:
-                result = list(
-                    morita_correspondent_character(w, g, args.vertex).mults
+                text = json.dumps(
+                    list(morita_correspondent_character(w, g, args.vertex).mults)
                 )
     except ValueError as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
@@ -530,8 +532,34 @@ def cmd_local(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_SEMANTIC
-    print(json.dumps(result))
+    print(text)
     return EXIT_OK
+
+
+# The most decimal digits `local cap-dim` prints: writing an integer in
+# decimal costs time quadratic in its length, seconds at 477 000 digits.
+_MAX_CAP_DIGITS = 100_000
+
+
+def _cap_dim_text(w: EndoPermParams, g: CyclicGroupData, i: int) -> str:
+    """The cap dimension at D_i in decimal, or ValueError naming its digit
+    count past `_MAX_CAP_DIGITS`, estimated before any power of p is formed
+    from its leading term p^(i - a), a the least parameter index below i:
+    the other terms take off less than a p-th of it."""
+    below = restricted_cap_params(w, g, i).indices
+    digits = int((i - below[0]) * math.log10(g.p)) + 1 if below else 1
+    if digits > _MAX_CAP_DIGITS:
+        raise ValueError(
+            f"the cap dimension has about {digits} decimal digits, more than "
+            f"the {_MAX_CAP_DIGITS} that are printed"
+        )
+    # the interpreter's limit on decimal conversion is lifted for this one
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(cap_dim(w, g, i))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

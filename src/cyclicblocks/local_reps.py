@@ -83,14 +83,15 @@ class EndoPermParams(namedtuple("EndoPermParams", "indices")):
 
 
 def cap_dim(params: EndoPermParams, g: CyclicGroupData, i: int) -> int:
-    """Dimension of the cap of the restriction to D_i, in closed form.
+    """Dimension of the cap of the restriction to D_i, in closed form over
+    the cut indices alone: no level is built, so none is checked here.
 
     >>> g = CyclicGroupData(3, 3)
     >>> cap_dim(EndoPermParams((1, 2)), g, 3)
     7
     """
     below = restricted_cap_params(params, g, i).indices
-    return _closed_form(g.p, g.n, below + (i,))[0]
+    return _cap_dim(g.p, below + (i,))
 
 
 def restricted_cap_params(
@@ -177,10 +178,8 @@ def _closed_form(
     character of any parameter.  The levels must come out 0/1 of degree
     cap_dim * p^(n-i), the count law.
     """
-    *below, i = cuts
-    ell = (-1) ** len(below)
-    for j, a in enumerate(below):
-        ell += (-1) ** j * p ** (i - a)
+    i = cuts[-1]
+    ell = _cap_dim(p, cuts)
     levels = _perm_sum_levels(n, cuts)
     # level v < n holds p^(n-v-1)(p-1) characters and level n the one
     # lambda_0, so the degree is the sum of each change l_v - l_(v-1) in
@@ -198,6 +197,18 @@ def _closed_form(
             f"{ell * p ** (n - i)}"
         )
     return ell, levels
+
+
+def _cap_dim(p: int, cuts: tuple[int, ...]) -> int:
+    """The cap dimension at D_i over the cut indices c_0 < ... < c_s = i,
+    the sum of (-1)^j p^(i - c_j), by Horner's rule over the gaps between
+    the cuts: each step multiplies by a small power of p, not a large one
+    formed afresh per index."""
+    ell, prev, sign = 0, cuts[0], 1
+    for c in cuts:
+        ell = ell * p ** (c - prev) + sign
+        prev, sign = c, -sign
+    return ell
 
 
 def _perm_sum_levels(n: int, cuts: tuple[int, ...]) -> tuple[int, ...]:

@@ -614,20 +614,19 @@ def test_exceptional_parts_reject_vertex_index_outside_range(i):
 
 def test_character_of_rejects_a_repeated_spine_vertex():
     # the exceptional part comes checked from xi; the spine part is checked
-    # on its own, also once the anchor's valid part has been kept
+    # on its own, on every call, also after the valid part was built
     star = star_tree(2, 3, 2, W(()), -1)
     path = enumerate_trivial_source(star, 1)[0]
     assert path.spine_vertices == ("v1",)
-    kept = character_of(star, 1, path).plain
-    assert star.nonexceptional_parts[("v1",)] is kept
+    valid = character_of(star, 1, path).plain
+    assert valid == bytes((1, 0))
     doubled = path._replace(spine_vertices=("v1", "v1"))
     for _ in range(2):
         with pytest.raises(
             CharacterConsistencyError, match=r"not 0/1-valued: \(2, 0\)"
         ):
             character_of(star, 1, doubled)
-    assert ("v1", "v1") not in star.nonexceptional_parts
-    assert character_of(star, 1, path).plain is kept
+    assert character_of(star, 1, path).plain == valid
 
 
 def test_characters_name_an_unknown_vertex():
@@ -658,10 +657,11 @@ def test_nonexceptional_part_counts_the_spine():
 
 
 def test_modules_of_one_anchor_share_their_nonexceptional_part():
-    # every spine-shape module anchored at one vertex holds one
+    # every spine-shape module anchored at one vertex has one
     # non-exceptional part at every vertex index, and so does every hook
-    # at one vertex; the parts of different keys are different objects.  At
-    # e = 1 the one module's part follows d0, so it is left out.
+    # at one vertex; the parts of different anchors differ, and so do those
+    # of different hooks.  At e = 1 the one module's part follows d0, so it
+    # is left out.
     corpus = random_corpus(primes=(3, 5, 7, 11, 13), n_max=3, seed=11, count=40)
     corpus.append(random_block_descriptor(random.Random(4), 67, 2, 66))
     seen = set()
@@ -676,9 +676,10 @@ def test_modules_of_one_anchor_share_their_nonexceptional_part():
                 held.setdefault((kind, path.spine_vertices[0]), []).append(part)
                 seen.add((path.type_tag, i))
         for parts in held.values():
-            assert all(part is parts[0] for part in parts)
-        firsts = [parts[0] for parts in held.values()]
-        assert len({id(part) for part in firsts}) == len(firsts)
+            assert all(part == parts[0] for part in parts)
+        for kind in ("hook", "anchor"):
+            firsts = [parts[0] for (k, _), parts in held.items() if k == kind]
+            assert len(set(firsts)) == len(firsts)
     # hooks, and shapes 4, 5 and 6 at every vertex index up to n_max
     assert {(1, 1), (1, 2), (1, 3)} <= seen
     assert {(shape, i) for shape in (4, 5, 6) for i in (1, 2, 3)} <= seen

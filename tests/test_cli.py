@@ -44,7 +44,7 @@ from cyclicblocks.cli import (
     descriptor_to_obj,
     main,
 )
-from cyclicblocks.local_reps import EndoPermParams
+from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, cap_dim
 from cyclicblocks.oracle import random_corpus
 
 W = EndoPermParams
@@ -589,12 +589,53 @@ def test_local_characters_at_huge_n_are_refused_at_once(operation):
 
 
 def test_local_cap_dim_at_huge_n_is_answered():
-    # the count law reads the degree off the changes in the levels, so no
-    # power of p is carried up to p^n level by level
+    # the cap dimension is read off the cut indices, so neither the n + 1
+    # levels nor a power of p up to p^n is formed
     done = _cli_process(
         "local", "cap-dim", "--p", "3", "--n", str(10**6), "--vertex", "1"
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+
+
+def test_local_cap_dim_builds_no_levels(monkeypatch, capsys):
+    # at n = 10^7 the n + 1 levels took seconds and a quarter gigabyte
+    def no_levels(n, cuts):
+        raise AssertionError("levels built")
+
+    monkeypatch.setattr(cyclicblocks.local_reps, "_perm_sum_levels", no_levels)
+    argv = ["local", "cap-dim", "--p", "3", "--n", str(10**7), "--vertex", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    w, g = EndoPermParams((1, 5)), CyclicGroupData(3, 10**7)
+    assert cap_dim(w, g, 10**4) == 1 + 3**9999 - 3**9995
+
+
+def test_local_cap_dim_prints_past_the_decimal_conversion_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["local", "cap-dim", "--p", "3", "--n", "10000", "--vertex", "10000"]
+    assert main([*argv, "--w", "1,5"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{1 + 3**9999 - 3**9995}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(out) == 4771 + 1  # past the default limit of 4300 digits
+
+
+def test_local_cap_dim_refuses_a_huge_answer_at_once(capsys):
+    # 3^999999 has 477 121 digits: refused from p and the cut indices, at
+    # once, with the digit count named
+    start = time.process_time()
+    argv = ["local", "cap-dim", "--p", "3", "--n", str(10**6), "--vertex", str(10**6)]
+    assert main([*argv, "--w", "1,5,999999"]) == 1
+    assert time.process_time() - start < 0.5
+    assert capsys.readouterr() == (
+        "",
+        "invalid parameters: the cap dimension has about 477121 decimal "
+        "digits, more than the 100000 that are printed\n",
+    )
 
 
 def test_local_cap_dim_at_a_large_prime(capsys):

@@ -247,6 +247,20 @@ def test_closed_forms_at_a_group_too_large_to_spread():
         direct.mults
 
 
+def test_cap_dim_with_many_indices_below_a_high_vertex():
+    # the sum of (-1)^j p^(i - a_j) over a thousand indices, each term of
+    # about 160 000 bits: one power per index took seconds; compared modulo
+    # a prime with the terms summed there
+    w, g, i = W(tuple(range(1, 1001))), CyclicGroupData(3, 100001), 100000
+    start = time.process_time()
+    ell = cap_dim(w, g, i)
+    assert time.process_time() - start < 0.5
+    prime = 2**61 - 1
+    terms = [(-1) ** j * pow(3, i - a, prime) for j, a in enumerate(w.indices)]
+    assert ell % prime == (sum(terms) + (-1) ** len(w.indices)) % prime
+    assert ell.bit_length() == 158495
+
+
 def test_perm_fixed_point_oracle_example():
     perm = (3, 0, 0, 3, 0, 0, 3, 0, 0)
     assert decompose(3, 2, perm) == perm_module_character(G32, 1)

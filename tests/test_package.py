@@ -9,14 +9,23 @@ import pytest
 
 import cyclicblocks
 from cyclicblocks.brauer_tree import BlockDescriptor, Edge, star_tree
-from cyclicblocks.characters import exceptional_orbits
-from cyclicblocks.classification import enumerate_block, m1_enumerate
+from cyclicblocks.characters import (
+    character_of,
+    exceptional_orbits,
+    vertex_character,
+)
+from cyclicblocks.classification import (
+    enumerate_block,
+    enumerate_trivial_source,
+    m1_enumerate,
+)
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
 from cyclicblocks.oracle import (
     ConsistencyReport,
     Failure,
     GridSpec,
     IndecomposableModule,
+    random_corpus,
 )
 
 PACKAGE = Path(cyclicblocks.__file__).parent
@@ -113,6 +122,37 @@ def test_enumeration_is_assembled_in_the_classification_alone():
     assert not {"admitted_anchors", "character_of"} & _imported_names("cli")
     forbidden = {"enumerate_trivial_source", "ClassificationError"}
     assert not forbidden & _imported_names("oracle")
+
+
+# What a descriptor may cache: each is determined by its own fields.
+DESCRIPTOR_CACHES = {
+    "nonexceptional_vertices",
+    "_edges_by_id",
+    "toward_exceptional",
+    "spines",
+    "nonexceptional_positions",
+    "index_table",
+}
+
+
+def test_a_descriptor_holds_only_what_its_fields_determine():
+    # enumeration, module characters and vertex characters leave nothing in
+    # the descriptor but its fields and its own caches, each equal to what
+    # a fresh copy of the descriptor computes
+    fields = {field.name for field in dataclasses.fields(BlockDescriptor)}
+    for desc in random_corpus(primes=(3, 5, 7, 13), n_max=3, seed=5, count=12):
+        indices = range(1, desc.n + 1)
+        enumerate_block(desc, indices)
+        for i in indices:
+            for path in enumerate_trivial_source(desc, i):
+                character_of(desc, i, path)
+        for vertex in desc.vertices:
+            vertex_character(desc, vertex)
+        held = vars(desc)
+        assert held.keys() - fields == DESCRIPTOR_CACHES
+        fresh = dataclasses.replace(desc)
+        for name in DESCRIPTOR_CACHES:
+            assert held[name] == getattr(fresh, name), name
 
 
 def _m1_block() -> BlockDescriptor:
