@@ -256,6 +256,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.vertex is not None and not 1 <= args.vertex <= desc.n:
         raise ValueError(f"vertex index {args.vertex} outside 1..{desc.n}")
+    if args.format == "csv":
+        _refuse_csv_ids(desc)
     if desc.exceptional is not None:
         # the allocation that opens `exceptional_orbits`, made before any
         # per-vertex work, so that a p^n too large to index is refused at
@@ -293,6 +295,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_SEMANTIC if errors else EXIT_OK
 
 
+def _refuse_csv_ids(desc: BlockDescriptor) -> None:
+    """Raise ValueError naming the first id the CSV view prints that a CSV
+    reader would not read back: one holding ',', ';' or a line break, or
+    led by a quote.  The view prints the non-exceptional vertices, and the
+    edges too of an m = 1 block, which has no exceptional vertex."""
+    named = [("vertex", v) for v in desc.nonexceptional_vertices]
+    if desc.exceptional is None:
+        named += [("edge", edge.id) for edge in desc.edges]
+    for kind, name in named:
+        if name.startswith('"') or any(c in name for c in ",;\r\n"):
+            raise ValueError(
+                f"{kind} id {name!r} cannot be written as CSV "
+                "(it holds ',', ';' or a line break, or starts with '\"')"
+            )
+
+
 # The head of `enumerate --format json`, the head of each vertex index's
 # entry and the end of each module, as json.dumps(payload, indent=2) lays
 # them out; the module object sits at depth 4 and each of its lists at
@@ -326,59 +344,38 @@ def _enumerate_text(
     read off these alone.
 
     The paths of a group share their spine lists, verdict and character,
-    so the case, multiplicity and spine text, the non-exceptional list and
-    the exceptional list are rendered once per group; a module adds only
-    its type, extra edges and direction.  Across groups the lists repeat
-    too (an anchor's spine and non-exceptional part at every vertex index,
-    xi or its complement in most groups, the four directions), so each
-    list's text is rendered on first sight and kept for the call, in one
-    table per kind of list: an id or direction list under its tuple, a
-    non-exceptional part under its bytes (`plain`), an exceptional part
-    under its level values.  An exceptional list is kept as its body
-    alone, the items joined by their separator, and its JSON brackets go
-    in the pieces on either side, so a long list is joined once and never
-    copied.  The pieces are never joined: a long list's body is one piece,
-    listed once per module that prints it, and the caller writes the
-    pieces out as they are.
+    so the case, multiplicity and spine text and the non-exceptional list
+    are rendered once per group, where they are printed; a module adds
+    only its type, extra edges and direction.  The one list that repeats
+    across groups at a cost is the exceptional part (xi or its complement
+    in most groups, the whole bundle at every hook), so its text is kept
+    for the call in one table, under its level values.  It is kept as its
+    body alone, the items joined by their separator, and its JSON brackets
+    go in the pieces on either side, so a long list is joined once and
+    never copied.  The pieces are never joined: a long list's body is one
+    piece, listed once per module that prints it, and the caller writes
+    the pieces out as they are.
     """
     as_json = fmt == "json"
     if as_json:
         names = tuple(map(_quote, desc.nonexceptional_vertices))
-        listed = _json_list
         joined = _JSON_ITEM_SEP.join
     else:
         names = desc.nonexceptional_vertices
-        listed = joined = ";".join
+        joined = ";".join
     rep_text = tuple(map(str, reps))
-    ids: dict[tuple, str] = {}
-    directions: dict[tuple, str] = {}
-    plains: dict[bytes, str] = {}
     exceptionals: dict[bytes, str] = {}
 
-    # each renderer keeps the text it makes in its table; the JSON writer
-    # looks a short list up as `table.get(key) or render(key)`, since no
-    # JSON list is empty text, and an exceptional body, which may be
-    # empty, against None
-    def quoted(items: tuple) -> str:
-        text = ids[items] = listed(map(_quote, items))
-        return text
-
-    def direction_text(direction: tuple) -> str:
-        text = directions[direction] = listed(map(str, direction))
-        return text
-
-    def plain(counts: bytes) -> str:
-        text = plains[counts] = listed(compress(names, counts))
-        return text
-
     def exceptional(levels: bytes) -> str:
-        # the 0/1 mask over the representatives, one byte each, read from
-        # the levels at and above `low`; the list's body only, without its
-        # brackets
-        table = levels[low:] + bytes(256 - len(levels) + low)
-        text = exceptionals[levels] = joined(
-            compress(rep_text, orbit_levels.translate(table))
-        )
+        # the list's body only, without its brackets, rendered on first
+        # sight from the 0/1 mask over the representatives, one byte
+        # each, read from the levels at and above `low`
+        text = exceptionals.get(levels)
+        if text is None:
+            table = levels[low:] + bytes(256 - len(levels) + low)
+            text = exceptionals[levels] = joined(
+                compress(rep_text, orbit_levels.translate(table))
+            )
         return text
 
     if not as_json:
@@ -387,13 +384,9 @@ def _enumerate_text(
             for (case, mult), paths, char in groups:
                 case = "" if case is None else case
                 mult = "" if mult is None else mult
-                nonexceptional = plains.get(char.plain)
-                if nonexceptional is None:
-                    nonexceptional = plain(char.plain)
+                nonexceptional = joined(compress(names, char.plain))
                 shared = f"{case},{mult},{nonexceptional},"
-                text = exceptionals.get(char.levels)
-                if text is None:
-                    text = exceptional(char.levels)
+                text = exceptional(char.levels)
                 for path in paths:
                     out += (f"{i},{path[0]},{shared}", text, "\n")
         return out
@@ -409,10 +402,9 @@ def _enumerate_text(
             _, spine_vertices, spine_edges, _, _ = paths[0]
             case = "null" if case is None else _quote(case)
             mult = "null" if mult is None else mult
-            spine_vertices = ids.get(spine_vertices) or quoted(spine_vertices)
-            spine_edges = ids.get(spine_edges) or quoted(spine_edges)
-            counts, levels = char.plain, char.levels
-            nonexceptional = plains.get(counts) or plain(counts)
+            spine_vertices = _json_list(map(_quote, spine_vertices))
+            spine_edges = _json_list(map(_quote, spine_edges))
+            nonexceptional = _json_list(compress(names, char.plain))
             head = (
                 f'"case": {case},\n'
                 f'          "multiplicity": {mult},\n'
@@ -427,9 +419,7 @@ def _enumerate_text(
                 f'            "nonexceptional": {nonexceptional},\n'
                 '            "exceptional": '
             )
-            text = exceptionals.get(levels)
-            if text is None:
-                text = exceptional(levels)
+            text = exceptional(char.levels)
             # the exceptional list's brackets go in the pieces around its
             # body, so that a long body is never copied
             if text:
@@ -439,13 +429,13 @@ def _enumerate_text(
                 tail += "[]"
                 end = _MODULE_JSON_END
             # `head` is a piece of its own, so a group holds one copy of it
-            for type_tag, _, _, extra_edges, direction in paths:
-                extra_edges = ids.get(extra_edges) or quoted(extra_edges)
-                direction = directions.get(direction) or direction_text(direction)
+            for type_tag, _, _, extra_edges, (x, y) in paths:
+                extra_edges = _json_list(map(_quote, extra_edges))
                 out += (
                     f'{module_sep}{{\n          "type": {type_tag},\n          ',
                     head,
-                    f'{extra_edges},\n            "direction": {direction}',
+                    f'{extra_edges},\n            "direction": {_JSON_LIST_OPEN}'
+                    f"{x}{_JSON_ITEM_SEP}{y}{_JSON_LIST_CLOSE}",
                     tail,
                     text,
                     end,
@@ -497,17 +487,26 @@ def _m1_text(desc: BlockDescriptor, found: M1Enumeration, fmt: str) -> str:
     return "".join(lines)
 
 
-def _parse_w(raw: str) -> EndoPermParams:
+def _parse_w(raw: str) -> tuple[int, ...] | None:
+    """The integers of a comma-separated list, or None if one is not."""
     text = raw.strip()
-    if not text:
-        return EndoPermParams(())
-    return EndoPermParams(tuple(int(part) for part in text.split(",")))
+    try:
+        return tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError:
+        return None
 
 
 def cmd_local(args: argparse.Namespace) -> int:
+    indices = _parse_w(args.w)
+    if indices is None:
+        print(
+            f"invalid argument: --w must be comma-separated integers, got {args.w!r}",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
     try:
         g = CyclicGroupData(args.p, args.n)
-        w = _parse_w(args.w)
+        w = EndoPermParams(indices)
         if args.operation != "cap-dim":
             # both characters print p^n entries
             _refuse_unindexable(g.p, g.n)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import io
 import itertools
@@ -444,6 +445,102 @@ def test_enumerate_csv(star_file, capsys):
     assert lines[1] == "1,2,ii,2,v1,3"
 
 
+def _relabelled(obj: dict, old: str, new: str) -> dict:
+    """A descriptor object with the vertex or edge id `old` renamed `new`
+    wherever it appears."""
+    obj = copy.deepcopy(obj)
+    tree = obj["tree"]
+    for entry in tree["vertices"] + tree["edges"]:
+        if entry["id"] == old:
+            entry["id"] = new
+    for edge in tree["edges"]:
+        edge["ends"] = [new if v == old else v for v in edge["ends"]]
+    if tree["exceptional"] == old:
+        tree["exceptional"] = new
+    tree["cyclic_order"] = {
+        new if v == old else v: [new if x == old else x for x in order]
+        for v, order in tree["cyclic_order"].items()
+    }
+    return obj
+
+
+@pytest.mark.parametrize("name", ["a,1", "a;1", "a\n1", "a\r1", '"a'])
+@pytest.mark.parametrize(
+    "kind, old, m1",
+    [("vertex", "v1", False), ("edge", "E1", True), ("vertex", "a", True)],
+)
+def test_enumerate_csv_refuses_an_id_it_cannot_hold(
+    tmp_path, capsys, name, kind, old, m1
+):
+    # the ids the CSV view prints: the non-exceptional vertices of an m > 1
+    # block, the edges and vertices of an m = 1 block; JSON still prints
+    # them all
+    desc = fixtures()["m1-3-1-2"] if m1 else star_tree(2, 3, 2, W(()), -1)
+    path = write_obj(tmp_path, _relabelled(descriptor_to_obj(desc), old, name))
+    assert main(["enumerate", path, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind} id {name!r} cannot be written")
+    assert len(captured.err.splitlines()) == 1
+    assert main(["enumerate", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_enumerate_csv_prints_an_id_quoted_inside(tmp_path, capsys):
+    # a quote inside an id is read back as it is; the exceptional vertex,
+    # which the CSV view never names, may hold anything
+    obj = _relabelled(descriptor_to_obj(star_tree(2, 3, 2, W(()), -1)), "v1", 'v"1')
+    path = write_obj(tmp_path, _relabelled(obj, "exc", '"e,x;c\n'))
+    assert main(["enumerate", path, "--vertex", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == '1,2,ii,2,v"1,3'
+
+
+def _field(value) -> str:
+    """A JSON scalar as the CSV view prints it."""
+    return "" if value is None else str(value)
+
+
+def _listed(field: str) -> list[str]:
+    return field.split(";") if field else []
+
+
+def test_enumerate_csv_reads_back_as_its_json(tmp_path, capsys):
+    # six fields a row, one row per JSON module in the same order, and the
+    # character columns split at ';' are the JSON lists
+    for name, desc in fixtures().items():
+        path = write_obj(tmp_path, descriptor_to_obj(desc))
+        code = GOLDEN[name][0]
+        assert main(["enumerate", path]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["enumerate", path, "--format", "csv"]) == code
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        if desc.m == 1:
+            expected = [
+                ("pim", pim["edge"], "", "", pim["character"])
+                for pim in payload["pims"]
+            ] + [
+                ("hook", hook["edge"], hook["vertex"], "true", hook["character"])
+                for hook in payload["hooks"]
+            ]
+        else:
+            expected = [
+                (
+                    *map(_field, (entry["vertex"], module["type"])),
+                    *map(_field, (module["case"], module["multiplicity"])),
+                    module["character"],
+                )
+                for entry in payload["results"]
+                for module in entry["modules"]
+            ]
+        assert len(header) == 6, name
+        assert len(rows) == len(expected), name
+        for row, (*fields, char) in zip(rows, expected):
+            assert len(row) == 6, (name, row)
+            assert row[:4] == fields, name
+            assert _listed(row[4]) == char["nonexceptional"], name
+            assert _listed(row[5]) == list(map(str, char["exceptional"])), name
+
+
 def test_enumerate_output_is_deterministic(star_file, capsys):
     assert main(["enumerate", star_file]) == 0
     first = capsys.readouterr().out
@@ -475,10 +572,21 @@ def test_local_morita_trivial_parameter(capsys):
     assert json.loads(capsys.readouterr().out) == [1, 0, 0, 1, 0, 0, 1, 0, 0]
 
 
+@pytest.mark.parametrize("value", ["1,", ",1", "x"])
+def test_local_w_that_lists_no_integers_is_an_argument_error(value):
+    argv = ["local", "det1-char", "--p", "3", "--n", "2", "--w", value]
+    message = f"invalid argument: --w must be comma-separated integers, got {value!r}\n"
+    assert _outcome(main, argv) == (2, "", message)
+
+
 def test_local_rejects_bad_w(capsys):
+    # lists of integers that the closed forms refuse are semantic violations
     assert main(["local", "cap-dim", "--p", "3", "--n", "2", "--w", "2,1", "--vertex", "1"]) == 1
     assert main(["local", "det1-char", "--p", "3", "--n", "2", "--w", "5"]) == 1
     assert main(["local", "cap-dim", "--p", "3", "--n", "2", "--w", "1"]) == 1  # no vertex
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("invalid parameters: ") for line in err)
 
 
 @pytest.mark.parametrize(
@@ -679,9 +787,9 @@ def _enumerate_results(draw):
     three paths sharing the group's spine objects and a character;
     exceptional level vectors that vanish below a lowest level `low`,
     representatives with their levels less `low`, and level vectors and
-    spines drawn from small pools so that the writer's tables are hit
-    within a group's paths and across groups.  The characters name no
-    orbit table: the writer reads the one it is handed."""
+    spines drawn from small pools so that one exceptional part, and one
+    spine object, is printed by several groups of a call.  The characters
+    name no orbit table: the writer reads the one it is handed."""
     names = tuple(draw(st.lists(_IDS, max_size=4)))
     reps = tuple(sorted(draw(st.sets(_INTS, max_size=6))))
     n = draw(st.integers(1, 3))

@@ -289,6 +289,10 @@ ORACLE_GOLDEN = {
         0,
         "fcbbb0f1164da903134dbb8a6fd80cf479ca18dca910e45a1f47fdd5c95d20dc",
     ),
+    ("oracle", "--nmax", "7"): (
+        0,
+        "667892a3e06baa9cc56792338bf1401bd3199d313bbf93b0b30a82dd067c77a5",
+    ),
 }
 
 
