@@ -20,7 +20,7 @@ from cyclicblocks.local_reps import EndoPermParams
 star = star_tree(2, 3, 2, EndoPermParams(()), -1)
 print("star validates cleanly:", validate(star, strict=True) == [])
 print("exceptional multiplicity m =", star.m)
-print("cyclic order at the centre:", star.incident("exc"))
+print("cyclic order at the centre:", star.cyclic_order["exc"])
 print("successor of E2 at the centre wraps to:", successor(star, "exc", "E2"))
 
 # projective characters are sums of the two endpoint characters; an

@@ -64,40 +64,33 @@ class BlockDescriptor:
         return {edge.id: edge for edge in self.edges}
 
     @cached_property
-    def toward_exceptional(self) -> dict[str, tuple[str, str]]:
-        """For every vertex but the exceptional one, the edge and the
-        neighbour one step closer to the exceptional vertex, from one
-        traversal of the tree; each vertex comes after its neighbour."""
-        if self.exceptional is None:
+    def spines(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """For every vertex but the exceptional one, the unique tree path to
+        the exceptional vertex: the non-exceptional vertices visited and the
+        edges walked.  One traversal from the exceptional vertex builds them
+        all: each newly reached vertex takes its neighbour's spine with
+        itself and its edge in front, and comes after that neighbour."""
+        exc = self.exceptional
+        if exc is None:
             raise ValueError("descriptor has no exceptional vertex (m = 1)")
-        out: dict[str, tuple[str, str]] = {}
+        out: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         edges = self._edges_by_id
-        reached = [self.exceptional]
-        for v in reached:
+        reached = [(exc, (), ())]
+        for v, vertices, walked in reached:
             for eid in self.cyclic_order[v]:
-                a, b = edges[eid].ends if eid in edges else (None, None)
+                try:
+                    a, b = edges[eid].ends
+                except KeyError:
+                    raise KeyError(f"no edge {eid!r}") from None
                 if v == a:
                     w = b
                 elif v == b:
                     w = a
-                else:  # an unknown edge, or one that misses v: raises
-                    w = self.other_end(eid, v)
-                if w != self.exceptional and w not in out:
-                    out[w] = (eid, v)
-                    reached.append(w)
-        return out
-
-    @cached_property
-    def spines(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-        """For every vertex but the exceptional one, the unique tree path to
-        the exceptional vertex: the non-exceptional vertices visited and the
-        edges walked.  Read off `toward_exceptional` in one pass, a vertex's
-        spine being its neighbour's with itself and its edge in front."""
-        out: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        end = ((), ())
-        for v, (eid, toward) in self.toward_exceptional.items():
-            vertices, edges = out.get(toward, end)
-            out[v] = ((v,) + vertices, (eid,) + edges)
+                else:
+                    raise ValueError(f"edge {eid!r} is not incident to {v!r}")
+                if w != exc and w not in out:
+                    spine = out[w] = ((w,) + vertices, (eid,) + walked)
+                    reached.append((w, *spine))
         return out
 
     @cached_property
@@ -131,26 +124,8 @@ class BlockDescriptor:
         except KeyError:
             raise KeyError(f"no edge {edge_id!r}") from None
 
-    def other_end(self, edge_id: str, vertex: str) -> str:
-        a, b = self.edge_by_id(edge_id).ends
-        if vertex == a:
-            return b
-        if vertex == b:
-            return a
-        raise ValueError(f"edge {edge_id!r} is not incident to {vertex!r}")
-
-    def incident(self, vertex: str) -> tuple[str, ...]:
-        """Incident edge ids in cyclic (counter-clockwise) order."""
-        return tuple(self.cyclic_order[vertex])
-
-    def degree(self, vertex: str) -> int:
-        return len(self.cyclic_order[vertex])
-
     def is_leaf(self, vertex: str) -> bool:
-        return self.degree(vertex) == 1
-
-    def sign(self, vertex: str) -> int:
-        return self.signs[vertex]
+        return len(self.cyclic_order[vertex]) == 1
 
 
 def validate(desc: BlockDescriptor, strict: bool = False) -> list[str]:
@@ -273,7 +248,7 @@ def predecessor(desc: BlockDescriptor, vertex: str, edge_id: str) -> str:
 
 
 def _planar_step(desc: BlockDescriptor, vertex: str, edge_id: str, step: int) -> str:
-    order = desc.incident(vertex)
+    order = desc.cyclic_order[vertex]
     if edge_id not in order:
         raise ValueError(f"edge {edge_id!r} is not incident to {vertex!r}")
     return order[(order.index(edge_id) + step) % len(order)]

@@ -342,7 +342,7 @@ def _anchor_paths(
 def _hooks(desc: BlockDescriptor) -> Iterator[PathFields]:
     for edge in desc.edges:
         for v in edge.ends:
-            if desc.sign(v) > 0:
+            if desc.signs[v] > 0:
                 yield 1, (v,), (edge.id,), (), (1, 1)
 
 
@@ -359,7 +359,7 @@ def _spine_paths(
     first = spine_e[0]
     yield 4, spine_v, spine_e, (successor(desc, x0, first),), (1, 1)
     yield 5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
-    order = desc.incident(x0)
+    order = desc.cyclic_order[x0]
     for e1, e2 in zip(order, order[1:] + order[:1]):
         if e1 != first and e2 != first and e1 != e2:
             yield 6, spine_v, spine_e, (e1, e2), (-1, 1)
@@ -367,7 +367,7 @@ def _spine_paths(
 
 def _exceptional_paths(desc: BlockDescriptor, exc: str) -> Iterator[PathFields]:
     """Shape 3 at a leaf exceptional vertex; shape 7 at any other."""
-    order = desc.incident(exc)
+    order = desc.cyclic_order[exc]
     if desc.is_leaf(exc):
         yield 3, (), (order[0],), (), (-1, 1)
         return

@@ -10,7 +10,8 @@ Descriptor files look like::
      "W": {"indices": [1]}}
 
 m is always derived from (p, n, e), never read from the file.  Exit codes:
-0 success, 1 semantic violation or consistency failure, 2 unreadable or
+0 success, 1 semantic violation or consistency failure, or a reader that
+closed stdout before the output ended (nothing on stderr), 2 unreadable or
 ill-formed input.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -801,7 +803,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at shutdown stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SEMANTIC
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC

@@ -169,13 +169,11 @@ def b_level_character(
     the descriptor; the exceptional part is xi's.  Requires the genuine
     orientation: negative centre, positive leaves.
     """
-    if (
-        star_desc.exceptional is None
-        or star_desc.degree(star_desc.exceptional) != star_desc.e
-    ):
+    exc, signs = star_desc.exceptional, star_desc.signs
+    if exc is None or len(star_desc.cyclic_order[exc]) != star_desc.e:
         raise ValueError("descriptor is not a star with exceptional centre")
-    if star_desc.sign(star_desc.exceptional) != -1 or any(
-        star_desc.sign(v) != 1 for v in star_desc.nonexceptional_vertices
+    if signs[exc] != -1 or any(
+        signs[v] != 1 for v in star_desc.nonexceptional_vertices
     ):
         raise ValueError("star must have negative centre and positive leaves")
     if not 1 <= x <= star_desc.e:
@@ -294,9 +292,9 @@ def random_block_descriptor(
         exceptional=exceptional,
         w=w,
     )
-    parity = {exceptional: 1}
-    for v, (_, toward) in unsigned.toward_exceptional.items():
-        parity[v] = -parity[toward]
+    # signs alternate along each edge, so a vertex's sign is fixed by the
+    # number of edges on its spine; the exceptional vertex has none
+    parity = {v: (-1) ** len(walked) for v, (_, walked) in unsigned.spines.items()}
     orientation = rng.choice((1, -1))
     if (
         e > 1
@@ -306,7 +304,7 @@ def random_block_descriptor(
     ):
         orientation = 1
     desc = replace(
-        unsigned, signs={v: orientation * parity[v] for v in names}
+        unsigned, signs={v: orientation * parity.get(v, 1) for v in names}
     )
     problems = validate(desc, strict=True)
     if problems:

@@ -128,7 +128,7 @@ def test_successor_and_predecessor():
 
 def test_successor_iterates_to_identity():
     star = star_tree(5, 11, 1, W(()), -1)
-    order = star.incident("exc")
+    order = star.cyclic_order["exc"]
     for eid in order:
         current = eid
         for _ in range(len(order)):
@@ -139,7 +139,7 @@ def test_successor_iterates_to_identity():
 def test_predecessor_undoes_successor_on_random_trees():
     for desc in random_corpus((3, 5, 7, 13), 2, seed=11, count=25):
         for v in desc.vertices:
-            for eid in desc.incident(v):
+            for eid in desc.cyclic_order[v]:
                 assert predecessor(desc, v, successor(desc, v, eid)) == eid
                 assert successor(desc, v, predecessor(desc, v, eid)) == eid
 
@@ -210,8 +210,30 @@ def _malformed(vertices, edges, cyclic_order, exceptional="exc"):
                 "m > 1 requires an exceptional vertex",
             ],
         ),
+        (
+            replace(path_tree(), p=4),
+            ["p = 4 is not an odd prime", "e does not divide p-1"],
+        ),
+        (
+            _malformed(
+                ("A", "B", "exc"),
+                [("E1", ("A", "B")), ("E1", ("B", "exc"))],
+                {"A": ("E1",), "B": ("E1",), "exc": ("E1",)},
+            ),
+            ["duplicate edge ids"],
+        ),
+        (
+            replace(path_tree(), cyclic_order={"B": ("E1", "E2"), "exc": ("E2",)}),
+            ["no cyclic order at vertex A"],
+        ),
+        (replace(path_tree(), exceptional="X"), ["exceptional vertex X unknown"]),
+        (replace(path_tree(), w=W((2,))), ["W index 2 outside 1..1"]),
     ],
-    ids=["loop", "unknown-endpoint", "duplicate-vertex", "disconnected", "empty"],
+    ids=[
+        "loop", "unknown-endpoint", "duplicate-vertex", "disconnected", "empty",
+        "even-p", "duplicate-edge", "no-cyclic-order", "unknown-exceptional",
+        "w-index-too-large",
+    ],
 )
 def test_validate_problem_lists_on_malformed_trees(desc, problems):
     assert validate(desc) == problems
@@ -255,9 +277,9 @@ def test_hook_characters():
 
 def test_star_tree_parameters():
     star = star_tree(2, 3, 2, W(()), -1)
-    assert star.sign("exc") == -1
-    assert all(star.sign(v) == 1 for v in star.nonexceptional_vertices)
-    assert star.incident("exc") == ("E1", "E2")
+    assert star.signs["exc"] == -1
+    assert all(star.signs[v] == 1 for v in star.nonexceptional_vertices)
+    assert star.cyclic_order["exc"] == ("E1", "E2")
     with pytest.raises(ValueError):
         star_tree(2, 3, 1, W(()), -1)  # m = 1
     with pytest.raises(ValueError):
@@ -283,23 +305,33 @@ def test_descriptor_lookup_errors():
     desc = path_tree()
     with pytest.raises(KeyError):
         desc.edge_by_id("E9")
-    with pytest.raises(ValueError):
-        desc.other_end("E1", "exc")
     with pytest.raises(KeyError):
         vertex_character(desc, "nope")
 
 
 def _spine_by_walk(desc, start):
-    """The unique tree path from start to the exceptional vertex, walked one
-    step of toward_exceptional at a time: the non-exceptional vertices
+    """The unique tree path from start to the exceptional vertex, found by
+    a search from start over desc.edges alone: the non-exceptional vertices
     visited and the edges walked.  The reference for desc.spines."""
+    neighbours = {v: [] for v in desc.vertices}
+    for edge in desc.edges:
+        a, b = edge.ends
+        neighbours[a].append((edge.id, b))
+        neighbours[b].append((edge.id, a))
+    back = {start: None}
+    reached = [start]
+    for v in reached:
+        for eid, w in neighbours[v]:
+            if w not in back:
+                back[w] = (eid, v)
+                reached.append(w)
     vertices, edges = [], []
-    v = start
-    while v != desc.exceptional:
+    v = desc.exceptional
+    while v != start:
+        eid, v = back[v]
         vertices.append(v)
-        edge, v = desc.toward_exceptional[v]
-        edges.append(edge)
-    return tuple(vertices), tuple(edges)
+        edges.append(eid)
+    return tuple(reversed(vertices)), tuple(reversed(edges))
 
 
 def _long_path(e):
@@ -336,9 +368,13 @@ def _random_trees():
 def test_spines_match_a_walk_toward_the_exceptional_vertex():
     for desc in _random_trees():
         assert validate(desc) == []
-        assert list(desc.spines) == list(desc.toward_exceptional)
+        position = {v: k for k, v in enumerate(desc.spines)}
+        assert position.keys() == set(desc.nonexceptional_vertices)
         for v in desc.nonexceptional_vertices:
-            assert desc.spines[v] == _spine_by_walk(desc, v)
+            vertices, edges = desc.spines[v]
+            assert (vertices, edges) == _spine_by_walk(desc, v)
+            # each vertex comes after its neighbour toward the exceptional one
+            assert all(position[toward] < position[v] for toward in vertices[1:2])
     assert len(_long_path(100).spines["v0"][0]) == 100
 
 
@@ -355,14 +391,13 @@ def test_vertex_characters_by_position_match_the_indicator():
             assert char.exceptional == zeros
 
 
-def test_toward_exceptional_names_a_bad_edge_in_the_cyclic_order():
+def test_spines_name_a_bad_edge_in_the_cyclic_order():
     # the walk reads the descriptor's one edge index; an edge id it does
     # not hold, or an edge that misses the vertex it is listed at, raises
-    # as other_end does
     order = {"A": ("E1",), "B": ("E1", "E2")}
     unknown = replace(path_tree(), cyclic_order={**order, "exc": ("E9",)})
     with pytest.raises(KeyError, match="no edge 'E9'"):
-        unknown.toward_exceptional
+        unknown.spines
     missing = replace(path_tree(), cyclic_order={**order, "exc": ("E1",)})
     with pytest.raises(ValueError, match="edge 'E1' is not incident to 'exc'"):
-        missing.toward_exceptional
+        missing.spines

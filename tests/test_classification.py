@@ -390,7 +390,7 @@ def _reference_candidates(desc, i):
     if desc.w.is_trivial and i == desc.n:
         for edge in desc.edges:
             for v in edge.ends:
-                if desc.sign(v) > 0:
+                if desc.signs[v] > 0:
                     out.append(PathDescriptor(1, (v,), (edge.id,), (), (1, 1)))
     for x0 in desc.nonexceptional_vertices:
         spine_v, spine_e = desc.spines[x0]
@@ -406,14 +406,14 @@ def _reference_candidates(desc, i):
                 5, spine_v, spine_e, (predecessor(desc, x0, first),), (-1, -1)
             )
         )
-        order = desc.incident(x0)
+        order = desc.cyclic_order[x0]
         for e1, e2 in zip(order, order[1:] + order[:1]):
             if e1 != first and e2 != first and e1 != e2:
                 out.append(PathDescriptor(6, spine_v, spine_e, (e1, e2), (-1, 1)))
     if desc.is_leaf(exc):
-        out.append(PathDescriptor(3, (), (desc.incident(exc)[0],), (), (-1, 1)))
+        out.append(PathDescriptor(3, (), (desc.cyclic_order[exc][0],), (), (-1, 1)))
     else:
-        order = desc.incident(exc)
+        order = desc.cyclic_order[exc]
         for e1, e2 in zip(order, order[1:] + order[:1]):
             if e1 != e2:
                 out.append(PathDescriptor(7, (), (), (e1, e2), (-1, 1)))
@@ -430,13 +430,13 @@ def _reference_admissible(desc, i, path):
         if path.type_tag != 2:
             return None
         plain = desc.nonexceptional_vertices[0]
-        if desc.sign(plain) > 0:
+        if desc.signs[plain] > 0:
             return "i", dim
         return "ii", desc.p ** desc.n - dim
     if path.type_tag == 1:
         return None, None
     if path.type_tag in (2, 4, 5, 6):
-        sign = desc.sign(path.spine_vertices[0])
+        sign = desc.signs[path.spine_vertices[0]]
         spine_parity = (len(path.spine_vertices) - 1) % 2
         if sign > 0 and pos_ok:
             count = (dim - 1) // e
@@ -447,7 +447,7 @@ def _reference_admissible(desc, i, path):
         else:
             return None
         return (case, mu) if 2 <= mu <= m else None
-    sign = desc.sign(desc.exceptional)
+    sign = desc.signs[desc.exceptional]
     if sign > 0 and pos_ok:
         case, mu = "i", m - (dim - 1) // e
     elif sign < 0 and neg_ok:

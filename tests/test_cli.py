@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from cyclicblocks.cli import (
     main,
 )
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams, cap_dim
-from cyclicblocks.oracle import random_corpus
+from cyclicblocks.oracle import random_block_descriptor, random_corpus
 
 W = EndoPermParams
 
@@ -133,6 +134,10 @@ def _set(*keys_and_value):
         (_set("tree", []), "tree must be an object"),
         (_set("W", "indices", [-1]), "W.indices: negative subgroup index"),
         (_set("W", "indices", [1, 1]), "W.indices: indices (1, 1) are not"),
+        (
+            _set("tree", "edges", 0, "ends", ["v1", 3]),
+            "tree.edges[0].ends must be a string, got 3",
+        ),
     ],
     ids=[
         "one-end", "exceptional-list", "p-bool", "p-float", "index-bool",
@@ -140,7 +145,7 @@ def _set(*keys_and_value):
         "vertices-object", "edges-string", "cyclic-order-string",
         "indices-int", "vertex-string", "cyclic-order-pairs", "W-list",
         "sign-int", "edge-string", "tree-list", "index-negative",
-        "indices-repeated",
+        "indices-repeated", "end-int",
     ],
 )
 def test_malformed_descriptor_exits_2_naming_the_field(
@@ -680,6 +685,31 @@ def _cli_process(*argv):
         env=env,
         timeout=10,
     )
+
+
+@pytest.mark.parametrize("command", ["enumerate", "local"])
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path, command):
+    # each prints far more than a pipe holds, so the write after the close
+    # fails: exit 1 with nothing on stderr, neither from the command nor
+    # from the flush at shutdown
+    desc = random_block_descriptor(random.Random(0), 41, 2, 40)
+    argv = {
+        "enumerate": ["enumerate", write_obj(tmp_path, descriptor_to_obj(desc))],
+        "local": ["local", "det1-char", "--p", "3", "--n", "12"],
+    }[command]
+    src = Path(cyclicblocks.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "cyclicblocks.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert len(proc.stdout.read(1024)) == 1024
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize(
@@ -1235,6 +1265,10 @@ def test_oracle_fault_injection(capsys):
         (["--primes", "4"], "--primes"),
         (["--primes", "2"], "--primes"),
         (["--corpus-size", "-3"], "--corpus-size"),
+        (
+            ["--primes", "3317044064679887385961981"],
+            "--primes: p = 3317044064679887385961981 is not below ",
+        ),
     ],
 )
 def test_oracle_rejects_bad_arguments(capsys, argv, argument):

@@ -101,7 +101,7 @@ def test_generator_avoids_unrealisable_orientation():
         desc = random_block_descriptor(rng, 5, 2, 4)
         g = CyclicGroupData(5, 2)
         if desc.is_leaf(desc.exceptional) and cap_dim(desc.w, g, 2) == 4:
-            assert desc.sign(desc.exceptional) == 1
+            assert desc.signs[desc.exceptional] == 1
 
 
 def test_consistency_suite_passes_small_grid():

@@ -68,6 +68,14 @@ def test_only_the_cli_and_the_package_import_the_oracle():
     assert importers == {"__init__", "cli"}
 
 
+def test_the_library_states_no_invariant_as_an_assert():
+    # python -O strips assert statements, so an invariant must raise
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], path.name
+
+
 def _imported_names(module: str) -> set[str]:
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     return {
@@ -128,7 +136,6 @@ def test_enumeration_is_assembled_in_the_classification_alone():
 DESCRIPTOR_CACHES = {
     "nonexceptional_vertices",
     "_edges_by_id",
-    "toward_exceptional",
     "spines",
     "nonexceptional_positions",
     "index_table",
