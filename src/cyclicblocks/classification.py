@@ -28,11 +28,11 @@ class once per (p, n, e, W, i); a descriptor keeps the verdicts of every
 vertex index, with xi's level values, in its index table (`index_table`),
 filled by one sweep over W.  `admitted_anchors` is the one place that
 admits: `_anchors`, the one place that maps a path to its class, reads
-each anchor's class key off the descriptor's spines and signs, and it
-looks the key up before building any path anchored there, so it builds
-only the admitted modules, afresh at every vertex index that admits the
-anchor.  An anchor's paths share their spine and verdict, and so their
-character, and come out as one group; each hook is a group of its own.
+each anchor's class key off the tree alone (its spines and signs), and
+it looks the key up before building any path anchored there, so it
+builds only the admitted modules, afresh at every vertex index that
+admits the anchor.  An anchor's paths share their spine and verdict, and
+so their character, and come out as one group; each hook is one group.
 `enumerate_block`, the one place that assembles characters, gives each
 group its character, and `enumerate_trivial_source` flattens the groups
 into path descriptors.
@@ -175,15 +175,16 @@ def _verdicts(
     given the cap dimension ell = cap_dim(W, i); a fresh dict on each call.
 
     Keys are (shape, anchor sign, spine parity): shape SPINE stands for the
-    spine shapes 2, 4, 5 and 6 at both parities; shapes 1 (hooks), 3 and 7
-    have parity 0.  A rejected class maps to None.  Positive anchors need
-    e | (dim - 1) and negative ones e | cap_dim, where dim = cap_dim *
-    p^{n-i} is the dimension of the local module.  The spine parity selects
-    between the shared exceptional part and its complement, and the
-    multiplicity must lie in the shape's range: 2..m for the spine shapes,
-    2..m-1 for shape 3 and 1..m-1 for shape 7.  When e = 1 the one class
-    admitted is the even spine: case i with multiplicity dim at a positive
-    plain vertex, case ii with p^n - dim at a negative one.
+    spine shapes 2, 4, 5 and 6 at both parities; shapes 3 and 7 and the
+    positive hooks (shape 1) have parity 0.  A rejected class maps to None;
+    hooks are admitted only at i = n with W = () and e > 1.  Positive
+    anchors need e | (dim - 1) and negative ones e | cap_dim, where dim =
+    cap_dim * p^{n-i} is the dimension of the local module.  The spine
+    parity selects between the shared exceptional part and its complement,
+    and the multiplicity must lie in the shape's range: 2..m for the spine
+    shapes, 2..m-1 for shape 3 and 1..m-1 for shape 7.  When e = 1 the one
+    class admitted is the even spine: case i with multiplicity dim at a
+    positive plain vertex, case ii with p^n - dim at a negative one.
     """
     dim = ell * p ** (n - i)
     neg_ok = ell % e == 0
@@ -213,9 +214,10 @@ def _verdicts(
             at_exceptional = "ii", count
         table[SPINE, sign, 0] = even
         table[SPINE, sign, 1] = odd
-        table[1, sign, 0] = (None, None) if e > 1 else None
         table[3, sign, 0] = _within(at_exceptional, 2, m - 1)
         table[7, sign, 0] = _within(at_exceptional, 1, m - 1)
+    # at i = n, ell = cap_dim(W, n) = dim W, which is 1 exactly when W = ()
+    table[1, POSITIVE, 0] = (None, None) if e > 1 and i == n and ell == 1 else None
     return table
 
 
@@ -244,7 +246,7 @@ def admitted_anchors(desc: BlockDescriptor, i: int) -> list[AnchorGroup]:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
     table = desc.index_entry(i).verdicts
     groups: list[AnchorGroup] = []
-    for key, anchor in _anchors(desc, i):
+    for key, anchor in _anchors(desc):
         verdict = table.get(key)
         if verdict is not None:
             paths = _anchor_paths(desc, anchor)
@@ -313,15 +315,12 @@ def enumerate_block(desc: BlockDescriptor, indices) -> list[VertexEnumeration]:
     return results
 
 
-def _anchors(
-    desc: BlockDescriptor, i: int
-) -> Iterator[tuple[ClassKey, str | None]]:
-    """The anchors at vertex index i in candidate order, each with its
-    class key: the hooks first as one anchor, None (each hook affords a
-    positive endpoint), then the non-exceptional vertices in descriptor
-    order, then the exceptional vertex.  Only the hooks depend on i."""
-    if desc.e > 1 and desc.w.is_trivial and i == desc.n:
-        yield (1, POSITIVE, 0), None
+def _anchors(desc: BlockDescriptor) -> Iterator[tuple[ClassKey, str | None]]:
+    """The anchors in candidate order, each with its class key, the same
+    at every vertex index: the hooks first as one anchor, None (each hook
+    affords a positive endpoint), then the non-exceptional vertices in
+    descriptor order, then the exceptional vertex."""
+    yield (1, POSITIVE, 0), None
     spines, signs, exc = desc.spines, desc.signs, desc.exceptional
     for x0 in desc.nonexceptional_vertices:
         yield (SPINE, signs[x0], (len(spines[x0][0]) - 1) % 2), x0

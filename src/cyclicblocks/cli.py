@@ -299,18 +299,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _refuse_csv_ids(desc: BlockDescriptor) -> None:
     """Raise ValueError naming the first id the CSV view prints that a CSV
-    reader would not read back: one holding ',', ';' or a line break, or
-    led by a quote.  The view prints the non-exceptional vertices, and the
-    edges too of an m = 1 block, which has no exceptional vertex."""
+    reader would not read back: one holding ',', ';' or a line break, led
+    by a quote, or empty, which reads as no id.  The view prints the
+    non-exceptional vertices, and the edges too of an m = 1 block, which
+    has no exceptional vertex."""
     named = [("vertex", v) for v in desc.nonexceptional_vertices]
     if desc.exceptional is None:
         named += [("edge", edge.id) for edge in desc.edges]
     for kind, name in named:
-        if name.startswith('"') or any(c in name for c in ",;\r\n"):
-            raise ValueError(
-                f"{kind} id {name!r} cannot be written as CSV "
-                "(it holds ',', ';' or a line break, or starts with '\"')"
-            )
+        if not name:
+            reason = "it is empty"
+        elif name.startswith('"') or any(c in name for c in ",;\r\n"):
+            reason = "it holds ',', ';' or a line break, or starts with '\"'"
+        else:
+            continue
+        raise ValueError(f"{kind} id {name!r} cannot be written as CSV ({reason})")
 
 
 # The head of `enumerate --format json`, the head of each vertex index's

@@ -4,6 +4,8 @@ from dataclasses import replace
 import pytest
 
 from cyclicblocks.brauer_tree import (
+    NEGATIVE,
+    POSITIVE,
     BlockDescriptor,
     Edge,
     group_algebra_block,
@@ -63,7 +65,7 @@ def candidates(desc, i):
     table = _verdicts(desc.p, desc.n, desc.e, ell, i)
     return [
         (PathDescriptor(*fields), table.get(key))
-        for key, anchor in _anchors(desc, i)
+        for key, anchor in _anchors(desc)
         for fields in _anchor_paths(desc, anchor)
     ]
 
@@ -75,12 +77,18 @@ def by_type(pairs):
     return out
 
 
+def hook_verdicts(desc, i):
+    return [verdict for _, verdict in by_type(candidates(desc, i))[1]]
+
+
 def test_candidate_shapes_on_star():
     star = star_tree(2, 3, 2, W(()), -1)
     shapes = by_type(candidates(star, 1))
     assert len(shapes.get(2, [])) == 2  # one per leaf
     assert len(shapes.get(7, [])) == 2  # ordered consecutive pairs at centre
-    for tag in (1, 3, 4, 5, 6):
+    # one hook per positive leaf, proposed and rejected below i = n
+    assert [verdict for _, verdict in shapes[1]] == [None, None]
+    for tag in (3, 4, 5, 6):
         assert tag not in shapes
 
 
@@ -89,15 +97,19 @@ def test_candidate_shapes_on_self_block():
     shapes = by_type(candidates(kd, 1))
     assert len(shapes.get(2, [])) == 1
     assert len(shapes.get(3, [])) == 1
-    assert set(shapes) == {2, 3}
+    assert set(shapes) == {1, 2, 3}
+    # the hook at the positive plain vertex is rejected: e = 1
+    assert hook_verdicts(kd, 2) == [None]
 
 
 def test_hook_candidates_only_at_full_vertex_with_trivial_parameter():
+    # hooks are proposed at every vertex index and admitted only at i = n
+    # with W = ()
     star = star_tree(2, 3, 2, W(()), -1)
-    assert 1 not in by_type(candidates(star, 1))
-    assert len(by_type(candidates(star, 2))[1]) == 2
+    assert hook_verdicts(star, 1) == [None, None]
+    assert hook_verdicts(star, 2) == [(None, None), (None, None)]
     shifted = star_tree(2, 3, 2, W((1,)), -1)
-    assert 1 not in by_type(candidates(shifted, 2))
+    assert hook_verdicts(shifted, 2) == [None, None]
 
 
 def test_candidates_on_path_tree_shapes():
@@ -277,6 +289,52 @@ def test_index_table_agrees_with_independent_sources():
     assert cases == (2 + 3 + 4) * 321 - 3
 
 
+def _path_tree(p, n, e, w):
+    # v0 - v1 - ... - v(e-1) - exc, signs alternating to a positive exc
+    names = [f"v{k}" for k in range(e)] + ["exc"]
+    edges = tuple(Edge(f"E{k + 1}", (names[k], names[k + 1])) for k in range(e))
+    return BlockDescriptor(
+        p=p, n=n, e=e,
+        vertices=tuple(names),
+        signs={v: (-1) ** (e - k) for k, v in enumerate(names)},
+        edges=edges,
+        cyclic_order={v: tuple(x.id for x in edges if v in x.ends) for v in names},
+        exceptional="exc",
+        w=w,
+    )
+
+
+def test_the_hook_verdict_reads_w_as_trivial():
+    # the table admits hooks where i = n and the cap dimension is 1: at
+    # i = n that is dim W, which is 1 exactly when W = ()
+    cases = 0
+    for p in (3, 5, 7, 11):
+        for n in range(1, 8):
+            g = CyclicGroupData(p, n)
+            for w in block_params_for(n):
+                for i in range(1, n + 1):
+                    at_one = i == n and cap_dim(w, g, i) == 1
+                    assert at_one == (i == n and w.indices == ())
+                    cases += 1
+    # 4 primes times 769 = sum of n * 2^(n-1), the (W, i) pairs for n <= 7
+    assert cases == 3076
+    # so a descriptor admits its hooks exactly at e > 1, i = n and W = ()
+    descs = [group_algebra_block(p, n) for p, n in ((3, 1), (3, 3), (5, 2))]
+    for p, n, e in ((3, 2, 1), (3, 2, 2), (3, 3, 2), (5, 2, 4), (5, 3, 2), (7, 2, 3)):
+        for w in block_params_for(n):
+            descs += [star_tree(e, p, n, w, sign) for sign in (1, -1)]
+            descs.append(_path_tree(p, n, e, w))
+    admitted = set()
+    for desc in descs:
+        for i in range(1, desc.n + 1):
+            verdicts = desc.index_entry(i).verdicts
+            assert (1, NEGATIVE, 0) not in verdicts
+            expected = desc.e > 1 and i == desc.n and desc.w.indices == ()
+            assert verdicts[1, POSITIVE, 0] == ((None, None) if expected else None)
+            admitted.add(expected)
+    assert admitted == {True, False}
+
+
 def test_vertex_index_bounds():
     star = star_tree(2, 3, 2, W(()), -1)
     with pytest.raises(ValueError, match=r"vertex index 0 outside 1\.\.2"):
@@ -377,21 +435,22 @@ def test_exhaustive_small_trees_have_e_modules():
 # `_replace`.
 
 
-def _reference_candidates(desc, i):
+def _reference_candidates(desc):
+    # the same at every vertex index, the hooks first
     exc = desc.exceptional
+    out = [
+        PathDescriptor(1, (v,), (edge.id,), (), (1, 1))
+        for edge in desc.edges
+        for v in edge.ends
+        if desc.signs[v] > 0
+    ]
     if desc.e == 1:
         plain = desc.nonexceptional_vertices[0]
         edge = desc.edges[0].id
-        return [
+        return out + [
             PathDescriptor(2, (plain,), (edge,), (), (1, -1)),
             PathDescriptor(3, (), (edge,), (), (-1, 1)),
         ]
-    out = []
-    if desc.w.is_trivial and i == desc.n:
-        for edge in desc.edges:
-            for v in edge.ends:
-                if desc.signs[v] > 0:
-                    out.append(PathDescriptor(1, (v,), (edge.id,), (), (1, 1)))
     for x0 in desc.nonexceptional_vertices:
         spine_v, spine_e = desc.spines[x0]
         if desc.is_leaf(x0):
@@ -426,6 +485,11 @@ def _reference_admissible(desc, i, path):
     pos_ok, neg_ok = (dim - 1) % desc.e == 0, ell % desc.e == 0
     m = desc.m
     e = desc.e
+    if path.type_tag == 1:
+        # a hook is trivial source only at the full-order vertex of a block
+        # with trivial parameter
+        admitted = e > 1 and i == desc.n and desc.w.indices == ()
+        return (None, None) if admitted else None
     if e == 1:
         if path.type_tag != 2:
             return None
@@ -433,8 +497,6 @@ def _reference_admissible(desc, i, path):
         if desc.signs[plain] > 0:
             return "i", dim
         return "ii", desc.p ** desc.n - dim
-    if path.type_tag == 1:
-        return None, None
     if path.type_tag in (2, 4, 5, 6):
         sign = desc.signs[path.spine_vertices[0]]
         spine_parity = (len(path.spine_vertices) - 1) % 2
@@ -460,7 +522,7 @@ def _reference_admissible(desc, i, path):
 
 def _reference_enumeration(desc, i):
     found = []
-    for cand in _reference_candidates(desc, i):
+    for cand in _reference_candidates(desc):
         verdict = _reference_admissible(desc, i, cand)
         if verdict is not None:
             case, mu = verdict
@@ -509,15 +571,14 @@ def test_anchor_classes_read_the_table_like_the_reference():
     for desc in _reference_corpus():
         for i in range(1, desc.n + 1):
             pairs = candidates(desc, i)
-            assert [path for path, _ in pairs] == _reference_candidates(desc, i)
+            assert [path for path, _ in pairs] == _reference_candidates(desc)
             for path, verdict in pairs:
                 assert verdict == _reference_admissible(desc, i, path)
                 seen.add((desc.e == 1, path.type_tag, verdict is None))
-    # every shape met both verdicts somewhere in the corpus, except hooks,
-    # which are always admitted
-    for shape in (2, 3, 4, 5, 6, 7):
+    # every shape met both verdicts somewhere in the corpus
+    for shape in (1, 2, 3, 4, 5, 6, 7):
         assert {(False, shape, True), (False, shape, False)} <= seen
-    assert {(False, 1, False), (True, 2, False), (True, 3, True)} <= seen
+    assert {(True, 1, True), (True, 2, False), (True, 3, True)} <= seen
 
 
 def test_admitted_anchor_groups_share_spine_verdict_and_character():

@@ -469,7 +469,7 @@ def _relabelled(obj: dict, old: str, new: str) -> dict:
     return obj
 
 
-@pytest.mark.parametrize("name", ["a,1", "a;1", "a\n1", "a\r1", '"a'])
+@pytest.mark.parametrize("name", ["a,1", "a;1", "a\n1", "a\r1", '"a', ""])
 @pytest.mark.parametrize(
     "kind, old, m1",
     [("vertex", "v1", False), ("edge", "E1", True), ("vertex", "a", True)],

@@ -3,6 +3,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,23 @@ def test_the_library_states_no_invariant_as_an_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], path.name
+
+
+def test_the_library_imports_only_the_standard_library():
+    # numpy, orjson and the like stay out: the package has no dependencies
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []
 
 
 def _imported_names(module: str) -> set[str]:
