@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .cyclotomic import is_odd_prime
-from .local_reps import EndoPermParams
+from .local_reps import CyclicGroupData, EndoPermParams, correspondents_by_index
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -33,6 +33,19 @@ NEGATIVE = -1
 class Edge(NamedTuple):
     id: str
     ends: tuple[str, str]
+
+
+class IndexEntry(NamedTuple):
+    """What vertex index i of a descriptor depends on, (p, n, W, i) alone,
+    the same for every e: the cap dimension and the values of xi and of
+    its complement on the valuation levels below n, one byte each."""
+
+    cap_dim: int
+    xi_levels: tuple[bytes, bytes]
+
+
+# the byte translation that takes a 0/1 level value to one minus it
+_COMPLEMENT = b"\x01\x00" + bytes(254)
 
 
 @dataclass(frozen=True)
@@ -100,18 +113,23 @@ class BlockDescriptor:
         return {v: k for k, v in enumerate(self.nonexceptional_vertices)}
 
     @cached_property
-    def index_table(self) -> dict[int, tuple]:
-        """Per vertex index i = 1 ... n, what depends on (p, n, e, W, i)
-        alone: the cap dimension, the admissibility verdict of every class
-        of paths and the values of xi and of its complement on the
-        valuation levels, from one sweep over W that checks (p, n, W) once
-        (`classification.index_table`).  Read an entry with `index_entry`."""
-        # classification imports this module, so it is imported on first read
-        from .classification import index_table
+    def index_table(self) -> dict[int, IndexEntry]:
+        """The entry of every vertex index i = 1 ... n, from one sweep over
+        W that checks (p, n, W) once.  xi's level values are the Morita
+        correspondent's below n, checked 0/1 and of degree
+        cap_dim * p^(n-i), the count law.  Data only: the verdicts, which
+        depend on e too, are decided where paths are admitted.  Raises
+        ValueError for a p, n or W that the closed forms refuse, W not in
+        block form included.  Read an entry with `index_entry`."""
+        n = self.n
+        table = {}
+        forms = correspondents_by_index(self.w, CyclicGroupData(self.p, n))
+        for i, (ell, levels) in enumerate(forms, 1):
+            xi = bytes(levels[:n])
+            table[i] = IndexEntry(ell, (xi, xi.translate(_COMPLEMENT)))
+        return table
 
-        return index_table(self)
-
-    def index_entry(self, i: int) -> tuple:
+    def index_entry(self, i: int) -> IndexEntry:
         """The entry of `index_table` at vertex index i."""
         entry = self.index_table.get(i)
         if entry is None:

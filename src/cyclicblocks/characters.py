@@ -174,6 +174,8 @@ def orbits_from_level(
     >>> orbits_from_level(3, 3, 2, 1)
     ((3, 6, 9, 12), b'\\x00\\x00\\x01\\x00')
     """
+    if not 0 <= v < n:
+        raise ValueError(f"level v = {v} outside 0..{n - 1}")
     orbits = exceptional_orbits(p, n - v, e)
     if v == 0:
         return orbits.representatives, orbits.levels

@@ -24,10 +24,11 @@ tied to the parity datum of the endo-permutation parameter, and the
 multiplicity range) read a path only through its class: the sign of its
 anchoring vertex, the parity of its spine, and whether it is a hook, a
 spine shape (2, 4, 5, 6) or shape 3 or 7.  `_verdicts` decides every
-class once per (p, n, e, W, i); a descriptor keeps the verdicts of every
-vertex index, with xi's level values, in its index table (`index_table`),
-filled by one sweep over W.  `admitted_anchors` is the one place that
-admits: `_anchors`, the one place that maps a path to its class, reads
+class from (p, n, e, i) and the cap dimension of W at i, which the
+descriptor's index table holds with xi's level values: the table keeps
+data only, the same for every e, and the verdicts are decided afresh at
+each enumeration of a vertex index.  `admitted_anchors` is the one place
+that admits: `_anchors`, the one place that maps a path to its class, reads
 each anchor's class key off the tree alone (its spines and signs), and
 it looks the key up before building any path anchored there, so it
 builds only the admitted modules, afresh at every vertex index that
@@ -57,11 +58,7 @@ from .brauer_tree import (
     successor,
 )
 from .characters import BlockCharacter, character_of, hook_characters, pim_character
-from .local_reps import (
-    CharacterConsistencyError,
-    CyclicGroupData,
-    correspondents_by_index,
-)
+from .local_reps import CharacterConsistencyError
 
 # The shape under which the verdict table files the spine shapes 2, 4, 5
 # and 6, which share their conditions.
@@ -133,39 +130,6 @@ class ConditionalHook(NamedTuple):
 class M1Enumeration(NamedTuple):
     pims: tuple[ProjectiveModule, ...]
     hooks: tuple[ConditionalHook, ...]
-
-
-class IndexEntry(NamedTuple):
-    """What vertex index i of a descriptor depends on, (p, n, e, W, i)
-    alone: the cap dimension, the verdict of every class of paths and the
-    values of xi and of its complement on the valuation levels below n,
-    one byte each."""
-
-    cap_dim: int
-    verdicts: dict[ClassKey, Verdict | None]
-    xi_levels: tuple[bytes, bytes]
-
-
-def index_table(desc: BlockDescriptor) -> dict[int, IndexEntry]:
-    """The entry of every vertex index i = 1 ... n, built afresh from one
-    sweep over W that checks (p, n, W) once; `desc.index_table` keeps
-    one.  xi's level values are the Morita correspondent's below n, checked
-    0/1 and of degree cap_dim * p^(n-i) = d0 + e * (ones of xi), the count
-    law.  Raises ValueError for a p, n or W that the closed forms refuse,
-    W not in block form included."""
-    p, n, e = desc.p, desc.n, desc.e
-    forms = correspondents_by_index(desc.w, CyclicGroupData(p, n))
-    table = {}
-    for i, (ell, levels) in enumerate(forms, 1):
-        xi = bytes(levels[:n])
-        table[i] = IndexEntry(
-            ell, _verdicts(p, n, e, ell, i), (xi, xi.translate(_COMPLEMENT))
-        )
-    return table
-
-
-# the byte translation that takes a 0/1 level value to one minus it
-_COMPLEMENT = b"\x01\x00" + bytes(254)
 
 
 def _verdicts(
@@ -244,7 +208,7 @@ def admitted_anchors(desc: BlockDescriptor, i: int) -> list[AnchorGroup]:
     ValueError at m = 1 or i outside 1..n."""
     if desc.m == 1:
         raise ValueError("m = 1 blocks are enumerated by m1_enumerate")
-    table = desc.index_entry(i).verdicts
+    table = _verdicts(desc.p, desc.n, desc.e, desc.index_entry(i).cap_dim, i)
     groups: list[AnchorGroup] = []
     for key, anchor in _anchors(desc):
         verdict = table.get(key)

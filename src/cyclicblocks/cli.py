@@ -300,9 +300,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def _refuse_csv_ids(desc: BlockDescriptor) -> None:
     """Raise ValueError naming the first id the CSV view prints that a CSV
     reader would not read back: one holding ',', ';' or a line break, led
-    by a quote, or empty, which reads as no id.  The view prints the
-    non-exceptional vertices, and the edges too of an m = 1 block, which
-    has no exceptional vertex."""
+    by a quote, or empty, which reads as no id; or one that UTF-8 cannot
+    encode (a lone surrogate), which would fail after the rows before it
+    were written.  The view prints the non-exceptional vertices, and the
+    edges too of an m = 1 block, which has no exceptional vertex."""
     named = [("vertex", v) for v in desc.nonexceptional_vertices]
     if desc.exceptional is None:
         named += [("edge", edge.id) for edge in desc.edges]
@@ -312,7 +313,11 @@ def _refuse_csv_ids(desc: BlockDescriptor) -> None:
         elif name.startswith('"') or any(c in name for c in ",;\r\n"):
             reason = "it holds ',', ';' or a line break, or starts with '\"'"
         else:
-            continue
+            try:
+                name.encode("utf-8")
+                continue
+            except UnicodeEncodeError:
+                reason = "UTF-8 cannot encode it"
         raise ValueError(f"{kind} id {name!r} cannot be written as CSV ({reason})")
 
 

@@ -249,6 +249,16 @@ def test_orbits_of_valuation_v_are_inflated_from_n_minus_v():
     assert min(branches.values()) >= 10, branches
 
 
+@pytest.mark.parametrize("v", [-1, 2, 5])
+def test_orbits_from_level_refuses_a_level_outside_0_to_n_minus_1(v):
+    # at v = -1 the scaling by p^v gave float representatives; at v = n
+    # the table of (p, 0, e) named an n the caller never gave
+    with pytest.raises(ValueError, match=rf"^level v = {v} outside 0\.\.1$"):
+        orbits_from_level(3, 2, 2, v)
+    assert orbits_from_level(3, 2, 2, 0)[0] == (1, 2, 3, 4)
+    assert orbits_from_level(3, 2, 2, 1) == ((3,), b"\x00")
+
+
 def test_folded_orbits_match_the_marking_pass():
     build = exceptional_orbits.__wrapped__  # leaves the cache alone
     grid = [

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import cyclicblocks.classification
 from cyclicblocks.brauer_tree import (
     NEGATIVE,
     POSITIVE,
@@ -21,6 +22,7 @@ from cyclicblocks.classification import (
     _anchors,
     _verdicts,
     admitted_anchors,
+    enumerate_block,
     enumerate_projective,
     enumerate_trivial_source,
     m1_enumerate,
@@ -256,10 +258,10 @@ def test_m1_enumeration():
 
 def test_index_table_agrees_with_independent_sources():
     # per descriptor, one sweep over W gives every vertex index its cap
-    # dimension, verdicts and xi level pair; each agrees with a source that
-    # does not share the sweep: the Heller recursion, the verdicts at the
-    # cap dimension checked per index, and the correspondent induced from
-    # the recursive determinant-1 character, whose levels below n are xi's
+    # dimension and xi level pair; each agrees with a source that does not
+    # share the sweep: the Heller recursion, and the correspondent induced
+    # from the recursive determinant-1 character, whose levels below n are
+    # xi's
     cases = 0
     for p in (3, 5, 7):
         es = [e for e in range(1, p) if (p - 1) % e == 0]
@@ -281,8 +283,6 @@ def test_index_table_agrees_with_independent_sources():
                     assert sorted(table) == list(range(1, n + 1))
                     for i, entry in table.items():
                         assert (entry.cap_dim, entry.xi_levels) == expected[i]
-                        ell = cap_dim(w, g, i)
-                        assert entry.verdicts == _verdicts(p, n, e, ell, i)
                         cases += 1
     # 321 = sum of n * 2^(n-1), the (W, i) pairs for n <= 6, at each of the
     # 2, 3 and 4 values of e, less the one e = p - 1 at n = 1 (m = 1)
@@ -327,12 +327,29 @@ def test_the_hook_verdict_reads_w_as_trivial():
     admitted = set()
     for desc in descs:
         for i in range(1, desc.n + 1):
-            verdicts = desc.index_entry(i).verdicts
+            ell = desc.index_entry(i).cap_dim
+            verdicts = _verdicts(desc.p, desc.n, desc.e, ell, i)
             assert (1, NEGATIVE, 0) not in verdicts
             expected = desc.e > 1 and i == desc.n and desc.w.indices == ()
             assert verdicts[1, POSITIVE, 0] == ((None, None) if expected else None)
             admitted.add(expected)
     assert admitted == {True, False}
+
+
+def test_a_verdict_mutation_acts_on_a_descriptor_already_enumerated(monkeypatch):
+    # the descriptor keeps data only, so the verdicts are decided afresh at
+    # every enumeration: a mutation patched in after the first one acts
+    star = star_tree(4, 5, 2, W(()), -1)
+
+    def counts():
+        return [
+            sum(len(paths) for _, paths, _ in found.groups)
+            for found in enumerate_block(star, (1, 2))
+        ]
+
+    assert counts() == [4, 4]
+    monkeypatch.setattr(cyclicblocks.classification, "_verdicts", lambda *a: {})
+    assert counts() == [0, 0]
 
 
 def test_vertex_index_bounds():

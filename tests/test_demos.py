@@ -1,5 +1,6 @@
 """Every demo script runs to the end in-process and prints what it printed
-when its stdout was pinned: the sha256 of stdout is recorded below."""
+when its stdout was pinned: the sha256 of stdout is recorded below.  The
+README's quick start prints what its closing comment lines say."""
 
 import hashlib
 import runpy
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # demo file name -> sha256 of its stdout
 DEMO_STDOUT = {
@@ -41,3 +43,20 @@ def test_demo_runs(demo, capsys):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     assert digest == DEMO_STDOUT[demo.name]
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    # the first python block under "## Quick start"; the comment lines that
+    # close it are the output it promises
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    promised = []
+    while lines[-1].startswith("# "):
+        promised.insert(0, lines.pop()[2:])
+    assert promised
+    exec(compile(block, "README.md", "exec"), {})
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == promised

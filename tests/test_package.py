@@ -70,6 +70,44 @@ def test_only_the_cli_and_the_package_import_the_oracle():
     assert importers == {"__init__", "cli"}
 
 
+# The module stack, lowest first.
+STACK = (
+    "cyclotomic",
+    "local_reps",
+    "brauer_tree",
+    "characters",
+    "classification",
+    "oracle",
+    "cli",
+)
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module's relative imports name, wherever they
+    stand, but for those under `if TYPE_CHECKING:`, which never run."""
+    unrun = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in unrun:
+            # `from .x import f` names x, `from . import x` names x
+            names = [node.module] if node.module else [a.name for a in node.names]
+            named.update(name.split(".")[0] for name in names)
+    return named
+
+
+def test_each_module_imports_only_modules_below_it_in_the_stack():
+    assert sorted(STACK) == sorted(MODULES)
+    for rank, name in enumerate(STACK):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        assert _relative_imports(tree) <= set(STACK[:rank]), name
+
+
 def test_the_library_states_no_invariant_as_an_assert():
     # python -O strips assert statements, so an invariant must raise
     for path in PACKAGE.glob("*.py"):
