@@ -13,7 +13,7 @@ from cyclicblocks.brauer_tree import (
     successor,
     validate,
 )
-from cyclicblocks.characters import hook_characters, pim_character
+from cyclicblocks.characters import pim_character, vertex_character
 from cyclicblocks.local_reps import EndoPermParams
 
 # a star: e = 2 leaves around a negative exceptional centre, p = 3, n = 2
@@ -30,8 +30,8 @@ print("\nprojective character at E1:")
 print("  non-exceptional coordinates:", pim.nonexceptional)
 print("  exceptional coordinates:    ", pim.exceptional)
 
-# hooks afford single vertex characters
-ha, hb = hook_characters(star, "E1")
+# a hook affords the vertex character of its endpoint
+ha, hb = (vertex_character(star, v) for v in star.edge_by_id("E1").ends)
 print("hook characters at E1:", ha.nonexceptional, "and bundle", hb.exceptional)
 
 # a hand-built path tree A - B - exceptional

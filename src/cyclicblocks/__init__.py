@@ -21,7 +21,6 @@ from .characters import (
     OrbitStructure,
     character_of,
     exceptional_orbits,
-    hook_characters,
     pim_character,
     t_and_d0,
     xi,
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_trivial_source",
     "exceptional_orbits",
     "group_algebra_block",
-    "hook_characters",
     "m1_enumerate",
     "morita_correspondent_character",
     "perm_character_by_fixed_points",

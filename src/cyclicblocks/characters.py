@@ -425,17 +425,15 @@ class BlockCharacter(NamedTuple):
             )
         except ValueError:
             # a byte holds 0..255: name the first coordinate that left it
-            for k, total in enumerate(map(add, self.plain, other.plain)):
-                if not 0 <= total <= 255:
-                    raise ValueError(
-                        f"non-exceptional coordinate {k} sums to {total}, "
-                        "outside 0..255"
-                    ) from None
-            for v, total in enumerate(map(add, self.levels, other.levels)):
-                if not 0 <= total <= 255:
-                    raise ValueError(
-                        f"level {v} sums to {total}, outside 0..255"
-                    ) from None
+            for name, a, b in (
+                ("non-exceptional coordinate", self.plain, other.plain),
+                ("level", self.levels, other.levels),
+            ):
+                for k, total in enumerate(map(add, a, b)):
+                    if not 0 <= total <= 255:
+                        raise ValueError(
+                            f"{name} {k} sums to {total}, outside 0..255"
+                        ) from None
             raise
 
     @property
@@ -446,9 +444,10 @@ class BlockCharacter(NamedTuple):
 
 
 def vertex_character(desc: BlockDescriptor, vertex: str) -> BlockCharacter:
-    """Indicator of a non-exceptional vertex, or the full exceptional bundle;
-    the non-exceptional part is built afresh on each call.  Raises KeyError
-    for a vertex the descriptor does not have."""
+    """Indicator of a non-exceptional vertex, or the full exceptional bundle:
+    the character a hook at this vertex affords.  The non-exceptional part
+    is built afresh on each call.  Raises KeyError for a vertex the
+    descriptor does not have."""
     exceptional = int(vertex == desc.exceptional)
     counts = bytearray(len(desc.nonexceptional_vertices))
     if not exceptional:
@@ -467,16 +466,8 @@ def pim_character(desc: BlockDescriptor, edge_id: str) -> BlockCharacter:
     """Character of the projective cover of the simple at this edge: the sum
     of both endpoint characters, the exceptional endpoint contributing the
     whole bundle."""
-    a, b = hook_characters(desc, edge_id)
-    return a + b
-
-
-def hook_characters(
-    desc: BlockDescriptor, edge_id: str
-) -> tuple[BlockCharacter, BlockCharacter]:
-    """The two endpoint characters of the edge, in endpoint order."""
     a, b = desc.edge_by_id(edge_id).ends
-    return vertex_character(desc, a), vertex_character(desc, b)
+    return vertex_character(desc, a) + vertex_character(desc, b)
 
 
 def xi(desc: BlockDescriptor, i: int) -> BlockCharacter:

@@ -57,7 +57,7 @@ from .brauer_tree import (
     predecessor,
     successor,
 )
-from .characters import BlockCharacter, character_of, hook_characters, pim_character
+from .characters import BlockCharacter, character_of, pim_character, vertex_character
 from .local_reps import CharacterConsistencyError
 
 # The shape under which the verdict table files the spine shapes 2, 4, 5
@@ -353,9 +353,9 @@ def m1_enumerate(desc: BlockDescriptor) -> M1Enumeration:
     trivial source depends on data beyond the descriptor)."""
     if desc.m != 1:
         raise ValueError(f"m = {desc.m}, expected 1")
-    hooks = []
-    for edge in desc.edges:
-        chars = hook_characters(desc, edge.id)
-        for vertex, char in zip(edge.ends, chars):
-            hooks.append(ConditionalHook(edge.id, vertex, char))
-    return M1Enumeration(enumerate_projective(desc), tuple(hooks))
+    hooks = tuple(
+        ConditionalHook(edge.id, vertex, vertex_character(desc, vertex))
+        for edge in desc.edges
+        for vertex in edge.ends
+    )
+    return M1Enumeration(enumerate_projective(desc), hooks)

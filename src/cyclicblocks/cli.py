@@ -215,16 +215,6 @@ def _load_descriptor(path: str) -> BlockDescriptor | None:
         return None
 
 
-def _character_obj(desc: BlockDescriptor, char) -> dict:
-    """A character of an m = 1 block, which has no exceptional part."""
-    return {
-        "nonexceptional": list(
-            compress(desc.nonexceptional_vertices, char.plain)
-        ),
-        "exceptional": [],
-    }
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     desc = _load_descriptor(args.file)
     if desc is None:
@@ -300,10 +290,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def _refuse_csv_ids(desc: BlockDescriptor) -> None:
     """Raise ValueError naming the first id the CSV view prints that a CSV
     reader would not read back: one holding ',', ';' or a line break, led
-    by a quote, or empty, which reads as no id; or one that UTF-8 cannot
-    encode (a lone surrogate), which would fail after the rows before it
+    by a quote, or empty, which reads as no id; or one that stdout's
+    encoding (UTF-8 when it names none) cannot encode strictly, which would
+    fail, or print an escape in place of the id, after the rows before it
     were written.  The view prints the non-exceptional vertices, and the
     edges too of an m = 1 block, which has no exceptional vertex."""
+    encoding = sys.stdout.encoding or "utf-8"
     named = [("vertex", v) for v in desc.nonexceptional_vertices]
     if desc.exceptional is None:
         named += [("edge", edge.id) for edge in desc.edges]
@@ -314,10 +306,10 @@ def _refuse_csv_ids(desc: BlockDescriptor) -> None:
             reason = "it holds ',', ';' or a line break, or starts with '\"'"
         else:
             try:
-                name.encode("utf-8")
+                name.encode(encoding)
                 continue
             except UnicodeEncodeError:
-                reason = "UTF-8 cannot encode it"
+                reason = f"{encoding} cannot encode it"
         raise ValueError(f"{kind} id {name!r} cannot be written as CSV ({reason})")
 
 
@@ -470,30 +462,29 @@ def _json_list(items) -> str:
 
 def _m1_text(desc: BlockDescriptor, found: M1Enumeration, fmt: str) -> str:
     """What `enumerate` prints for an m = 1 block: its projectives and
-    conditional hooks, as indent-2 JSON plus a newline or as CSV."""
-    pims = [
-        {"edge": pim.edge_id, "character": _character_obj(desc, pim.character)}
-        for pim in found.pims
-    ]
-    hooks = [
-        {
-            "edge": hook.edge_id,
-            "vertex": hook.vertex,
-            "conditional": True,
-            "character": _character_obj(desc, hook.character),
-        }
-        for hook in found.hooks
-    ]
+    conditional hooks, as indent-2 JSON plus a newline or as CSV.  Such a
+    block has no exceptional part, so a character prints as the vertices
+    of its non-exceptional part."""
+    names = desc.nonexceptional_vertices
+    # kind, edge, the hook's vertex (None for a projective) and character
+    rows = [("pim", pim.edge_id, None, pim.character) for pim in found.pims]
+    rows += [("hook", h.edge_id, h.vertex, h.character) for h in found.hooks]
     if fmt == "json":
         payload = {"p": desc.p, "n": desc.n, "e": desc.e, "m": 1}
-        return json.dumps({**payload, "pims": pims, "hooks": hooks}, indent=2) + "\n"
+        payload.update(pims=[], hooks=[])
+        for kind, edge, vertex, char in rows:
+            module = {"edge": edge}
+            if vertex is not None:
+                module.update(vertex=vertex, conditional=True)
+            plain = list(compress(names, char.plain))
+            module["character"] = {"nonexceptional": plain, "exceptional": []}
+            payload[kind + "s"].append(module)
+        return json.dumps(payload, indent=2) + "\n"
     lines = ["kind,edge,vertex,conditional,nonexceptional,exceptional\n"]
-    for pim in pims:
-        plain = ";".join(pim["character"]["nonexceptional"])
-        lines.append(f"pim,{pim['edge']},,,{plain},\n")
-    for hook in hooks:
-        plain = ";".join(hook["character"]["nonexceptional"])
-        lines.append(f"hook,{hook['edge']},{hook['vertex']},true,{plain},\n")
+    for kind, edge, vertex, char in rows:
+        vertex_fields = "," if vertex is None else f"{vertex},true"
+        plain = ";".join(compress(names, char.plain))
+        lines.append(f"{kind},{edge},{vertex_fields},{plain},\n")
     return "".join(lines)
 
 

@@ -14,7 +14,7 @@ from cyclicblocks.brauer_tree import (
     successor,
     validate,
 )
-from cyclicblocks.characters import hook_characters, pim_character, vertex_character
+from cyclicblocks.characters import pim_character, vertex_character
 from cyclicblocks.local_reps import CyclicGroupData, EndoPermParams
 from cyclicblocks.oracle import random_block_descriptor, random_corpus
 
@@ -266,11 +266,11 @@ def test_pim_sum_counts_vertex_degrees():
 
 def test_hook_characters():
     desc = path_tree()
-    a, b = hook_characters(desc, "E2")
+    a, b = (vertex_character(desc, v) for v in desc.edge_by_id("E2").ends)
     assert a == vertex_character(desc, "B")
     assert b.exceptional == (1, 1, 1, 1)
     kd = group_algebra_block(3, 2)
-    ha, hb = hook_characters(kd, "E1")
+    ha, hb = (vertex_character(kd, v) for v in kd.edge_by_id("E1").ends)
     assert ha.nonexceptional == (1,)
     assert hb.exceptional == (1,) * 8
 

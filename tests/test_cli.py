@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from cyclicblocks.brauer_tree import (
     Edge,
     group_algebra_block,
     star_tree,
+    validate,
 )
 from cyclicblocks.characters import (
     BlockCharacter,
@@ -39,6 +41,7 @@ from cyclicblocks.classification import (
     PathDescriptor,
     enumerate_block,
     enumerate_trivial_source,
+    m1_enumerate,
 )
 from cyclicblocks.cli import (
     _enumerate_text,
@@ -443,6 +446,84 @@ def test_enumerate_m1_block(tmp_path, capsys):
     assert all(hook["conditional"] for hook in payload["hooks"])
 
 
+def _m1_star(p: int) -> BlockDescriptor:
+    """A star of e = p - 1 leaves around a plain centre, n = 1: m = 1."""
+    leaves = tuple(f"v{x}" for x in range(1, p))
+    edge_ids = tuple(f"E{x}" for x in range(1, p))
+    return BlockDescriptor(
+        p=p,
+        n=1,
+        e=p - 1,
+        vertices=("c",) + leaves,
+        signs={"c": -1, **{v: 1 for v in leaves}},
+        edges=tuple(Edge(eid, ("c", v)) for eid, v in zip(edge_ids, leaves)),
+        cyclic_order={
+            "c": edge_ids,
+            **{v: (eid,) for v, eid in zip(leaves, edge_ids)},
+        },
+        exceptional=None,
+        w=W(()),
+    )
+
+
+def _m1_trees() -> dict[str, BlockDescriptor]:
+    """m = 1 trees (n = 1, e = p - 1): a fixture, a star, and random trees
+    at p = 5, 7 and 11 with their exceptional vertex made plain."""
+    rng = random.Random(0)
+    trees = {"m1-3-1-2": fixtures()["m1-3-1-2"], "star-5": _m1_star(5)}
+    for p in (5, 7, 11):
+        desc = random_block_descriptor(rng, p, 2, p - 1)
+        trees[f"random-{p}"] = replace(desc, n=1, exceptional=None, w=W(()))
+    return trees
+
+
+@pytest.mark.parametrize(
+    "desc", [pytest.param(desc, id=name) for name, desc in _m1_trees().items()]
+)
+def test_enumerate_m1_names_what_the_tree_says(tmp_path, capsys, desc):
+    # read off the descriptor alone: one projective per edge naming both
+    # ends in descriptor vertex order, one conditional hook per edge end
+    # naming that end, and no exceptional part anywhere
+    assert validate(desc, strict=True) == [] and desc.m == 1
+    pims = [
+        {
+            "edge": edge.id,
+            "character": {
+                "nonexceptional": [v for v in desc.vertices if v in edge.ends],
+                "exceptional": [],
+            },
+        }
+        for edge in desc.edges
+    ]
+    hooks = [
+        {
+            "edge": edge.id,
+            "vertex": v,
+            "conditional": True,
+            "character": {"nonexceptional": [v], "exceptional": []},
+        }
+        for edge in desc.edges
+        for v in edge.ends
+    ]
+    path = write_obj(tmp_path, descriptor_to_obj(desc))
+    assert main(["enumerate", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "p": desc.p,
+        "n": 1,
+        "e": desc.e,
+        "m": 1,
+        "pims": pims,
+        "hooks": hooks,
+    }
+    found = m1_enumerate(desc)
+    assert [pim.edge_id for pim in found.pims] == [edge.id for edge in desc.edges]
+    assert [(hook.edge_id, hook.vertex) for hook in found.hooks] == [
+        (edge.id, v) for edge in desc.edges for v in edge.ends
+    ]
+    for hook in found.hooks:
+        assert hook.character == vertex_character(desc, hook.vertex)
+
+
 def test_enumerate_csv(star_file, capsys):
     assert main(["enumerate", star_file, "--vertex", "1", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -491,6 +572,34 @@ def test_enumerate_csv_refuses_an_id_it_cannot_hold(
     assert len(captured.err.splitlines()) == 1
     assert main(["enumerate", path]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "ascii:backslashreplace"])
+def test_enumerate_csv_refuses_an_id_stdout_cannot_encode(tmp_path, encoding):
+    # the ids are encoded as stdout encodes, strictly, whatever its error
+    # handler: else the run fails after the rows before the id were written,
+    # or prints an escape that a CSV reader reads back as another id
+    obj = descriptor_to_obj(star_tree(2, 3, 2, W(()), -1))
+    path = write_obj(tmp_path, _relabelled(obj, "v2", "v\u00e9"))
+    src = Path(cyclicblocks.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding}
+    argv = [sys.executable, "-m", "cyclicblocks.cli", "enumerate", path]
+    run = subprocess.run(
+        argv + ["--format", "csv"], capture_output=True, env=env, timeout=10
+    )
+    assert run.returncode == 1
+    assert run.stdout == b""
+    # stderr is ASCII too, and escapes the id's e-acute
+    assert run.stderr == (
+        b"error: vertex id 'v\\xe9' cannot be written as CSV "
+        b"(ascii cannot encode it)\n"
+    )
+    env["PYTHONIOENCODING"] = "utf-8"
+    run = subprocess.run(
+        argv + ["--format", "csv"], capture_output=True, env=env, timeout=10
+    )
+    assert run.returncode == 0
+    assert run.stdout.decode("utf-8").splitlines()[-1] == "2,1,,,v\u00e9,"
 
 
 def test_enumerate_csv_prints_an_id_quoted_inside(tmp_path, capsys):

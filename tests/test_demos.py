@@ -1,12 +1,17 @@
 """Every demo script runs to the end in-process and prints what it printed
 when its stdout was pinned: the sha256 of stdout is recorded below.  The
-README's quick start prints what its closing comment lines say."""
+README's quick start prints what its closing comment lines say, and its
+command-line synopsis spells every command as `cli.COMMANDS` declares it."""
 
+import argparse
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
+
+from cyclicblocks.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -60,3 +65,40 @@ def test_readme_quick_start_prints_what_it_says(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines() == promised
+
+
+def _synopsis() -> dict[str, str]:
+    """Each command's line in the README's `## Command line` block, after
+    its `cyclicblocks <command>`."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split(None, 2) for line in block.splitlines()]
+    return {words[1]: words[2] if len(words) > 2 else "" for words in lines}
+
+
+def _spelled(text: str, word: str) -> bool:
+    """Whether `word` stands in `text` as a whole word."""
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_readme_synopsis_names_every_argument_of_each_command(name):
+    # an option by name, a positional by its name in capitals, a choices
+    # argument by its choices joined with "|", an oracle option with its
+    # default; an argument suppressed from help need not appear
+    line = _synopsis()[name]
+    for arg, keywords in COMMANDS[name].arguments.items():
+        if keywords.get("help") == argparse.SUPPRESS:
+            continue
+        if arg.startswith("-"):
+            assert _spelled(line, arg), arg
+        elif "choices" not in keywords:
+            assert _spelled(line, arg.upper()), arg
+        if "choices" in keywords:
+            assert _spelled(line, "|".join(keywords["choices"])), arg
+        if name == "oracle":
+            default = keywords["default"]
+            if isinstance(default, tuple):
+                default = " ".join(map(str, default))
+            assert f"[{arg} {default}]" in line, arg
